@@ -1,20 +1,12 @@
 from setuptools import Extension, setup
 
-try:
-    from Cython.Build import cythonize
-
-    extensions = cythonize(
-        [
-            Extension(
-                "pmhgraph._kernel._fastcore",
-                ["src/pmhgraph/_kernel/_fastcore.pyx"],
-                extra_compile_args=["-O3"],
-            )
-        ],
-        compiler_directives={"language_level": "3", "boundscheck": False},
+# optional=True: without a C compiler the package installs anyway and runs on
+# the pure-Python kernel.
+setup(ext_modules=[
+    Extension(
+        "pmhgraph._kernel._fastcore",
+        ["src/pmhgraph/_kernel/_fastcore.c"],
+        extra_compile_args=["-O3"],
+        optional=True,
     )
-except ImportError:
-    # Pure-python kernel is used when the extension cannot be built.
-    extensions = []
-
-setup(ext_modules=extensions)
+])

@@ -1,6 +1,6 @@
 """Pure-python search kernels.
 
-Same contract as the compiled extension in ``_fastcore.pyx``: exhaustive
+Same contract as the compiled extension in ``_fastcore.c``: exhaustive
 backtracking for hamiltonian cycles with forced edges, and exact longest
 cycle search.  Both backends must produce identical verdicts and identical
 witnesses (candidate orderings match line for line).

@@ -47,8 +47,8 @@ class _Timeout(Exception):
 
 @contextmanager
 def _deadline(seconds):
-    """SIGALRM-based wall clock cap.  On the compiled backend a single kernel
-    call is not interruptible, so granularity is one search invocation."""
+    """SIGALRM-based wall clock cap; it also interrupts a running kernel
+    search, since both backends let signal handlers run during a search."""
     if not seconds:
         yield
         return

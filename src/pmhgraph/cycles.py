@@ -8,11 +8,13 @@ Budget-capped searches report "inconclusive", never absence.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
-from itertools import combinations
+from functools import cached_property
+from itertools import chain, combinations
 
 from . import _kernel
-from .errors import CapacityError, PreconditionError, StructureError
+from .errors import CapacityError, PreconditionError, StructureError, WitnessError
 from .graph_core import Graph
 
 FOUND = "found"
@@ -32,22 +34,25 @@ class CycleWalk:
     vertices: tuple
     kinds: frozenset = field(default_factory=frozenset)
 
-    @property
+    @cached_property
     def touched(self):
         return frozenset(self.vertices)
 
-    @property
+    @cached_property
     def edge_seq(self):
         vs = self.vertices
-        return tuple((min(vs[i], vs[i + 1]), max(vs[i], vs[i + 1]))
-                     for i in range(len(vs) - 1))
+        return tuple((a, b) if a < b else (b, a) for a, b in zip(vs, vs[1:]))
+
+    @cached_property
+    def _edge_set(self):
+        return frozenset(self.edge_seq)
 
     def length(self):
         return len(self.vertices) - 1 if len(self.vertices) > 1 else 0
 
     def contains_edges(self, edges):
-        have = set(self.edge_seq)
-        return all((min(u, v), max(u, v)) in have for u, v in edges)
+        have = self._edge_set
+        return all(((u, v) if u < v else (v, u)) in have for u, v in edges)
 
 
 def closed(vertices, kinds=()):
@@ -62,28 +67,26 @@ def validate_walk(g: Graph, walk: CycleWalk):
     vs = walk.vertices
     if not vs:
         return False
-    if len(vs) == 1:
-        interior = []
-    else:
-        if vs[0] != vs[-1]:
-            return False
-        interior = vs[:-1]
-        for i in range(len(vs) - 1):
-            if not g.has_edge(vs[i], vs[i + 1]):
-                return False
     edges = walk.edge_seq
+    if len(vs) > 1 and (vs[0] != vs[-1] or not g.edges.issuperset(edges)):
+        return False
+    # Every step is now an edge of g, so every touched vertex is in range.
+    touched = walk.touched
+    interior = vs[:-1] if len(vs) > 1 else ()
+    simple = False
     if "cycle" in walk.kinds or "hamiltonian" in walk.kinds:
-        if len(interior) < 3 or len(set(interior)) != len(interior):
+        if len(interior) < 3 or len(touched) != len(interior):
             return False
+        simple = True  # a cycle of length >= 3 repeats no edge
     if "tour" in walk.kinds or "euler" in walk.kinds:
-        if len(set(edges)) != len(edges):
+        if not simple and len(set(edges)) != len(edges):
             return False
-    if "euler" in walk.kinds and set(edges) != set(g.edges):
+    if "euler" in walk.kinds and set(edges) != g.edges:
         return False
-    if "hamiltonian" in walk.kinds and set(interior) != set(range(g.n)):
+    if "hamiltonian" in walk.kinds and len(touched) != g.n:
         return False
-    if "dominating" in walk.kinds:
-        touched = walk.touched
+    # A walk through every vertex dominates every edge.
+    if "dominating" in walk.kinds and len(touched) < g.n:
         for u, v in g.edges:
             if u not in touched and v not in touched:
                 return False
@@ -101,17 +104,15 @@ class SearchResult:
 
 
 def _check_forced(g: Graph, forced):
-    norm = [(min(u, v), max(u, v)) for u, v in forced]
-    deg = {}
-    for u, v in norm:
-        if (u, v) not in g.edges:
-            raise PreconditionError(f"forced edge ({u},{v}) not in the graph")
-        deg[u] = deg.get(u, 0) + 1
-        deg[v] = deg.get(v, 0) + 1
-    bad = [v for v, d in deg.items() if d > 2]
-    if bad:
-        raise PreconditionError(
-            f"vertex {bad[0]} has {deg[bad[0]]} forced incidences (max 2)")
+    # Deduplicated: the kernels read a repeated edge as two forced edges.
+    norm = list(dict.fromkeys((u, v) if u < v else (v, u) for u, v in forced))
+    if not g.edges.issuperset(norm):
+        u, v = next(e for e in norm if e not in g.edges)
+        raise PreconditionError(f"forced edge ({u},{v}) not in the graph")
+    deg = Counter(chain.from_iterable(norm))
+    if deg and max(deg.values()) > 2:
+        v = next(v for v, d in deg.items() if d > 2)
+        raise PreconditionError(f"vertex {v} has {deg[v]} forced incidences (max 2)")
     return norm
 
 
@@ -119,11 +120,12 @@ def find_hamiltonian_cycle(g: Graph, forced=(), max_nodes=0) -> SearchResult:
     """Exhaustive hamiltonian cycle search; the cycle must contain every
     forced edge.  Absence verdicts are certified by search-tree exhaustion."""
     norm = _check_forced(g, forced)
-    status, cyc, nodes = _kernel.ham_cycle([list(a) for a in g.adjacency], norm,
-                                           max_nodes)
+    status, cyc, nodes = _kernel.ham_cycle(g.adjacency, norm, max_nodes)
     if status == _kernel.FOUND:
         walk = closed(cyc, kinds={"cycle", "tour", "hamiltonian", "dominating"})
-        assert validate_walk(g, walk) and walk.contains_edges(norm)
+        if not (validate_walk(g, walk) and walk.contains_edges(norm)):
+            raise WitnessError(f"kernel returned an invalid hamiltonian cycle {cyc}"
+                               f" for forced edges {norm}")
         return SearchResult(FOUND, walk, nodes)
     return SearchResult(_STATUS[status], None, nodes)
 
@@ -156,7 +158,8 @@ def find_dominating_cycle(g: Graph, allowed_untouched=frozenset(),
             if res.outcome == FOUND:
                 verts = [keep[v] for v in res.walk.vertices[:-1]]
                 walk = closed(verts, kinds={"cycle", "tour", "dominating"})
-                assert validate_walk(g, walk)
+                if not validate_walk(g, walk):
+                    raise WitnessError(f"invalid dominating cycle {verts}")
                 return SearchResult(FOUND, walk, total_nodes)
             if res.outcome == INCONCLUSIVE:
                 saw_budget = True
@@ -315,7 +318,8 @@ def euler_tour(g: Graph):
             stack.append(found)
     out.reverse()
     walk = closed(out, kinds={"tour", "euler"})
-    assert validate_walk(g, walk)
+    if not validate_walk(g, walk):
+        raise WitnessError(f"invalid euler tour {out}")
     return walk
 
 
@@ -365,11 +369,11 @@ def is_hypohamiltonian(g: Graph, max_nodes=0):
 def longest_cycle_search(g: Graph, max_nodes=0) -> SearchResult:
     """Exact longest cycle (branch and bound); inconclusive under a budget
     cap returns the best cycle found so far as a lower bound."""
-    status, cyc, nodes = _kernel.longest_cycle([list(a) for a in g.adjacency],
-                                               max_nodes)
+    status, cyc, nodes = _kernel.longest_cycle(g.adjacency, max_nodes)
     if cyc is not None:
         walk = closed(cyc, kinds={"cycle", "tour"})
-        assert validate_walk(g, walk)
+        if not validate_walk(g, walk):
+            raise WitnessError(f"kernel returned an invalid cycle {cyc}")
     else:
         walk = None
     return SearchResult(_STATUS[status], walk, nodes)

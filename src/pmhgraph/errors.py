@@ -31,3 +31,7 @@ class ParityError(PreconditionError):
 
 class CapacityError(PmhError):
     """Size bound or search-dimension cap exceeded."""
+
+
+class WitnessError(PmhError):
+    """A search returned a witness that fails its independent re-check."""

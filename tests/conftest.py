@@ -9,7 +9,20 @@ from itertools import combinations, permutations
 
 import pytest
 
+import pmhgraph
 from pmhgraph.graph_core import Graph, make_named_graph
+
+
+BACKEND_LINE = f"pmhgraph kernel backend: {pmhgraph.kernel_backend}"
+
+
+def pytest_report_header(config):
+    return BACKEND_LINE
+
+
+def pytest_terminal_summary(terminalreporter):
+    # -q hides the header, so the summary repeats the line for quiet logs.
+    terminalreporter.write_line(BACKEND_LINE)
 
 
 def naive_ham_cycle(g, forced=()):

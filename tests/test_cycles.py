@@ -1,11 +1,19 @@
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import pytest
 
-from pmhgraph.cycles import (CycleWalk, circumference, closed, euler_tour,
-                             find_dominating_cycle, find_hamiltonian_cycle,
-                             has_dominating_tour, is_arbitrarily_traceable,
-                             is_hypohamiltonian, longest_cycle_search,
-                             validate_walk)
-from pmhgraph.errors import PreconditionError, StructureError
+import pmhgraph
+from pmhgraph import _kernel, cycles
+from pmhgraph.cycles import (CycleWalk, SearchResult, circumference, closed,
+                             euler_tour, find_dominating_cycle,
+                             find_hamiltonian_cycle, has_dominating_tour,
+                             is_arbitrarily_traceable, is_hypohamiltonian,
+                             longest_cycle_search, validate_walk)
+from pmhgraph.errors import PreconditionError, StructureError, WitnessError
 from pmhgraph.graph_core import Graph, make_named_graph
 from pmhgraph.line_graph import build_line_graph
 
@@ -28,6 +36,11 @@ def test_hamiltonian_forced_edges():
     # forcing a perfect matching of K4 leaves a unique cycle shape
     res = find_hamiltonian_cycle(k4, forced=[(0, 1), (2, 3)])
     assert res and res.walk.contains_edges([(0, 1), (2, 3)])
+    # an edge listed twice is one forced edge, not a false "absent"
+    g = Graph.from_edges(6, [(0, 1), (0, 4), (0, 5), (1, 2), (1, 5), (2, 3),
+                             (2, 5), (3, 5), (4, 5)])
+    res = find_hamiltonian_cycle(g, forced=[(1, 2), (2, 1), (0, 4)])
+    assert res and res.walk.contains_edges([(1, 2), (0, 4)])
 
 
 def test_forced_edge_validation():
@@ -145,3 +158,84 @@ def test_validate_walk_rejects_defects():
     assert not validate_walk(c4, open_walk)
     k4 = make_named_graph("complete", [4])
     assert not validate_walk(k4, closed([0, 1, 2, 3], kinds={"euler"}))
+
+
+def test_validate_walk_each_check():
+    """Each walk breaks exactly one check of a hamiltonian-cycle witness."""
+    kinds = {"cycle", "tour", "hamiltonian", "dominating"}
+    c5 = make_named_graph("cycle", [5])
+    assert validate_walk(c5, closed([0, 1, 2, 3, 4], kinds=kinds))
+    open_walk = CycleWalk(vertices=(0, 1, 2, 3, 4), kinds=frozenset(kinds))
+    assert not validate_walk(c5, open_walk)
+    assert not validate_walk(c5, closed([0, 1, 2, 4, 3], kinds=kinds))  # 2-4
+    assert not validate_walk(c5, closed([0, 1, 2], kinds=kinds))  # misses 3, 4
+    bow = make_named_graph("bowtie", [])   # triangles 0-1-2 and 2-3-4
+    assert validate_walk(bow, closed([0, 1, 2, 3, 4, 2], kinds={"tour"}))
+    assert not validate_walk(bow, closed([0, 1, 2, 3, 4, 2], kinds={"cycle"}))
+    tri = closed([0, 1, 2], kinds={"cycle", "dominating"})
+    pendant = Graph.from_edges(4, [(0, 1), (1, 2), (2, 0), (2, 3)])
+    assert validate_walk(pendant, tri)
+    tail = Graph.from_edges(5, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4)])
+    assert not validate_walk(tail, tri)                     # 3-4 undominated
+    walk = closed([0, 1, 2, 3], kinds=kinds)
+    assert validate_walk(make_named_graph("complete", [4]), walk)
+    assert walk.contains_edges([(1, 0), (3, 2)])
+    assert not walk.contains_edges([(0, 2)])                # forced 0-2 missing
+
+
+# C4 and a kernel answer that is not a cycle of it (0-2 and 1-3 are chords).
+C4_BAD_CYCLE = [0, 2, 1, 3]
+
+
+def test_bad_kernel_witness_raises(monkeypatch):
+    c4 = make_named_graph("cycle", [4])
+    monkeypatch.setattr(_kernel, "ham_cycle",
+                        lambda adj, forced, max_nodes: (_kernel.FOUND, C4_BAD_CYCLE, 1))
+    with pytest.raises(WitnessError):
+        find_hamiltonian_cycle(c4)
+    with pytest.raises(WitnessError):
+        find_dominating_cycle(c4)
+    monkeypatch.setattr(_kernel, "longest_cycle",
+                        lambda adj, max_nodes: (_kernel.FOUND, C4_BAD_CYCLE, 1))
+    with pytest.raises(WitnessError):
+        longest_cycle_search(c4)
+    # a hamiltonian cycle without the forced edge
+    monkeypatch.setattr(_kernel, "ham_cycle",
+                        lambda adj, forced, max_nodes: (_kernel.FOUND, [0, 1, 2, 3], 1))
+    with pytest.raises(WitnessError):
+        find_hamiltonian_cycle(make_named_graph("complete", [4]), forced=[(0, 2)])
+
+
+def test_bad_dominating_witness_raises(monkeypatch):
+    """The dominating cycle is re-checked on the whole graph too."""
+    def search(sub, max_nodes):
+        return SearchResult("found", closed(C4_BAD_CYCLE, kinds={"cycle"}), 1)
+
+    monkeypatch.setattr(cycles, "find_hamiltonian_cycle", search)
+    with pytest.raises(WitnessError):
+        find_dominating_cycle(make_named_graph("cycle", [4]))
+
+
+def test_witness_checks_survive_python_O():
+    script = textwrap.dedent(f"""
+        import sys
+        from pmhgraph import _kernel, cycles
+        from pmhgraph.errors import WitnessError
+        from pmhgraph.graph_core import make_named_graph
+        print(sys.flags.optimize)
+        bad = {C4_BAD_CYCLE}
+        _kernel.ham_cycle = lambda adj, forced, max_nodes: (_kernel.FOUND, bad, 1)
+        _kernel.longest_cycle = lambda adj, max_nodes: (_kernel.FOUND, bad, 1)
+        for search in (cycles.find_hamiltonian_cycle, cycles.find_dominating_cycle,
+                       cycles.longest_cycle_search):
+            try:
+                search(make_named_graph("cycle", [4]))
+            except WitnessError:
+                print("raised")
+    """)
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(pmhgraph.__file__).resolve().parents[1]))
+    out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["1", "raised", "raised", "raised"]

@@ -3,12 +3,14 @@ same status, same witness, same node count.  Both are also checked against
 naive permutation oracles on small random graphs.
 """
 
-import random
+import signal
+import time
 
 import pytest
 
+from pmhgraph import _kernel
 from pmhgraph._kernel import BACKEND, purecore
-from pmhgraph.graph_core import make_named_graph
+from pmhgraph.graph_core import Graph, make_named_graph
 from pmhgraph.matching import enumerate_perfect_matchings
 from pmhgraph.line_graph import build_line_graph
 
@@ -27,6 +29,35 @@ def _adj(g):
     return [list(a) for a in g.adjacency]
 
 
+def _random_forced(rng, g, k):
+    """Up to k random edges of g, no vertex on more than two of them, each
+    in a random orientation."""
+    es = sorted(g.edges)
+    rng.shuffle(es)
+    deg = [0] * g.n
+    forced = []
+    for u, v in es[:k]:
+        if deg[u] < 2 and deg[v] < 2:
+            deg[u] += 1
+            deg[v] += 1
+            forced.append((u, v) if rng.random() < 0.5 else (v, u))
+    return forced
+
+
+def _grid(rows, cols):
+    return Graph.from_edges(rows * cols, [
+        (r * cols + c, r * cols + c + d)
+        for r in range(rows) for c in range(cols)
+        for d in (1, cols)
+        if (d == 1 and c + 1 < cols) or (d == cols and r + 1 < rows)])
+
+
+def _assert_same(kind, adj, *args):
+    p = getattr(purecore, kind)(adj, *args)
+    c = getattr(_fastcore, kind)(adj, *args)
+    assert p == c, (kind, args)
+
+
 def test_backend_reports_itself():
     assert BACKEND in ("pure", "compiled")
     if _fastcore is not None:
@@ -36,33 +67,123 @@ def test_backend_reports_itself():
 
 @needs_compiled
 def test_ham_cycle_parity_random(rng):
-    for _ in range(150):
-        n = rng.randint(4, 9)
+    for _ in range(300):
+        n = rng.randint(4, 14)
         g = random_graph(rng, n, rng.choice([0.25, 0.4, 0.6]))
-        forced = []
-        es = sorted(g.edges)
-        if es and rng.random() < 0.5:
-            forced = [rng.choice(es)]
-        p = purecore.ham_cycle(_adj(g), forced, 0)
-        c = _fastcore.ham_cycle(_adj(g), forced, 0)
-        assert p == c
+        forced = _random_forced(rng, g, rng.randint(0, 3))
+        _assert_same("ham_cycle", _adj(g), forced, 0)
 
 
 @needs_compiled
 def test_ham_cycle_parity_under_budget(rng):
     g = make_named_graph("petersen", [])
     for cap in (1, 5, 50, 1000):
-        assert purecore.ham_cycle(_adj(g), [], cap) == \
-            _fastcore.ham_cycle(_adj(g), [], cap)
+        _assert_same("ham_cycle", _adj(g), [], cap)
+    for _ in range(100):
+        g = random_graph(rng, rng.randint(6, 12), 0.4)
+        forced = _random_forced(rng, g, rng.randint(0, 3))
+        _assert_same("ham_cycle", _adj(g), forced, rng.choice([1, 7, 40]))
 
 
 @needs_compiled
 def test_longest_cycle_parity_random(rng):
     for _ in range(100):
-        n = rng.randint(4, 8)
+        n = rng.randint(4, 10)
         g = random_graph(rng, n, rng.choice([0.3, 0.5]))
-        assert purecore.longest_cycle(_adj(g), 0) == \
-            _fastcore.longest_cycle(_adj(g), 0)
+        _assert_same("longest_cycle", _adj(g), 0)
+
+
+@needs_compiled
+def test_longest_cycle_parity_under_budget(rng):
+    for _ in range(100):
+        g = random_graph(rng, rng.randint(5, 11), rng.choice([0.3, 0.5]))
+        _assert_same("longest_cycle", _adj(g), rng.choice([1, 5, 30, 200]))
+
+
+@needs_compiled
+def test_parity_on_tiny_graphs():
+    for g in (Graph(0), Graph(1), Graph(2), Graph.from_edges(2, [(0, 1)])):
+        _assert_same("ham_cycle", _adj(g), [], 0)
+        _assert_same("longest_cycle", _adj(g), 0)
+
+
+@needs_compiled
+def test_ham_cycle_parity_on_coxeter_matchings(rng):
+    """200 seeded perfect matchings of L(Coxeter), the inner step of
+    is_pmh(L(Coxeter))."""
+    lg = build_line_graph(make_named_graph("coxeter", [])).lg
+    ms = list(enumerate_perfect_matchings(lg))
+    for m in rng.sample(ms, 200):
+        _assert_same("ham_cycle", _adj(lg), sorted(m.edges), 0)
+
+
+@needs_compiled
+def test_parity_beyond_one_word():
+    """L(K_{10,10}) has 100 vertices, so its vertex sets take two words."""
+    lg = build_line_graph(make_named_graph("bipartite", [10, 10])).lg
+    assert lg.n > 64
+    m = next(iter(enumerate_perfect_matchings(lg)))
+    _assert_same("ham_cycle", _adj(lg), sorted(m.edges), 0)
+    _assert_same("ham_cycle", _adj(lg), [], 0)
+    for cap in (1, 100, 3000):
+        _assert_same("longest_cycle", _adj(lg), cap)
+    _assert_same("ham_cycle", _adj(_grid(5, 14)), [], 5000)
+
+
+@needs_compiled
+def test_compiled_rejects_graphs_deeper_than_its_stack():
+    with pytest.raises(ValueError, match="too large"):
+        _fastcore.ham_cycle([[]] * ((1 << 14) + 1), [], 0)
+
+
+def _bench_instances():
+    """Representative searches: absent and found hamiltonian cycles, forced
+    searches on L(Coxeter), longest cycles."""
+    pet = make_named_graph("petersen", [])
+    yield "ham_cycle", pet, ()
+    yield "ham_cycle", make_named_graph("complete", [8]), ()
+    lg = build_line_graph(make_named_graph("coxeter", [])).lg
+    for _, m in zip(range(3), enumerate_perfect_matchings(lg)):
+        yield "ham_cycle", lg, tuple(m.edges)
+    yield "longest_cycle", pet, ()
+    yield "longest_cycle", make_named_graph("bipartite", [4, 4]), ()
+
+
+@needs_compiled
+def test_parity_on_representative_searches():
+    for kind, g, forced in _bench_instances():
+        if kind == "ham_cycle":
+            _assert_same(kind, _adj(g), list(forced), 0)
+        else:
+            _assert_same(kind, _adj(g), 0)
+
+
+class _Alarm(Exception):
+    pass
+
+
+def test_signal_interrupts_a_long_search():
+    """The 7x9 grid is bipartite with odd order, so it has no hamiltonian
+    cycle; the unbounded search exhausts 167,690,380 nodes (about 16 s on
+    the compiled kernel).  A raising SIGALRM handler must end it early."""
+    g = _grid(7, 9)
+
+    def handler(signum, frame):
+        raise _Alarm()
+
+    old = signal.signal(signal.SIGALRM, handler)
+    try:
+        signal.setitimer(signal.ITIMER_REAL, 0.3)
+        t0 = time.perf_counter()
+        with pytest.raises(_Alarm):
+            _kernel.ham_cycle(_adj(g), [], 0)
+        assert time.perf_counter() - t0 < 2.0
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
+    # the kernel is usable again and counts nodes as before
+    assert _kernel.ham_cycle(_adj(g), [], 2000) == \
+        purecore.ham_cycle(_adj(g), [], 2000)
 
 
 def test_pure_ham_against_naive(rng):
