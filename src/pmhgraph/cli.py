@@ -2,9 +2,27 @@
 enumeration, cycle searches, matching extension, and a counterexample survey.
 
 Reports are schema-versioned JSON, one object per input graph.  Walks are
-serialized as closed vertex-id lists (first vertex repeated last).  Exit
-codes: 0 a verdict was computed (whatever it is), 1 precondition or format
-error, 2 some search was inconclusive (budget or timeout exhausted).
+serialized as closed vertex-id lists (first vertex repeated last).
+
+Every per-graph command is one row of `_COMMANDS`: a body that maps a parsed
+graph and the command's options to a `_Line` (verdict, witness, nodes,
+outcome).  One runner, `_run`, does the rest for all of them:
+
+- It reads the whole input and parses each line on its own before the first
+  report.  A line that fails (bad graph6, unmet precondition) is reported on
+  stderr and the other lines still get their reports.
+- It applies `--timeout-seconds` to each line and times it.
+- It re-checks every walk a witness carries against its host graph and the
+  matching edges it must contain, and raises WitnessError instead of
+  printing a walk that fails; the check is not an `assert`, so `python -O`
+  keeps it.
+- It resolves the node budget once (`--max-nodes`, else $PMHGRAPH_MAX_NODES,
+  else unbounded) and passes it to every search the body runs.  A spent
+  budget or timeout is reported as "inconclusive", never as absence.
+
+Exit codes, worst line first: 1 some line had a format or precondition
+error, 2 some search was inconclusive (budget or timeout exhausted), 0 a
+verdict was computed for every line (whatever it is).
 """
 
 from __future__ import annotations
@@ -16,15 +34,18 @@ import sys
 import time
 from contextlib import contextmanager
 from multiprocessing import Pool
+from types import SimpleNamespace
+from typing import NamedTuple
 
 import click
 
 from .constructions import prop6_construct, y_extension, y_reduction
-from .cycles import (FOUND, INCONCLUSIVE, circumference, euler_tour,
+from .cycles import (ABSENT, FOUND, INCONCLUSIVE, CycleWalk, euler_tour,
                      find_dominating_cycle, find_hamiltonian_cycle,
                      is_arbitrarily_traceable, is_hypohamiltonian,
-                     validate_walk)
-from .errors import ParameterError, PmhError, PreconditionError
+                     longest_cycle_search, validate_walk)
+from .errors import (BudgetError, ParameterError, PmhError,
+                     PreconditionError, StructureError, WitnessError)
 from .graph_core import (Graph, generator_tags, make_named_graph,
                          parse_graph6, write_graph6)
 from .line_graph import build_line_graph
@@ -71,39 +92,13 @@ def _budget(max_nodes):
     return int(os.environ.get(ENV_MAX_NODES, "0"))
 
 
-def _read_graphs(source):
-    """Yield (graph6 string, Graph) from a file path or '-' for stdin."""
-    stream = sys.stdin if source == "-" else open(source)
-    try:
-        for line in stream:
-            line = line.strip()
-            if line:
-                yield line, parse_graph6(line)
-    finally:
-        if stream is not sys.stdin:
-            stream.close()
-
-
-def _walk_json(walk):
-    if walk is None:
-        return None
-    return {"vertices": list(walk.vertices), "kinds": sorted(walk.kinds)}
+def _exit(errors, inconclusive=False):
+    sys.exit(EXIT_ERROR if errors else
+             EXIT_INCONCLUSIVE if inconclusive else EXIT_OK)
 
 
 def _emit(report):
     click.echo(json.dumps(report, sort_keys=True))
-
-
-def _report(command, g6, verdict, witness=None, nodes=0, t0=None):
-    return {
-        "schema": SCHEMA,
-        "command": command,
-        "input": g6,
-        "verdict": verdict,
-        "witness": witness,
-        "stats": {"nodes": nodes,
-                  "wall_time": round(time.time() - t0, 6) if t0 else 0.0},
-    }
 
 
 def _load_matching(lg, path):
@@ -113,52 +108,307 @@ def _load_matching(lg, path):
     return make_matching(lg, [tuple(e) for e in edges])
 
 
-class _Run:
-    """Tracks the worst exit code across input lines."""
+# ---------------------------------------------------------------------------
+# The per-graph runner
 
-    def __init__(self):
-        self.code = EXIT_OK
 
-    def error(self, message):
-        click.echo(f"error: {message}", err=True)
-        self.code = EXIT_ERROR
+class _Walk(NamedTuple):
+    """A witness walk and what the runner re-checks it against."""
 
-    def inconclusive(self):
-        if self.code == EXIT_OK:
-            self.code = EXIT_INCONCLUSIVE
+    walk: CycleWalk
+    host: Graph
+    required: frozenset = frozenset()
 
-    def each(self, source, fn, timeout=None, command=""):
-        """Apply fn(g6, graph) per input line with shared error handling."""
-        try:
-            graphs = list(_read_graphs(source))
-        except (OSError, PmhError) as exc:
-            self.error(exc)
-            sys.exit(self.code)
-        for g6, g in graphs:
+
+class _Line(NamedTuple):
+    """What a command body computed for one input graph."""
+
+    verdict: dict
+    witness: object = None    # JSON data; a _Walk anywhere a walk goes
+    nodes: int = 0
+    outcome: str | None = None
+
+
+def _witness_json(witness):
+    if isinstance(witness, _Walk):
+        walk = witness.walk
+        if not (validate_walk(witness.host, walk)
+                and walk.contains_edges(witness.required)):
+            raise WitnessError(f"witness walk {list(walk.vertices)} fails "
+                               f"its re-check")
+        return {"vertices": list(walk.vertices), "kinds": sorted(walk.kinds)}
+    if isinstance(witness, dict):
+        return {k: _witness_json(v) for k, v in witness.items()}
+    return witness
+
+
+def _read_graphs(source):
+    """(line, Graph) for each non-blank line of a file path or '-' (stdin);
+    a line that is not graph6 carries the PmhError parsing raised."""
+    graphs = []
+    with click.open_file(source) as stream:
+        for line in stream:
+            line = line.strip()
+            if not line:
+                continue
             try:
-                with _deadline(timeout):
-                    fn(g6, g)
-            except _Timeout:
-                _emit(_report(command, g6, {"outcome": INCONCLUSIVE,
-                                            "reason": "timeout"}))
-                self.inconclusive()
+                graphs.append((line, parse_graph6(line)))
             except PmhError as exc:
-                self.error(f"{g6}: {exc}")
-        sys.exit(self.code)
+                graphs.append((line, exc))
+    return graphs
 
 
-def _common(fn):
-    fn = click.option("--max-nodes", type=int, default=None,
-                      help="search node budget (0 = unbounded; "
-                           f"default from ${ENV_MAX_NODES})")(fn)
-    fn = click.option("--timeout-seconds", type=float, default=None,
-                      help="wall clock cap per input graph")(fn)
-    return fn
+def _run(command, body, source, opts):
+    """Report body(graph, options) for every input graph; see the module
+    docstring for what the runner adds."""
+    timeout = opts.pop("timeout_seconds", None)
+    if "max_nodes" in opts:
+        opts["max_nodes"] = _budget(opts["max_nodes"])
+    options = SimpleNamespace(**opts)
+    try:
+        graphs = _read_graphs(source)
+    except OSError as exc:
+        click.echo(f"error: {exc}", err=True)
+        _exit(errors=True)
+    errors = inconclusive = False
+    for g6, g in graphs:
+        t0 = time.perf_counter()
+        try:
+            if not isinstance(g, Graph):
+                raise g
+            with _deadline(timeout):
+                line = body(g, options)
+            witness = _witness_json(line.witness)
+        except (_Timeout, BudgetError) as exc:
+            reason = "timeout" if isinstance(exc, _Timeout) else "budget"
+            line = _Line({"outcome": INCONCLUSIVE, "reason": reason},
+                         outcome=INCONCLUSIVE)
+            witness = None
+        except PmhError as exc:
+            click.echo(f"error: {g6}: {exc}", err=True)
+            errors = True
+            continue
+        _emit({"schema": SCHEMA, "command": command, "input": g6,
+               "verdict": line.verdict, "witness": witness,
+               "stats": {"nodes": line.nodes,
+                         "wall_time": round(time.perf_counter() - t0, 6)}})
+        inconclusive = inconclusive or line.outcome == INCONCLUSIVE
+    _exit(errors, inconclusive)
+
+
+# ---------------------------------------------------------------------------
+# Command bodies: (graph, options) -> _Line
+
+
+def _search_line(res, host, required=frozenset(), **verdict):
+    walk = None if res.walk is None else _Walk(res.walk, host, required)
+    return _Line({"outcome": res.outcome, **verdict}, walk, res.nodes,
+                 res.outcome)
+
+
+def _surgery_line(out, s):
+    return _Line({"graph6": write_graph6(out), "order": out.n},
+                 {"site": list(s.site), "new_vertices": list(s.new_vertices),
+                  "vertex_map": {str(k): v for k, v in s.vertex_map.items()}})
+
+
+def _lg(g, o):
+    """Line graph of each input: graph6 plus the vertex-to-edge table."""
+    lgm = build_line_graph(g)
+    return _Line({"lg_graph6": write_graph6(lgm.lg), "order": lgm.lg.n,
+                  "size": len(lgm.lg.edges)},
+                 {"vertex_edges": [list(e) for e in lgm.from_lg]})
+
+
+def _pm_enum(g, o):
+    """Enumerate perfect matchings of each input graph."""
+    ms = list(enumerate_perfect_matchings(g))
+    witness = None if o.count_only else {
+        "matchings": [sorted(list(e) for e in m.edges) for m in ms]}
+    return _Line({"count": len(ms)}, witness)
+
+
+def _ham(g, o):
+    """Hamiltonian cycle search."""
+    return _search_line(find_hamiltonian_cycle(g, max_nodes=o.max_nodes), g)
+
+
+def _domcycle(g, o):
+    """Dominating cycle search with an allowed-untouched vertex set."""
+    allowed = frozenset(int(x) for x in o.allow.split(",") if x != "")
+    return _search_line(find_dominating_cycle(g, allowed_untouched=allowed,
+                                              max_nodes=o.max_nodes), g)
+
+
+def _euler(g, o):
+    """Euler tour, or absence when some degree is odd."""
+    walk = euler_tour(g)
+    if walk is None:
+        return _Line({"outcome": ABSENT}, outcome=ABSENT)
+    return _Line({"outcome": FOUND}, _Walk(walk, g), outcome=FOUND)
+
+
+def _circ(g, o):
+    """Circumference (length of a longest cycle)."""
+    res = longest_cycle_search(g, o.max_nodes)
+    if res.outcome == ABSENT:
+        raise StructureError("graph is acyclic: circumference undefined")
+    if res.outcome == INCONCLUSIVE:
+        return _Line({"outcome": INCONCLUSIVE}, None, res.nodes, INCONCLUSIVE)
+    return _Line({"circumference": res.walk.length()}, None, res.nodes)
+
+
+def _hypoham(g, o):
+    """Hypohamiltonicity test."""
+    return _Line({"hypohamiltonian":
+                  is_hypohamiltonian(g, max_nodes=o.max_nodes)})
+
+
+def _arbtrace(g, o):
+    """Arbitrarily-traceable-from-vertex test."""
+    return _Line({"arbitrarily_traceable": is_arbitrarily_traceable(g, o.origin),
+                  "from": o.origin})
+
+
+def _pmh_check(g, o):
+    """Does every perfect matching of the input graph extend to a
+    hamiltonian cycle?"""
+    v = is_pmh(g, max_nodes=o.max_nodes)
+    witness = None
+    if v.witness is not None:
+        witness = {"matching": sorted(list(e) for e in v.witness.edges)}
+    return _Line({"status": v.status, "is_pmh": v.is_pmh,
+                  "vacuous": v.vacuous, "matchings_tested": v.matchings_tested},
+                 witness, v.nodes, v.status)
+
+
+def _extend(g, o):
+    """Extend a perfect matching of the line graph of the input base graph."""
+    lgm = build_line_graph(g)
+    m = _load_matching(lgm.lg, o.matching_path)
+    if o.method == "subcubic":
+        res = extend_matching_subcubic(lgm, m, max_nodes=o.max_nodes)
+    elif o.method == "complete":
+        res = extend_matching_complete(g.n, m, lgm, max_nodes=o.max_nodes)
+    elif o.method == "bipartite":
+        res = extend_matching_bipartite(g.n // 2, m, lgm, max_nodes=o.max_nodes)
+    else:
+        if o.origin is None:
+            raise PreconditionError("arbtrace needs --from <vertex>")
+        res = extend_matching_arb_traceable(lgm, o.origin, m,
+                                            max_nodes=o.max_nodes)
+    return _search_line(res, lgm.lg, m.edges, method=o.method)
+
+
+def _kotzig(g, o):
+    """Two edge-disjoint hamiltonian cycles of the line graph of a cubic
+    hamiltonian base, the first containing the matching."""
+    lgm = build_line_graph(g)
+    m = _load_matching(lgm.lg, o.matching_path)
+    h1, h2 = kotzig_partition(g, m, lgm, max_nodes=o.max_nodes)
+    return _Line({"outcome": FOUND},
+                 {"containing": _Walk(h1, lgm.lg, m.edges),
+                  "complement": _Walk(h2, lgm.lg)})
+
+
+def _yext(g, o):
+    """Expand a degree-3 vertex into a triangle."""
+    return _surgery_line(*y_extension(g, o.vertex))
+
+
+def _yred(g, o):
+    """Contract a pendant-free triangle back to a degree-3 vertex."""
+    return _surgery_line(*y_reduction(g, tuple(int(x) for x in
+                                               o.triangle.split(","))))
+
+
+def _prop6(g, o):
+    """Expand every vertex but one of a cubic hypohamiltonian odd-size graph
+    into a triangle; the result has circumference one below its order."""
+    out, kept, tmap = prop6_construct(g, o.keep, max_nodes=o.max_nodes)
+    return _Line({"graph6": write_graph6(out), "order": out.n,
+                  "size": len(out.edges), "kept": kept},
+                 {"triangles": {str(v): list(t) for v, t in tmap.items()}})
+
+
+# ---------------------------------------------------------------------------
+# Command table and click wiring
+
+
+_SEARCH = (
+    click.option("--max-nodes", type=int, default=None,
+                 help="search node budget (0 = unbounded; "
+                      f"default from ${ENV_MAX_NODES})"),
+    click.option("--timeout-seconds", type=float, default=None,
+                 help="wall clock cap per input graph"),
+)
+_MATCHING = click.option("--matching", "matching_path", required=True,
+                         help="JSON file with line-graph matching edges")
+
+# report command name ("group.command" below a group) -> (body, options)
+_COMMANDS = {
+    "lg": (_lg, ()),
+    "pm-enum": (_pm_enum, (click.option("--count-only", is_flag=True),)),
+    "cycles.ham": (_ham, _SEARCH),
+    "cycles.domcycle": (_domcycle, (
+        click.option("--allow", default="", help="comma separated vertex ids "
+                     "a dominating cycle may skip"),
+        *_SEARCH)),
+    "cycles.euler": (_euler, ()),
+    "cycles.circ": (_circ, _SEARCH),
+    "cycles.hypoham": (_hypoham, _SEARCH),
+    "cycles.arbtrace": (_arbtrace, (
+        click.option("--from", "origin", type=int, required=True),)),
+    "pmh-check": (_pmh_check, _SEARCH),
+    "extend": (_extend, (
+        click.option("--method", required=True,
+                     type=click.Choice(["subcubic", "complete", "bipartite",
+                                        "arbtrace"])),
+        _MATCHING,
+        click.option("--from", "origin", type=int, default=None,
+                     help="traceable vertex (arbtrace method)"),
+        *_SEARCH)),
+    "kotzig": (_kotzig, (_MATCHING, *_SEARCH)),
+    "construct.yext": (_yext, (
+        click.option("--at", "vertex", type=int, required=True),)),
+    "construct.yred": (_yred, (
+        click.option("--triangle", required=True,
+                     help="three vertex ids, comma separated"),)),
+    "construct.prop6": (_prop6, (
+        click.option("--keep", type=int, required=True), *_SEARCH)),
+}
 
 
 @click.group()
 def main():
     """Perfect-matching extension toolkit for line graphs."""
+
+
+@main.group()
+def cycles():
+    """Cycle and tour searches."""
+
+
+@main.group()
+def construct():
+    """Graph surgeries."""
+
+
+def _register(name, body, options):
+    group, _, sub = name.rpartition(".")
+
+    def callback(source, **opts):
+        _run(name, body, source, opts)
+
+    for option in reversed(options):
+        callback = option(callback)
+    callback = click.argument("source", default="-")(callback)
+    {"": main, "cycles": cycles, "construct": construct}[group].command(
+        sub, help=body.__doc__)(callback)
+
+
+for _name, (_body, _options) in _COMMANDS.items():
+    _register(_name, _body, _options)
 
 
 @main.command()
@@ -175,374 +425,65 @@ def gen(name, params):
     click.echo(write_graph6(g))
 
 
-@main.command()
-@click.argument("source", default="-")
-def lg(source):
-    """Line graph of each input: graph6 plus the vertex-to-edge table."""
-    run = _Run()
-
-    def one(g6, g):
-        t0 = time.time()
-        lgm = build_line_graph(g)
-        _emit(_report("lg", g6, {"lg_graph6": write_graph6(lgm.lg),
-                                 "order": lgm.lg.n,
-                                 "size": len(lgm.lg.edges)},
-                      witness={"vertex_edges": [list(e) for e in lgm.from_lg]},
-                      t0=t0))
-
-    run.each(source, one)
-
-
-@main.command("pm-enum")
-@click.argument("source", default="-")
-@click.option("--count-only", is_flag=True)
-def pm_enum(source, count_only):
-    """Enumerate perfect matchings of each input graph."""
-    run = _Run()
-
-    def one(g6, g):
-        t0 = time.time()
-        ms = list(enumerate_perfect_matchings(g))
-        verdict = {"count": len(ms)}
-        witness = None
-        if not count_only:
-            witness = {"matchings": [sorted(list(e) for e in m.edges)
-                                     for m in ms]}
-        _emit(_report("pm-enum", g6, verdict, witness=witness, t0=t0))
-
-    run.each(source, one)
-
-
-@main.group()
-def cycles():
-    """Cycle and tour searches."""
-
-
-def _search_command(command, searcher, run, source, timeout):
-    def one(g6, g):
-        t0 = time.time()
-        res = searcher(g)
-        if res.walk is not None:
-            assert validate_walk(g, res.walk)
-        _emit(_report(command, g6, {"outcome": res.outcome},
-                      witness=_walk_json(res.walk), nodes=res.nodes, t0=t0))
-        if res.outcome == INCONCLUSIVE:
-            run.inconclusive()
-
-    run.each(source, one, timeout=timeout, command=command)
-
-
-@cycles.command()
-@click.argument("source", default="-")
-@_common
-def ham(source, max_nodes, timeout_seconds):
-    """Hamiltonian cycle search."""
-    run = _Run()
-    _search_command(
-        "cycles.ham",
-        lambda g: find_hamiltonian_cycle(g, max_nodes=_budget(max_nodes)),
-        run, source, timeout_seconds)
-
-
-@cycles.command()
-@click.argument("source", default="-")
-@click.option("--allow", default="",
-              help="comma separated vertex ids a dominating cycle may skip")
-@_common
-def domcycle(source, allow, max_nodes, timeout_seconds):
-    """Dominating cycle search with an allowed-untouched vertex set."""
-    allowed = frozenset(int(x) for x in allow.split(",") if x != "")
-    run = _Run()
-    _search_command(
-        "cycles.domcycle",
-        lambda g: find_dominating_cycle(g, allowed_untouched=allowed,
-                                        max_nodes=_budget(max_nodes)),
-        run, source, timeout_seconds)
-
-
-@cycles.command()
-@click.argument("source", default="-")
-def euler(source):
-    """Euler tour, or absence when some degree is odd."""
-    run = _Run()
-
-    def one(g6, g):
-        t0 = time.time()
-        walk = euler_tour(g)
-        outcome = FOUND if walk is not None else "absent"
-        _emit(_report("cycles.euler", g6, {"outcome": outcome},
-                      witness=_walk_json(walk), t0=t0))
-
-    run.each(source, one)
-
-
-@cycles.command()
-@click.argument("source", default="-")
-@_common
-def circ(source, max_nodes, timeout_seconds):
-    """Circumference (length of a longest cycle)."""
-    _cmd = "cycles.circ"
-    run = _Run()
-
-    def one(g6, g):
-        t0 = time.time()
-        value = circumference(g)
-        _emit(_report("cycles.circ", g6, {"circumference": value}, t0=t0))
-
-    run.each(source, one, timeout=timeout_seconds, command=_cmd)
-
-
-@cycles.command()
-@click.argument("source", default="-")
-@_common
-def hypoham(source, max_nodes, timeout_seconds):
-    """Hypohamiltonicity test."""
-    _cmd = "cycles.hypoham"
-    run = _Run()
-
-    def one(g6, g):
-        t0 = time.time()
-        value = is_hypohamiltonian(g, max_nodes=_budget(max_nodes))
-        _emit(_report("cycles.hypoham", g6, {"hypohamiltonian": value}, t0=t0))
-
-    run.each(source, one, timeout=timeout_seconds, command=_cmd)
-
-
-@cycles.command()
-@click.argument("source", default="-")
-@click.option("--from", "origin", type=int, required=True)
-def arbtrace(source, origin):
-    """Arbitrarily-traceable-from-vertex test."""
-    run = _Run()
-
-    def one(g6, g):
-        t0 = time.time()
-        value = is_arbitrarily_traceable(g, origin)
-        _emit(_report("cycles.arbtrace", g6,
-                      {"arbitrarily_traceable": value, "from": origin}, t0=t0))
-
-    run.each(source, one)
-
-
-@main.command("pmh-check")
-@click.argument("source", default="-")
-@_common
-def pmh_check(source, max_nodes, timeout_seconds):
-    """Does every perfect matching of the input graph extend to a
-    hamiltonian cycle?"""
-    _cmd = "pmh-check"
-    run = _Run()
-
-    def one(g6, g):
-        t0 = time.time()
-        v = is_pmh(g, max_nodes=_budget(max_nodes))
-        witness = None
-        if v.witness is not None:
-            witness = {"matching": sorted(list(e) for e in v.witness.edges)}
-        _emit(_report("pmh-check", g6,
-                      {"status": v.status, "is_pmh": v.is_pmh,
-                       "vacuous": v.vacuous,
-                       "matchings_tested": v.matchings_tested},
-                      witness=witness, nodes=v.nodes, t0=t0))
-        if v.status == INCONCLUSIVE:
-            run.inconclusive()
-
-    run.each(source, one, timeout=timeout_seconds, command=_cmd)
-
-
-def _check_complete(g):
-    if len(g.edges) != g.n * (g.n - 1) // 2:
-        raise PreconditionError("base graph is not complete")
-
-
-def _check_balanced_bipartite(g):
-    from .pmh import _bipartition
-    parts = _bipartition(g)
-    if parts is None or len(parts[0]) != len(parts[1]):
-        raise PreconditionError("base graph is not balanced bipartite")
-    if len(g.edges) != len(parts[0]) * len(parts[1]):
-        raise PreconditionError("base graph is not complete bipartite")
-    return len(parts[0])
-
-
-@main.command()
-@click.argument("source", default="-")
-@click.option("--method", required=True,
-              type=click.Choice(["subcubic", "complete", "bipartite",
-                                 "arbtrace"]))
-@click.option("--matching", "matching_path", required=True,
-              help="JSON file with line-graph matching edges")
-@click.option("--from", "origin", type=int, default=None,
-              help="traceable vertex (arbtrace method)")
-@_common
-def extend(source, method, matching_path, origin, max_nodes, timeout_seconds):
-    """Extend a perfect matching of the line graph of the input base graph."""
-    _cmd = "extend"
-    run = _Run()
-    nodes_cap = _budget(max_nodes)
-
-    def one(g6, g):
-        t0 = time.time()
-        lgm = build_line_graph(g)
-        m = _load_matching(lgm.lg, matching_path)
-        nodes = 0
-        if method == "subcubic":
-            res = extend_matching_subcubic(lgm, m, max_nodes=nodes_cap)
-            outcome, walk, nodes = res.outcome, res.walk, res.nodes
-        elif method == "complete":
-            _check_complete(g)
-            walk = extend_matching_complete(g.n, m, lgm, max_nodes=nodes_cap)
-            outcome = FOUND
-        elif method == "bipartite":
-            side = _check_balanced_bipartite(g)
-            res = extend_matching_bipartite(side, m, lgm, max_nodes=nodes_cap)
-            outcome, walk, nodes = res.outcome, res.walk, res.nodes
-        else:
-            if origin is None:
-                raise PreconditionError("arbtrace needs --from <vertex>")
-            res = extend_matching_arb_traceable(lgm, origin, m)
-            outcome, walk, nodes = res.outcome, res.walk, res.nodes
-        if walk is not None:
-            assert validate_walk(lgm.lg, walk)
-            assert walk.contains_edges(m.edges)
-        _emit(_report("extend", g6, {"outcome": outcome, "method": method},
-                      witness=_walk_json(walk), nodes=nodes, t0=t0))
-        if outcome == INCONCLUSIVE:
-            run.inconclusive()
-
-    run.each(source, one, timeout=timeout_seconds, command=_cmd)
-
-
-@main.command()
-@click.argument("source", default="-")
-@click.option("--matching", "matching_path", required=True)
-@_common
-def kotzig(source, matching_path, max_nodes, timeout_seconds):
-    """Two edge-disjoint hamiltonian cycles of the line graph of a cubic
-    hamiltonian base, the first containing the matching."""
-    _cmd = "kotzig"
-    run = _Run()
-
-    def one(g6, g):
-        t0 = time.time()
-        lgm = build_line_graph(g)
-        m = _load_matching(lgm.lg, matching_path)
-        h1, h2 = kotzig_partition(g, m, lgm)
-        assert validate_walk(lgm.lg, h1) and validate_walk(lgm.lg, h2)
-        assert h1.contains_edges(m.edges)
-        _emit(_report("kotzig", g6, {"outcome": FOUND},
-                      witness={"containing": _walk_json(h1),
-                               "complement": _walk_json(h2)}, t0=t0))
-
-    run.each(source, one, timeout=timeout_seconds, command=_cmd)
-
-
-@main.group()
-def construct():
-    """Graph surgeries."""
-
-
-@construct.command()
-@click.argument("source", default="-")
-@click.option("--at", "vertex", type=int, required=True)
-def yext(source, vertex):
-    """Expand a degree-3 vertex into a triangle."""
-    run = _Run()
-
-    def one(g6, g):
-        t0 = time.time()
-        out, s = y_extension(g, vertex)
-        _emit(_report("construct.yext", g6,
-                      {"graph6": write_graph6(out), "order": out.n},
-                      witness={"site": list(s.site),
-                               "new_vertices": list(s.new_vertices),
-                               "vertex_map": {str(k): v
-                                              for k, v in s.vertex_map.items()}},
-                      t0=t0))
-
-    run.each(source, one)
-
-
-@construct.command()
-@click.argument("source", default="-")
-@click.option("--triangle", required=True, help="three vertex ids, comma separated")
-def yred(source, triangle):
-    """Contract a pendant-free triangle back to a degree-3 vertex."""
-    tri = tuple(int(x) for x in triangle.split(","))
-    run = _Run()
-
-    def one(g6, g):
-        t0 = time.time()
-        out, s = y_reduction(g, tri)
-        _emit(_report("construct.yred", g6,
-                      {"graph6": write_graph6(out), "order": out.n},
-                      witness={"site": list(s.site),
-                               "new_vertices": list(s.new_vertices),
-                               "vertex_map": {str(k): v
-                                              for k, v in s.vertex_map.items()}},
-                      t0=t0))
-
-    run.each(source, one)
-
-
-@construct.command()
-@click.argument("source", default="-")
-@click.option("--keep", type=int, required=True)
-@_common
-def prop6(source, keep, max_nodes, timeout_seconds):
-    """Expand every vertex but one of a cubic hypohamiltonian odd-size graph
-    into a triangle; the result has circumference one below its order."""
-    _cmd = "construct.prop6"
-    run = _Run()
-
-    def one(g6, g):
-        t0 = time.time()
-        out, kept, tmap = prop6_construct(g, keep)
-        _emit(_report("construct.prop6", g6,
-                      {"graph6": write_graph6(out), "order": out.n,
-                       "size": len(out.edges), "kept": kept},
-                      witness={"triangles": {str(v): list(t)
-                                             for v, t in tmap.items()}},
-                      t0=t0))
-
-    run.each(source, one, timeout=timeout_seconds, command=_cmd)
-
-
 # ---------------------------------------------------------------------------
 # Survey mode
 
 
-def _is_eulerian(g):
-    return (g.is_connected() and len(g.edges) > 0
-            and all(g.degree(v) % 2 == 0 for v in range(g.n)))
-
-
-def _passes_filter(g, problem, max_nodes):
+def _candidate(g, problem, max_nodes):
+    """FOUND when g passes the problem's filter, ABSENT when it does not,
+    INCONCLUSIVE when the budget stopped its hamiltonicity search."""
     if len(g.edges) % 2 or g.n < 3 or not g.is_connected():
-        return False
-    if problem == "p1":
-        degs = set(g.degree(v) for v in range(g.n))
-        if len(degs) != 1 or min(degs) < 4:
-            return False
-    elif problem == "p2":
-        if not _is_eulerian(g):
-            return False
-    else:  # maxdeg4
-        if g.max_degree() != 4:
-            return False
-    return find_hamiltonian_cycle(g, max_nodes=max_nodes).outcome == FOUND
+        return ABSENT
+    degrees = {g.degree(v) for v in range(g.n)}
+    if (problem == "p1" and (len(degrees) != 1 or min(degrees) < 4)
+            or problem == "p2" and any(d % 2 for d in degrees)
+            or problem == "maxdeg4" and max(degrees) != 4):
+        return ABSENT
+    return find_hamiltonian_cycle(g, max_nodes=max_nodes).outcome
 
 
 def _survey_one(args):
-    g6, max_nodes = args
-    g = parse_graph6(g6)
-    lgm = build_line_graph(g)
-    v = is_pmh(lgm.lg, max_nodes=max_nodes)
+    g6, max_nodes, timeout = args
+    try:
+        with _deadline(timeout):
+            v = is_pmh(build_line_graph(parse_graph6(g6)).lg,
+                       max_nodes=max_nodes)
+    except _Timeout:
+        return {"graph6": g6, "status": INCONCLUSIVE, "reason": "timeout",
+                "vacuous": False, "matchings_tested": 0, "nodes": 0}
     entry = {"graph6": g6, "status": v.status, "vacuous": v.vacuous,
              "matchings_tested": v.matchings_tested, "nodes": v.nodes}
     if v.witness is not None:
         entry["witness_matching"] = sorted(list(e) for e in v.witness.edges)
     return entry
+
+
+def _load_journal(path):
+    """Journal entries by graph6 string.  Entries are appended one line per
+    write, so a crash mid-write can only leave a torn last line without its
+    newline: it is dropped with a warning and the file is truncated back to
+    the last newline, so the next entry starts on a line of its own."""
+    done = {}
+    if not os.path.exists(path):
+        return done
+    with open(path, "rb+") as fh:
+        data = fh.read()
+        end = data.rfind(b"\n") + 1
+        for number, line in enumerate(data[:end].splitlines(), 1):
+            if not line.strip():
+                continue
+            try:
+                entry = json.loads(line)
+                done[entry["graph6"]] = entry
+            except (ValueError, KeyError, TypeError) as exc:
+                click.echo(f"error: journal {path} line {number}: {exc!r}",
+                           err=True)
+                _exit(errors=True)
+        if end < len(data):
+            click.echo(f"warning: dropping torn last journal line "
+                       f"{data[end:][:60]!r}", err=True)
+            fh.truncate(end)
+    return done
 
 
 @main.command()
@@ -552,22 +493,17 @@ def _survey_one(args):
 @click.option("--journal", "journal_path", required=True,
               help="append-only JSONL journal keyed by graph6 string")
 @click.option("--jobs", type=int, default=1)
-@_common
+@_SEARCH[0]
+@_SEARCH[1]
 def survey(corpus, problem, journal_path, jobs, max_nodes, timeout_seconds):
     """Scan a graph6 corpus for line graphs where some perfect matching does
     not extend.  Gathers evidence only; resolves nothing."""
     nodes_cap = _budget(max_nodes)
-    done = {}
-    if os.path.exists(journal_path):
-        with open(journal_path) as fh:
-            for line in fh:
-                line = line.strip()
-                if line:
-                    entry = json.loads(line)
-                    done[entry["graph6"]] = entry
+    done = _load_journal(journal_path)
 
     warnings = 0
     filtered_out = 0
+    undecided = 0
     todo = []
     entries = []
     seen = set()
@@ -585,13 +521,15 @@ def survey(corpus, problem, journal_path, jobs, max_nodes, timeout_seconds):
             if raw in seen:
                 continue
             seen.add(raw)
-            if not _passes_filter(g, problem, nodes_cap):
+            passes = _candidate(g, problem, nodes_cap)
+            if passes == ABSENT:
                 filtered_out += 1
-                continue
-            if raw in done:
+            elif passes == INCONCLUSIVE:
+                undecided += 1
+            elif raw in done:
                 entries.append(done[raw])
             else:
-                todo.append((raw, nodes_cap))
+                todo.append((raw, nodes_cap, timeout_seconds))
 
     journal = open(journal_path, "a")
     try:
@@ -612,7 +550,8 @@ def survey(corpus, problem, journal_path, jobs, max_nodes, timeout_seconds):
         journal.close()
 
     candidates = sorted(e["graph6"] for e in entries if e["status"] == "not_pmh")
-    inconclusive = sum(1 for e in entries if e["status"] == INCONCLUSIVE)
+    inconclusive = undecided + sum(1 for e in entries
+                                   if e["status"] == INCONCLUSIVE)
     summary = {
         "schema": SCHEMA,
         "command": "survey",
@@ -625,7 +564,7 @@ def survey(corpus, problem, journal_path, jobs, max_nodes, timeout_seconds):
         "note": "evidence only; the underlying questions remain open",
     }
     _emit(summary)
-    sys.exit(EXIT_INCONCLUSIVE if inconclusive else EXIT_OK)
+    _exit(False, inconclusive)
 
 
 if __name__ == "__main__":

@@ -8,7 +8,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .cycles import is_hypohamiltonian
-from .errors import ParityError, PreconditionError
+from .errors import ParityError, PreconditionError, StructureError
 from .graph_core import Graph, are_isomorphic
 from .line_graph import build_line_graph, canonical_partition
 from .matching import Matching
@@ -77,19 +77,21 @@ def y_reduction(g: Graph, triangle):
     return out, surgery
 
 
-def prop6_construct(g: Graph, keep, check_hypohamiltonian=True):
+def prop6_construct(g: Graph, keep, check_hypohamiltonian=True, max_nodes=0):
     """From a cubic hypohamiltonian graph of odd size, expand every vertex
     except `keep` into a triangle.  The result is cubic, of even size, with
     circumference one below its order, and its line graph is not PMH.
 
     Returns (graph, kept_vertex_id, triangle_map) where triangle_map sends
     each expanded original vertex to its triangle corners in the output.
+    `max_nodes` caps each search of the hypohamiltonicity check, which
+    raises BudgetError when the cap leaves it undecided.
     """
     if any(g.degree(v) != 3 for v in range(g.n)):
         raise PreconditionError("base must be cubic")
     if len(g.edges) % 2 == 0:
         raise ParityError("base must have odd size")
-    if check_hypohamiltonian and not is_hypohamiltonian(g):
+    if check_hypohamiltonian and not is_hypohamiltonian(g, max_nodes=max_nodes):
         raise PreconditionError("base must be hypohamiltonian")
     cur = g
     # expansions never renumber surviving vertices, so original ids persist
@@ -99,8 +101,8 @@ def prop6_construct(g: Graph, keep, check_hypohamiltonian=True):
             continue
         cur, s = y_extension(cur, v)
         triangle_map[v] = s.new_vertices
-    assert len(cur.edges) == len(g.edges) + 3 * (g.n - 1)
-    assert len(cur.edges) % 2 == 0
+    if len(cur.edges) != len(g.edges) + 3 * (g.n - 1) or len(cur.edges) % 2:
+        raise StructureError(f"expansion left {len(cur.edges)} edges")
     return cur, keep, triangle_map
 
 

@@ -14,7 +14,8 @@ from functools import cached_property
 from itertools import chain, combinations
 
 from . import _kernel
-from .errors import CapacityError, PreconditionError, StructureError, WitnessError
+from .errors import (BudgetError, CapacityError, PreconditionError,
+                     StructureError, WitnessError)
 from .graph_core import Graph
 
 FOUND = "found"
@@ -354,15 +355,24 @@ def is_arbitrarily_traceable(g: Graph, v):
 
 
 def is_hypohamiltonian(g: Graph, max_nodes=0):
-    """Not hamiltonian, but every single-vertex deletion is hamiltonian."""
-    if find_hamiltonian_cycle(g, max_nodes=max_nodes).outcome == FOUND:
+    """Not hamiltonian, but every single-vertex deletion is hamiltonian.
+
+    `max_nodes` caps each search.  A capped search decides nothing, so when
+    no other search settles the answer this raises BudgetError."""
+    outcome = find_hamiltonian_cycle(g, max_nodes=max_nodes).outcome
+    if outcome == FOUND:
         return False
+    capped = outcome == INCONCLUSIVE
     for v in range(g.n):
         sub, _ = _induced(g, set(range(g.n)) - {v})
         if not sub.is_connected():
             return False
-        if find_hamiltonian_cycle(sub, max_nodes=max_nodes).outcome != FOUND:
+        outcome = find_hamiltonian_cycle(sub, max_nodes=max_nodes).outcome
+        if outcome == ABSENT:
             return False
+        capped = capped or outcome == INCONCLUSIVE
+    if capped:
+        raise BudgetError("a hamiltonicity search ran out of nodes")
     return True
 
 

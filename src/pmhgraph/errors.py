@@ -35,3 +35,8 @@ class CapacityError(PmhError):
 
 class WitnessError(PmhError):
     """A search returned a witness that fails its independent re-check."""
+
+
+class BudgetError(PmhError):
+    """A node budget ran out before a yes/no answer was certified; the answer
+    is inconclusive."""

@@ -84,10 +84,6 @@ class Graph:
         return tuple(sorted(len(a) for a in self.adjacency))
 
 
-def check_handshake(g: Graph):
-    assert sum(g.degree(v) for v in range(g.n)) == 2 * len(g.edges)
-
-
 # ---------------------------------------------------------------------------
 # Named generators
 

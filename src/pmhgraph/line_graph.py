@@ -5,6 +5,7 @@ canonical clique partition (one clique per base vertex of degree >= 2).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import PreconditionError
 from .graph_core import Graph
@@ -19,21 +20,15 @@ class LineGraphMap:
 
     base: Graph
     lg: Graph
-    to_lg: tuple      # dense edge id -> lg vertex id (identity by construction)
     from_lg: tuple    # lg vertex id -> base edge (u, v)
 
     def lg_vertex(self, u, v):
         e = (u, v) if u < v else (v, u)
         return self._edge_idx[e]
 
-    @property
+    @cached_property
     def _edge_idx(self):
-        try:
-            return self._eidx_cache
-        except AttributeError:
-            idx = {e: i for i, e in enumerate(self.from_lg)}
-            object.__setattr__(self, "_eidx_cache", idx)
-            return idx
+        return {e: i for i, e in enumerate(self.from_lg)}
 
 
 @dataclass(frozen=True)
@@ -70,14 +65,13 @@ def build_line_graph(g: Graph) -> LineGraphMap:
     return LineGraphMap(
         base=g,
         lg=lg,
-        to_lg=tuple(range(len(edge_list))),
         from_lg=tuple(edge_list),
     )
 
 
 def canonical_partition(lgm: LineGraphMap) -> CliquePartition:
     g = lgm.base
-    idx = {e: i for i, e in enumerate(lgm.from_lg)}
+    idx = lgm._edge_idx
     cliques = []
     for v in range(g.n):
         if g.degree(v) < 2:

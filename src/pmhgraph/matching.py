@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import ParityError, PreconditionError, StructureError
+from .errors import ParityError, PreconditionError, StructureError, WitnessError
 from .graph_core import Graph
 from .line_graph import LineGraphMap
 
@@ -139,11 +139,8 @@ def matching_to_p3(lgm: LineGraphMap, m: Matching) -> P3Decomposition:
 
 def p3_to_matching(lgm: LineGraphMap, decomp: P3Decomposition) -> Matching:
     """Inverse of matching_to_p3."""
-    idx = {e: i for i, e in enumerate(lgm.from_lg)}
-    edges = []
-    for _center, (e1, e2) in decomp.paths:
-        a, b = idx[e1], idx[e2]
-        edges.append((min(a, b), max(a, b)))
+    idx = lgm._edge_idx
+    edges = [(idx[e1], idx[e2]) for _center, (e1, e2) in decomp.paths]
     return make_matching(lgm.lg, edges)
 
 
@@ -196,13 +193,15 @@ def find_p3_decomposition(g: Graph) -> P3Decomposition:
         if len(free) % 2 == 1 and parent[v] >= 0:
             pe = (min(v, parent[v]), max(v, parent[v]))
             free.remove(pe)
-        assert len(free) % 2 == 0, "parity invariant broken"
+        if len(free) % 2:
+            raise StructureError(f"odd number of unpaired edges left at vertex {v}")
         for i in range(0, len(free), 2):
             e1, e2 = free[i], free[i + 1]
             used.update((e1, e2))
             paths.append((v, (e1, e2)))
     decomp = P3Decomposition(paths=tuple(paths))
-    assert validate_p3_decomposition(g, decomp)
+    if not validate_p3_decomposition(g, decomp):
+        raise WitnessError("constructed 3-path decomposition fails validation")
     return decomp
 
 

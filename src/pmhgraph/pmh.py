@@ -15,7 +15,8 @@ from dataclasses import dataclass
 from .cycles import (ABSENT, FOUND, INCONCLUSIVE, CycleWalk, SearchResult,
                      closed, find_dominating_cycle, find_hamiltonian_cycle,
                      is_arbitrarily_traceable, validate_walk)
-from .errors import ParityError, PreconditionError, StructureError
+from .errors import (BudgetError, ParityError, PreconditionError,
+                     StructureError, WitnessError)
 from .graph_core import Graph, make_named_graph
 from .line_graph import LineGraphMap, build_line_graph, canonical_partition
 from .matching import (Matching, enumerate_perfect_matchings, matching_to_p3)
@@ -75,27 +76,21 @@ def is_pmh(h: Graph, max_nodes=0) -> PmhVerdict:
 # Shared helpers
 
 
-def _require_perfect(lgm: LineGraphMap, m: Matching):
-    if m.host_n != lgm.lg.n or not m.is_perfect():
-        uncovered = sorted(set(range(lgm.lg.n)) - m.covered())
-        raise PreconditionError(
-            f"matching is not perfect on the line graph "
-            f"(uncovered {uncovered[:3]})")
-
-
 def _matching_centers(lgm: LineGraphMap, m: Matching):
     """Map base vertex -> list of lg matching edges whose base 3-path is
-    centered there."""
+    centered there.  Raises PreconditionError (via matching_to_p3) unless m
+    is a perfect matching of the line graph."""
+    idx = lgm._edge_idx
     centers = {}
-    for a, b in sorted(m.edges):
-        (c,) = set(lgm.from_lg[a]) & set(lgm.from_lg[b])
-        centers.setdefault(c, []).append((a, b))
+    for c, (ea, eb) in matching_to_p3(lgm, m).paths:
+        centers.setdefault(c, []).append((idx[ea], idx[eb]))
     return centers
 
 
-def _assert_extension(lgm: LineGraphMap, m: Matching, walk: CycleWalk):
-    assert validate_walk(lgm.lg, walk), "constructed walk fails validation"
-    assert walk.contains_edges(m.edges), "constructed cycle drops matching edges"
+def _checked_extension(lgm: LineGraphMap, m: Matching, walk: CycleWalk):
+    if not (validate_walk(lgm.lg, walk) and walk.contains_edges(m.edges)):
+        raise WitnessError(f"constructed walk {walk.vertices} is not a "
+                           f"hamiltonian cycle through the matching")
     return walk
 
 
@@ -111,10 +106,9 @@ def extend_via_dominating_cycle(lgm: LineGraphMap, m: Matching,
     g = lgm.base
     if g.max_degree() > 3:
         raise PreconditionError("dominating-cycle extension needs max degree 3")
-    _require_perfect(lgm, m)
+    centers = _matching_centers(lgm, m)
     if not validate_walk(g, closed(d.vertices, kinds={"cycle", "dominating"})):
         raise PreconditionError("d is not a dominating cycle of the base")
-    centers = _matching_centers(lgm, m)
     untouched = set(range(g.n)) - d.touched
     for v in untouched:
         if g.degree(v) >= 2 and v in centers:
@@ -146,7 +140,7 @@ def extend_via_dominating_cycle(lgm: LineGraphMap, m: Matching,
     for seg in segments:
         verts.extend(seg[:-1])
     walk = closed(verts, kinds={"cycle", "tour", "hamiltonian"})
-    return _assert_extension(lgm, m, walk)
+    return _checked_extension(lgm, m, walk)
 
 
 def extend_matching_subcubic(lgm: LineGraphMap, m: Matching,
@@ -157,7 +151,6 @@ def extend_matching_subcubic(lgm: LineGraphMap, m: Matching,
     g = lgm.base
     if g.max_degree() > 3:
         raise PreconditionError("subcubic extension requires max degree 3")
-    _require_perfect(lgm, m)
     centers = _matching_centers(lgm, m)
     allowed = {v for v in range(g.n)
                if g.degree(v) == 1 or (g.degree(v) >= 2 and v not in centers)}
@@ -168,25 +161,28 @@ def extend_matching_subcubic(lgm: LineGraphMap, m: Matching,
     return SearchResult(FOUND, walk, res.nodes)
 
 
-def kotzig_partition(g: Graph, m: Matching, lgm: LineGraphMap | None = None):
+def kotzig_partition(g: Graph, m: Matching, lgm: LineGraphMap | None = None,
+                     max_nodes=0):
     """For cubic hamiltonian g: two edge-disjoint hamiltonian cycles of L(g)
-    covering E(L(g)), the first containing m."""
+    covering E(L(g)), the first containing m.  Raises BudgetError when
+    `max_nodes` stops the search for a hamiltonian cycle of g."""
     if any(g.degree(v) != 3 for v in range(g.n)):
         raise PreconditionError("kotzig partition requires a cubic base")
     if len(g.edges) % 2:
         raise ParityError("kotzig partition requires even base size")
     if lgm is None:
         lgm = build_line_graph(g)
-    _require_perfect(lgm, m)
-    res = find_hamiltonian_cycle(g)
-    if res.outcome != FOUND:
+    matching_to_p3(lgm, m)  # m must be perfect before any search runs
+    res = find_hamiltonian_cycle(g, max_nodes=max_nodes)
+    if res.outcome == INCONCLUSIVE:
+        raise BudgetError("hamiltonian cycle search of the base ran out of nodes")
+    if res.outcome == ABSENT:
         raise PreconditionError("base graph is not hamiltonian")
     h1 = extend_via_dominating_cycle(lgm, m, res.walk)
     rest = set(lgm.lg.edges) - set(h1.edge_seq)
     h2 = _cycle_from_edge_set(lgm.lg, rest)
-    if h2 is None:
-        raise AssertionError("complement of the extension is not a hamiltonian cycle")
-    assert validate_walk(lgm.lg, h2)
+    if h2 is None or not validate_walk(lgm.lg, h2):
+        raise WitnessError("complement of the extension is not a hamiltonian cycle")
     return h1, h2
 
 
@@ -231,7 +227,8 @@ def colouring_from_matching(lgm: LineGraphMap, m: Matching) -> EdgeColouring:
         colour[e1] = cid
         colour[e2] = cid
     ec = EdgeColouring(colour=colour)
-    assert daykin_hypothesis_holds(lgm.base, ec)
+    if not daykin_hypothesis_holds(lgm.base, ec):
+        raise StructureError("a vertex meets three edges of one colour")
     return ec
 
 
@@ -293,8 +290,8 @@ def find_pc_hamiltonian_cycle(g: Graph, c: EdgeColouring,
     got = dfs(0, None, 1)
     if got is not None:
         walk = closed(got, kinds={"cycle", "tour", "hamiltonian"})
-        assert validate_walk(g, walk)
-        assert is_properly_coloured(walk, c)
+        if not (validate_walk(g, walk) and is_properly_coloured(walk, c)):
+            raise WitnessError(f"invalid properly coloured cycle {got}")
         return SearchResult(FOUND, walk, nodes)
     return SearchResult(INCONCLUSIVE if capped else ABSENT, None, nodes)
 
@@ -376,7 +373,8 @@ def stitch_clique_path(members, entry, exit_, inside_edges):
     if last is not None:
         path.append(last[0] if last[1] == exit_ else last[1])
     path.append(exit_)
-    assert len(set(path)) == len(path), "clique path revisits a vertex"
+    if len(set(path)) != len(path):
+        raise WitnessError(f"clique path {path} revisits a vertex")
     return path
 
 
@@ -400,28 +398,36 @@ def _extend_via_pc_cycle(lgm: LineGraphMap, m: Matching,
                                  centers.get(v, []))
         verts.extend(seg[:-1])
     walk = closed(verts, kinds={"cycle", "tour", "hamiltonian"})
-    return _assert_extension(lgm, m, walk)
+    return _checked_extension(lgm, m, walk)
+
+
+def _extend_via_pc_search(lgm: LineGraphMap, m: Matching,
+                          max_nodes) -> SearchResult:
+    colouring = colouring_from_matching(lgm, m)
+    pc = find_pc_hamiltonian_cycle(lgm.base, colouring, max_nodes=max_nodes)
+    if pc.outcome != FOUND:
+        return pc
+    return SearchResult(FOUND, _extend_via_pc_cycle(lgm, m, pc.walk), pc.nodes)
 
 
 def extend_matching_complete(n, m: Matching, lgm: LineGraphMap | None = None,
-                             max_nodes=0) -> CycleWalk:
+                             max_nodes=0) -> SearchResult:
     """Extend a perfect matching of L(K_n), n = 0 or 1 mod 4, to a
-    hamiltonian cycle via a properly coloured hamiltonian cycle of K_n."""
+    hamiltonian cycle via a properly coloured hamiltonian cycle of K_n.
+    A search stopped by `max_nodes` is inconclusive."""
     if n % 4 not in (0, 1):
         raise ParityError(f"K_{n} has an odd number of edges; no perfect matching")
     if lgm is None:
         lgm = build_line_graph(make_named_graph("complete", [n]))
-    _require_perfect(lgm, m)
+    elif lgm.base.n != n or len(lgm.base.edges) != n * (n - 1) // 2:
+        raise PreconditionError(f"base graph is not K_{n}")
     if n == 4:
-        res = extend_matching_subcubic(lgm, m, max_nodes=max_nodes)
-        assert res.outcome == FOUND, "K4 extension must succeed"
-        return res.walk
-    colouring = colouring_from_matching(lgm, m)
-    pc = find_pc_hamiltonian_cycle(lgm.base, colouring, max_nodes=max_nodes)
-    if pc.outcome != FOUND:
-        raise AssertionError(
-            f"properly coloured cycle search failed on K_{n} ({pc.outcome})")
-    return _extend_via_pc_cycle(lgm, m, pc.walk)
+        return extend_matching_subcubic(lgm, m, max_nodes=max_nodes)
+    res = _extend_via_pc_search(lgm, m, max_nodes)
+    if res.outcome == ABSENT:
+        raise StructureError(f"K_{n} has no properly coloured hamiltonian "
+                             f"cycle under the matching's colouring")
+    return res
 
 
 def extend_matching_bipartite(m_side, m: Matching,
@@ -434,23 +440,26 @@ def extend_matching_bipartite(m_side, m: Matching,
         raise ParityError(f"K_{{{m_side},{m_side}}} has an odd number of edges")
     if lgm is None:
         lgm = build_line_graph(make_named_graph("bipartite", [m_side, m_side]))
-    _require_perfect(lgm, m)
+    # A bipartite graph on 2m vertices has at most m * m edges, and only
+    # K_{m,m} reaches that.
+    elif (lgm.base.n != 2 * m_side or len(lgm.base.edges) != m_side * m_side
+          or _bipartition(lgm.base) is None):
+        raise PreconditionError(f"base graph is not K_{{{m_side},{m_side}}}")
     if m_side <= 3:
         return extend_matching_subcubic(lgm, m, max_nodes=max_nodes)
-    colouring = colouring_from_matching(lgm, m)
-    pc = find_pc_hamiltonian_cycle(lgm.base, colouring, max_nodes=max_nodes)
-    if pc.outcome != FOUND:
-        # absence of a PC cycle below the m >= 50 regime proves nothing
-        return SearchResult(INCONCLUSIVE, None, pc.nodes)
-    walk = _extend_via_pc_cycle(lgm, m, pc.walk)
-    return SearchResult(FOUND, walk, pc.nodes)
+    res = _extend_via_pc_search(lgm, m, max_nodes)
+    # absence of a PC cycle below the m >= 50 regime proves nothing
+    if res.outcome == ABSENT:
+        return SearchResult(INCONCLUSIVE, None, res.nodes)
+    return res
 
 
 # ---------------------------------------------------------------------------
 # Arbitrarily traceable bases: constrained Euler tour
 
 
-def extend_matching_arb_traceable(lgm: LineGraphMap, v, m: Matching) -> SearchResult:
+def extend_matching_arb_traceable(lgm: LineGraphMap, v, m: Matching,
+                                  max_nodes=0) -> SearchResult:
     """Euler tour of the base in which the two edges of every 3-path are
     consecutive; read as a vertex sequence of the line graph it is a
     hamiltonian cycle containing the matching.
@@ -460,13 +469,13 @@ def extend_matching_arb_traceable(lgm: LineGraphMap, v, m: Matching) -> SearchRe
     matchings do exist (pair two 3-paths at a degree-4 cut vertex and the
     constrained transitions split the tour), so absence is reported rather
     than treated as unreachable.  Absence of the tour does not by itself
-    certify that the matching is non-extendable in the line graph."""
+    certify that the matching is non-extendable in the line graph.  A search
+    stopped by `max_nodes` is inconclusive."""
     g = lgm.base
     if not is_arbitrarily_traceable(g, v):
         raise PreconditionError(f"base is not arbitrarily traceable from {v}")
     if len(g.edges) % 2:
         raise ParityError("even base size required")
-    _require_perfect(lgm, m)
 
     decomp = matching_to_p3(lgm, m)
     partner = {}
@@ -480,13 +489,18 @@ def extend_matching_arb_traceable(lgm: LineGraphMap, v, m: Matching) -> SearchRe
     edges = g.edge_list()
     used = set()
     seq = []
-    calls = [0]
+    calls = 0
+    capped = False
 
     def other_end(e, x):
         return e[0] if e[1] == x else e[1]
 
     def dfs(x, prev):
-        calls[0] += 1
+        nonlocal calls, capped
+        calls += 1
+        if max_nodes and calls > max_nodes:
+            capped = True
+            return False
         if len(seq) == len(edges):
             if x != v:
                 return False
@@ -514,14 +528,15 @@ def extend_matching_arb_traceable(lgm: LineGraphMap, v, m: Matching) -> SearchRe
                 return True
             seq.pop()
             used.discard(e)
+            if capped:
+                return False
         return False
 
     if not dfs(v, None):
-        return SearchResult(ABSENT, None, calls[0])
-    idx = {e: i for i, e in enumerate(lgm.from_lg)}
-    verts = [idx[e] for e in seq]
-    walk = closed(verts, kinds={"cycle", "tour", "hamiltonian"})
-    return SearchResult(FOUND, _assert_extension(lgm, m, walk), calls[0])
+        return SearchResult(INCONCLUSIVE if capped else ABSENT, None, calls)
+    idx = lgm._edge_idx
+    walk = closed([idx[e] for e in seq], kinds={"cycle", "tour", "hamiltonian"})
+    return SearchResult(FOUND, _checked_extension(lgm, m, walk), calls)
 
 
 # ---------------------------------------------------------------------------

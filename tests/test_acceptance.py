@@ -66,7 +66,7 @@ def test_criterion_03_k5_pipeline():
         count += 1
         c = colouring_from_matching(lgm, m)
         assert count_pc_hamiltonian_cycles(k5, c, limit=2) >= 2
-        walk = extend_matching_complete(5, m, lgm)
+        walk = extend_matching_complete(5, m, lgm).walk
         assert validate_walk(lgm.lg, walk) and walk.contains_edges(m.edges)
     assert count == 144
     assert is_pmh(lgm.lg).is_pmh

@@ -1,7 +1,16 @@
 import json
+import os
+import subprocess
+import sys
+import textwrap
+import time
+from pathlib import Path
 
+import pytest
 from click.testing import CliRunner
 
+import pmhgraph
+from pmhgraph import cli
 from pmhgraph.cli import main
 from pmhgraph.cycles import closed, validate_walk
 from pmhgraph.graph_core import make_named_graph, parse_graph6, write_graph6
@@ -176,3 +185,129 @@ def test_survey_filters(tmp_path):
               "--journal", str(journal))
     summary = json.loads(res.output.strip().splitlines()[-1])
     assert summary["tested"] == 0 and summary["filtered_out"] == 3
+
+
+def matching_file(tmp_path, name, params=(), index=0):
+    lgm = build_line_graph(make_named_graph(name, list(params)))
+    ms = list(enumerate_perfect_matchings(lgm.lg))
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps({"edges": [list(e) for e in ms[index].edges]}))
+    return str(path)
+
+
+# (command args before SOURCE, base graph, matching base or None)
+BUDGETED = {
+    "cycles ham": (["cycles", "ham"], ("petersen", ()), None),
+    "cycles domcycle": (["cycles", "domcycle", "--allow", "0"],
+                        ("petersen", ()), None),
+    "cycles circ": (["cycles", "circ"], ("petersen", ()), None),
+    "cycles hypoham": (["cycles", "hypoham"], ("petersen", ()), None),
+    "pmh-check": (["pmh-check"], ("petersen", ()), None),
+    "extend subcubic": (["extend", "--method", "subcubic"],
+                        ("complete", (4,)), True),
+    "extend complete K4": (["extend", "--method", "complete"],
+                           ("complete", (4,)), True),
+    "extend complete K5": (["extend", "--method", "complete"],
+                           ("complete", (5,)), True),
+    "extend bipartite": (["extend", "--method", "bipartite"],
+                         ("bipartite", (4, 4)), True),
+    "extend arbtrace": (["extend", "--method", "arbtrace", "--from", "2"],
+                        ("bowtie", ()), True),
+    "kotzig": (["kotzig"], ("complete", (4,)), True),
+    "construct prop6": (["construct", "prop6", "--keep", "0"],
+                        ("petersen", ()), None),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BUDGETED))
+def test_every_budget_is_honoured(case, tmp_path):
+    args, (name, params), matching = BUDGETED[case]
+    if matching:
+        args = args + ["--matching", matching_file(tmp_path, name, params)]
+    res = run(*args, "--max-nodes", "1", "-", input=g6(name, params) + "\n")
+    assert res.exit_code == 2, res.output
+    (rep,) = reports(res)
+    verdict = rep["verdict"]
+    assert "inconclusive" in (verdict.get("outcome"), verdict.get("status"))
+    assert rep["witness"] is None
+
+
+def test_survey_budget_is_honoured(tmp_path):
+    corpus = tmp_path / "corpus.g6"
+    corpus.write_text(g6("octahedron") + "\n")
+    res = run("survey", str(corpus), "--problem", "p2", "--max-nodes", "1",
+              "--journal", str(tmp_path / "journal.jsonl"))
+    assert res.exit_code == 2
+    summary = json.loads(res.stdout)
+    assert summary["inconclusive"] == 1 and summary["filtered_out"] == 0
+
+
+def test_survey_timeout_is_honoured(tmp_path, monkeypatch):
+    def slow(h, max_nodes=0):
+        time.sleep(5)
+
+    monkeypatch.setattr(cli, "is_pmh", slow)
+    corpus = tmp_path / "corpus.g6"
+    corpus.write_text(g6("octahedron") + "\n")
+    journal = tmp_path / "journal.jsonl"
+    t0 = time.perf_counter()
+    res = run("survey", str(corpus), "--problem", "p2", "--timeout-seconds",
+              "0.2", "--journal", str(journal))
+    assert time.perf_counter() - t0 < 4
+    assert res.exit_code == 2
+    assert json.loads(res.stdout)["inconclusive"] == 1
+    (entry,) = [json.loads(line) for line in journal.read_text().splitlines()]
+    assert entry["status"] == "inconclusive" and entry["reason"] == "timeout"
+
+
+def test_survey_resumes_after_torn_journal_line(tmp_path):
+    corpus = tmp_path / "corpus.g6"
+    corpus.write_text("\n".join([g6("octahedron"), g6("complete", [5])]) + "\n")
+    journal = tmp_path / "journal.jsonl"
+    args = ("survey", str(corpus), "--problem", "p2", "--journal", str(journal))
+    summary = json.loads(run(*args).stdout)
+    assert summary["tested"] == 2
+    full = journal.read_text()
+    first, second = full.splitlines(keepends=True)
+    journal.write_text(first + second[:len(second) // 2])  # crash mid-write
+    res = run(*args)
+    assert res.exit_code == 0, res.output
+    assert "torn" in res.stderr
+    assert json.loads(res.stdout) == summary
+    assert journal.read_text() == full
+    # a complete line that does not decode is not a torn write: refuse it
+    journal.write_text("not json\n" + full)
+    res = run(*args)
+    assert res.exit_code == 1 and "error: journal" in res.stderr
+
+
+def test_bad_middle_line_keeps_the_other_reports():
+    lines = [g6("cube"), "!!bad", g6("petersen")]
+    res = run("cycles", "ham", "-", input="\n".join(lines) + "\n")
+    assert res.exit_code == 1
+    assert [json.loads(line)["input"] for line in res.stdout.splitlines()] \
+        == [lines[0], lines[2]]
+    assert res.stderr.startswith("error: !!bad:")
+
+
+def test_extend_rechecks_its_witness_under_python_O(tmp_path):
+    """A library route that returns a hamiltonian cycle without the matching
+    edges is caught by the runner's re-check, which -O does not strip."""
+    path = matching_file(tmp_path, "complete", (4,))
+    script = textwrap.dedent(f"""
+        import sys
+        from pmhgraph import cli
+        from pmhgraph.cycles import FOUND, SearchResult, closed
+        print(sys.flags.optimize, flush=True)
+        cycle = closed([0, 1, 2, 5, 4, 3], kinds={{"cycle", "tour", "hamiltonian"}})
+        cli.extend_matching_subcubic = lambda lgm, m, max_nodes: SearchResult(FOUND, cycle, 1)
+        cli.main(["extend", "--method", "subcubic", "--matching", {path!r}, "-"])
+    """)
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(pmhgraph.__file__).resolve().parents[1]))
+    out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                         input=g6("complete", [4]) + "\n",
+                         capture_output=True, text=True, timeout=60)
+    assert out.returncode == 1, out.stderr
+    assert out.stdout.split() == ["1"]
+    assert "fails its re-check" in out.stderr

@@ -13,7 +13,8 @@ from pmhgraph.cycles import (CycleWalk, SearchResult, circumference, closed,
                              find_hamiltonian_cycle, has_dominating_tour,
                              is_arbitrarily_traceable, is_hypohamiltonian,
                              longest_cycle_search, validate_walk)
-from pmhgraph.errors import PreconditionError, StructureError, WitnessError
+from pmhgraph.errors import (BudgetError, PreconditionError, StructureError,
+                             WitnessError)
 from pmhgraph.graph_core import Graph, make_named_graph
 from pmhgraph.line_graph import build_line_graph
 
@@ -128,6 +129,10 @@ def test_hypohamiltonian(petersen, k4):
     assert is_hypohamiltonian(petersen)
     assert not is_hypohamiltonian(k4)               # hamiltonian
     assert not is_hypohamiltonian(make_named_graph("path", [5]))
+    # a capped search certifies nothing, unless another search settles it
+    with pytest.raises(BudgetError):
+        is_hypohamiltonian(petersen, max_nodes=3)
+    assert not is_hypohamiltonian(make_named_graph("path", [5]), max_nodes=1)
 
 
 def test_longest_cycle_matches_naive(rng):

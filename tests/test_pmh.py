@@ -142,11 +142,15 @@ def test_stitch_clique_path():
 def test_extend_complete():
     lgm = build_line_graph(make_named_graph("complete", [5]))
     for m in enumerate_perfect_matchings(lgm.lg):
-        walk = extend_matching_complete(5, m, lgm)
+        walk = extend_matching_complete(5, m, lgm).walk
         assert validate_walk(lgm.lg, walk) and walk.contains_edges(m.edges)
         break
     with pytest.raises(ParityError):
         extend_matching_complete(6, m)
+    # the base must be K_n itself: K_5 minus an edge is refused
+    k5_minus = Graph.from_edges(5, set(lgm.base.edges) - {(0, 1)})
+    with pytest.raises(PreconditionError):
+        extend_matching_complete(5, m, build_line_graph(k5_minus))
 
 
 def test_extend_bipartite():
@@ -156,6 +160,10 @@ def test_extend_bipartite():
         assert res and res.walk.contains_edges(m.edges)
     with pytest.raises(ParityError):
         extend_matching_bipartite(3, m)
+    # 4 vertices and 4 edges like K_{2,2}, but a triangle with a pendant edge
+    paw = Graph.from_edges(4, [(0, 1), (0, 2), (1, 2), (2, 3)])
+    with pytest.raises(PreconditionError):
+        extend_matching_bipartite(2, m, build_line_graph(paw))
 
 
 def test_extend_arb_traceable_bowtie():
