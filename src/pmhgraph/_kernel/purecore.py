@@ -16,6 +16,27 @@ BUDGET = 2
 BACKEND = "pure"
 
 
+def _masks(adj):
+    """Neighbour bitmask of every vertex (neighbours are distinct, so the sum
+    is the bitwise or)."""
+    return [sum(1 << w for w in nbrs) for nbrs in adj]
+
+
+def _flood(amask, u, allow):
+    """Bitmask of the vertices reachable from u through `allow`, u included."""
+    reach = frontier = 1 << u
+    while frontier:
+        nxt = 0
+        f = frontier
+        while f:
+            b = f & -f
+            f ^= b
+            nxt |= amask[b.bit_length() - 1]
+        frontier = nxt & allow & ~reach
+        reach |= frontier
+    return reach
+
+
 def ham_cycle(adj, forced=(), max_nodes=0):
     """Search for a hamiltonian cycle containing every edge in `forced`.
 
@@ -31,12 +52,7 @@ def ham_cycle(adj, forced=(), max_nodes=0):
     if n < 3:
         return ABSENT, None, 0
 
-    amask = [0] * n
-    for v in range(n):
-        m = 0
-        for w in adj[v]:
-            m |= 1 << w
-        amask[v] = m
+    amask = _masks(adj)
 
     fnbr = [[] for _ in range(n)]
     fset = set()
@@ -65,19 +81,7 @@ def ham_cycle(adj, forced=(), max_nodes=0):
         # Every unvisited vertex and the start must be reachable from u
         # through unvisited vertices (start allowed as endpoint).
         allow = (~visited & full) | (1 << start) | (1 << u)
-        reach = 1 << u
-        frontier = 1 << u
-        while frontier:
-            nxt = 0
-            f = frontier
-            while f:
-                b = f & -f
-                f ^= b
-                nxt |= amask[b.bit_length() - 1]
-            nxt &= allow & ~reach
-            reach |= nxt
-            frontier = nxt
-        return (allow & ~reach) == 0
+        return (allow & ~_flood(amask, u, allow)) == 0
 
     def degree_ok(visited, u):
         allow = (~visited & full) | (1 << start) | (1 << u)
@@ -100,7 +104,7 @@ def ham_cycle(adj, forced=(), max_nodes=0):
             if (amask[u] >> start) & 1 and used + (1 if closing else 0) == nforced:
                 return FOUND
             return ABSENT
-        pending = [w for w in fnbr[u] if not _used_edge(u, w, used_edges)]
+        pending = [w for w in fnbr[u] if not _used_edge(u, w)]
         if len(pending) >= 2:
             return ABSENT
         if pending:
@@ -130,7 +134,7 @@ def ham_cycle(adj, forced=(), max_nodes=0):
 
     used_edges = set()
 
-    def _used_edge(a, b, _count):
+    def _used_edge(a, b):
         return ((a, b) if a < b else (b, a)) in used_edges
 
     # First move: with forced edges at the start, direction symmetry lets us
@@ -158,12 +162,7 @@ def longest_cycle(adj, max_nodes=0):
     returned and must be treated as a lower bound only.
     """
     n = len(adj)
-    amask = [0] * n
-    for v in range(n):
-        m = 0
-        for w in adj[v]:
-            m |= 1 << w
-        amask[v] = m
+    amask = _masks(adj)
 
     best = []
     nodes = 0
@@ -189,18 +188,7 @@ def longest_cycle(adj, max_nodes=0):
                 best = list(path)
             # Bound: vertices reachable from u through the unvisited region.
             allow = allow_root & ~visited
-            reach = 1 << u
-            frontier = 1 << u
-            while frontier:
-                nxt = 0
-                f = frontier
-                while f:
-                    b = f & -f
-                    f ^= b
-                    nxt |= amask[b.bit_length() - 1]
-                nxt &= allow & ~reach
-                reach |= nxt
-                frontier = nxt
+            reach = _flood(amask, u, allow)
             if len(path) + (reach & allow).bit_count() <= len(best):
                 return
             for w in adj[u]:

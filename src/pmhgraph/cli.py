@@ -16,23 +16,23 @@ outcome).  One runner, `_run`, does the rest for all of them:
   matching edges it must contain, and raises WitnessError instead of
   printing a walk that fails; the check is not an `assert`, so `python -O`
   keeps it.
-- It resolves the node budget once (`--max-nodes`, else $PMHGRAPH_MAX_NODES,
-  else unbounded) and passes it to every search the body runs.  A spent
+- It passes the node budget (`--max-nodes`, else $PMHGRAPH_MAX_NODES, else
+  unbounded; click reads both) to every search the body runs.  A spent
   budget or timeout is reported as "inconclusive", never as absence.
 
-Exit codes, worst line first: 1 some line had a format or precondition
-error, 2 some search was inconclusive (budget or timeout exhausted), 0 a
-verdict was computed for every line (whatever it is).
+Exit codes, worst line first: 1 a usage error, or some line had a format or
+precondition error, 2 some search was inconclusive (budget or timeout
+exhausted), 0 a verdict was computed for every line (whatever it is).
 """
 
 from __future__ import annotations
 
 import json
-import os
+import math
 import signal
 import sys
 import time
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 from multiprocessing import Pool
 from types import SimpleNamespace
 from typing import NamedTuple
@@ -55,7 +55,6 @@ from .pmh import (extend_matching_arb_traceable, extend_matching_bipartite,
                   kotzig_partition)
 
 SCHEMA = 1
-ENV_MAX_NODES = "PMHGRAPH_MAX_NODES"
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -86,12 +85,6 @@ def _deadline(seconds):
         signal.signal(signal.SIGALRM, old)
 
 
-def _budget(max_nodes):
-    if max_nodes is not None:
-        return max_nodes
-    return int(os.environ.get(ENV_MAX_NODES, "0"))
-
-
 def _exit(errors, inconclusive=False):
     sys.exit(EXIT_ERROR if errors else
              EXIT_INCONCLUSIVE if inconclusive else EXIT_OK)
@@ -99,13 +92,6 @@ def _exit(errors, inconclusive=False):
 
 def _emit(report):
     click.echo(json.dumps(report, sort_keys=True))
-
-
-def _load_matching(lg, path):
-    with open(path) as fh:
-        data = json.load(fh)
-    edges = data["edges"] if isinstance(data, dict) else data
-    return make_matching(lg, [tuple(e) for e in edges])
 
 
 # ---------------------------------------------------------------------------
@@ -142,19 +128,18 @@ def _witness_json(witness):
     return witness
 
 
-def _read_graphs(source):
-    """(line, Graph) for each non-blank line of a file path or '-' (stdin);
-    a line that is not graph6 carries the PmhError parsing raised."""
+def _read_graphs(stream):
+    """(line, Graph) for each non-blank line of the input; a line that is
+    not graph6 carries the PmhError parsing raised."""
     graphs = []
-    with click.open_file(source) as stream:
-        for line in stream:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                graphs.append((line, parse_graph6(line)))
-            except PmhError as exc:
-                graphs.append((line, exc))
+    for line in stream:
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            graphs.append((line, parse_graph6(line)))
+        except PmhError as exc:
+            graphs.append((line, exc))
     return graphs
 
 
@@ -162,16 +147,9 @@ def _run(command, body, source, opts):
     """Report body(graph, options) for every input graph; see the module
     docstring for what the runner adds."""
     timeout = opts.pop("timeout_seconds", None)
-    if "max_nodes" in opts:
-        opts["max_nodes"] = _budget(opts["max_nodes"])
     options = SimpleNamespace(**opts)
-    try:
-        graphs = _read_graphs(source)
-    except OSError as exc:
-        click.echo(f"error: {exc}", err=True)
-        _exit(errors=True)
     errors = inconclusive = False
-    for g6, g in graphs:
+    for g6, g in _read_graphs(source):
         t0 = time.perf_counter()
         try:
             if not isinstance(g, Graph):
@@ -235,8 +213,7 @@ def _ham(g, o):
 
 def _domcycle(g, o):
     """Dominating cycle search with an allowed-untouched vertex set."""
-    allowed = frozenset(int(x) for x in o.allow.split(",") if x != "")
-    return _search_line(find_dominating_cycle(g, allowed_untouched=allowed,
+    return _search_line(find_dominating_cycle(g, allowed_untouched=o.allow,
                                               max_nodes=o.max_nodes), g)
 
 
@@ -285,7 +262,7 @@ def _pmh_check(g, o):
 def _extend(g, o):
     """Extend a perfect matching of the line graph of the input base graph."""
     lgm = build_line_graph(g)
-    m = _load_matching(lgm.lg, o.matching_path)
+    m = make_matching(lgm.lg, o.matching)
     if o.method == "subcubic":
         res = extend_matching_subcubic(lgm, m, max_nodes=o.max_nodes)
     elif o.method == "complete":
@@ -304,7 +281,7 @@ def _kotzig(g, o):
     """Two edge-disjoint hamiltonian cycles of the line graph of a cubic
     hamiltonian base, the first containing the matching."""
     lgm = build_line_graph(g)
-    m = _load_matching(lgm.lg, o.matching_path)
+    m = make_matching(lgm.lg, o.matching)
     h1, h2 = kotzig_partition(g, m, lgm, max_nodes=o.max_nodes)
     return _Line({"outcome": FOUND},
                  {"containing": _Walk(h1, lgm.lg, m.edges),
@@ -318,8 +295,7 @@ def _yext(g, o):
 
 def _yred(g, o):
     """Contract a pendant-free triangle back to a degree-3 vertex."""
-    return _surgery_line(*y_reduction(g, tuple(int(x) for x in
-                                               o.triangle.split(","))))
+    return _surgery_line(*y_reduction(g, o.triangle))
 
 
 def _prop6(g, o):
@@ -332,17 +308,64 @@ def _prop6(g, o):
 
 
 # ---------------------------------------------------------------------------
-# Command table and click wiring
+# Option types, command table and click wiring
+
+
+class _Ints(click.ParamType):
+    """Comma separated integers, e.g. 0,3,5."""
+
+    name = "ints"
+
+    def convert(self, value, param, ctx):
+        try:
+            return tuple(int(x) for x in value.split(",") if x != "")
+        except ValueError:
+            self.fail(f"{value!r} is not a comma separated list of integers",
+                      param, ctx)
+
+
+class _Seconds(click.FloatRange):
+    """A float range that also refuses nan, which SIGALRM cannot arm."""
+
+    def convert(self, value, param, ctx):
+        seconds = super().convert(value, param, ctx)
+        if math.isnan(seconds):
+            self.fail("nan is not a number of seconds", param, ctx)
+        return seconds
+
+
+class _MatchingFile(click.ParamType):
+    """A JSON file of line-graph edges, {"edges": [[a, b], ...]} or the bare
+    list; read and checked once, it becomes a tuple of (a, b) pairs."""
+
+    name = "file"
+
+    def convert(self, value, param, ctx):
+        try:
+            with open(value) as fh:
+                data = json.load(fh)
+        except (OSError, ValueError) as exc:
+            self.fail(f"{value}: {exc}", param, ctx)
+        edges = data.get("edges") if isinstance(data, dict) else data
+        if isinstance(edges, list) and all(
+                isinstance(e, list) and len(e) == 2
+                and all(type(x) is int for x in e) for e in edges):
+            return tuple(tuple(e) for e in edges)
+        self.fail(f"{value}: not a list of [a, b] integer pairs", param, ctx)
 
 
 _SEARCH = (
-    click.option("--max-nodes", type=int, default=None,
-                 help="search node budget (0 = unbounded; "
-                      f"default from ${ENV_MAX_NODES})"),
-    click.option("--timeout-seconds", type=float, default=None,
+    # the C kernel holds the budget in a signed 64-bit count
+    click.option("--max-nodes", type=click.IntRange(min=0, max=2**63 - 1),
+                 default=0, envvar="PMHGRAPH_MAX_NODES", show_envvar=True,
+                 help="search node budget (0 = unbounded)"),
+    click.option("--timeout-seconds", type=_Seconds(min=0, max=1e9),
                  help="wall clock cap per input graph"),
 )
-_MATCHING = click.option("--matching", "matching_path", required=True,
+# a graph6 file or '-' (stdin); undecodable bytes become U+FFFD, which the
+# graph6 parser rejects, so they fail one line and not the whole input
+_GRAPH6 = click.File(errors="replace")
+_MATCHING = click.option("--matching", type=_MatchingFile(), required=True,
                          help="JSON file with line-graph matching edges")
 
 # report command name ("group.command" below a group) -> (body, options)
@@ -351,8 +374,9 @@ _COMMANDS = {
     "pm-enum": (_pm_enum, (click.option("--count-only", is_flag=True),)),
     "cycles.ham": (_ham, _SEARCH),
     "cycles.domcycle": (_domcycle, (
-        click.option("--allow", default="", help="comma separated vertex ids "
-                     "a dominating cycle may skip"),
+        click.option("--allow", type=_Ints(), default="",
+                     help="comma separated vertex ids a dominating cycle "
+                          "may skip"),
         *_SEARCH)),
     "cycles.euler": (_euler, ()),
     "cycles.circ": (_circ, _SEARCH),
@@ -372,14 +396,33 @@ _COMMANDS = {
     "construct.yext": (_yext, (
         click.option("--at", "vertex", type=int, required=True),)),
     "construct.yred": (_yred, (
-        click.option("--triangle", required=True,
+        click.option("--triangle", type=_Ints(), required=True,
                      help="three vertex ids, comma separated"),)),
     "construct.prop6": (_prop6, (
         click.option("--keep", type=int, required=True), *_SEARCH)),
 }
 
 
-@click.group()
+def _usage_exit(step, *args, **kwargs):
+    try:
+        return step(*args, **kwargs)
+    except click.UsageError as exc:
+        exc.exit_code = EXIT_ERROR
+        raise
+
+
+class _Group(click.Group):
+    """A click group whose usage errors exit 1, like every other input
+    error: click's own code for them, 2, is this CLI's inconclusive."""
+
+    def make_context(self, *args, **kwargs):
+        return _usage_exit(super().make_context, *args, **kwargs)
+
+    def invoke(self, ctx):
+        return _usage_exit(super().invoke, ctx)
+
+
+@click.group(cls=_Group)
 def main():
     """Perfect-matching extension toolkit for line graphs."""
 
@@ -402,7 +445,7 @@ def _register(name, body, options):
 
     for option in reversed(options):
         callback = option(callback)
-    callback = click.argument("source", default="-")(callback)
+    callback = click.argument("source", type=_GRAPH6, default="-")(callback)
     {"": main, "cycles": cycles, "construct": construct}[group].command(
         sub, help=body.__doc__)(callback)
 
@@ -458,39 +501,39 @@ def _survey_one(args):
     return entry
 
 
-def _load_journal(path):
-    """Journal entries by graph6 string.  Entries are appended one line per
-    write, so a crash mid-write can only leave a torn last line without its
-    newline: it is dropped with a warning and the file is truncated back to
-    the last newline, so the next entry starts on a line of its own."""
+def _load_journal(fh):
+    """Journal entries by graph6 string, from the journal opened in "a+b"
+    mode.  Entries are appended one line per write, so a crash mid-write can
+    only leave a torn last line without its newline: it is dropped with a
+    warning and the file is truncated back to the last newline, so the next
+    entry starts on a line of its own."""
     done = {}
-    if not os.path.exists(path):
-        return done
-    with open(path, "rb+") as fh:
-        data = fh.read()
-        end = data.rfind(b"\n") + 1
-        for number, line in enumerate(data[:end].splitlines(), 1):
-            if not line.strip():
-                continue
-            try:
-                entry = json.loads(line)
-                done[entry["graph6"]] = entry
-            except (ValueError, KeyError, TypeError) as exc:
-                click.echo(f"error: journal {path} line {number}: {exc!r}",
-                           err=True)
-                _exit(errors=True)
-        if end < len(data):
-            click.echo(f"warning: dropping torn last journal line "
-                       f"{data[end:][:60]!r}", err=True)
-            fh.truncate(end)
+    fh.seek(0)
+    data = fh.read()
+    end = data.rfind(b"\n") + 1
+    for number, line in enumerate(data[:end].splitlines(), 1):
+        if not line.strip():
+            continue
+        try:
+            entry = json.loads(line)
+            done[entry["graph6"]] = entry
+        except (ValueError, KeyError, TypeError) as exc:
+            click.echo(f"error: journal {fh.name} line {number}: {exc!r}",
+                       err=True)
+            _exit(errors=True)
+    if end < len(data):
+        click.echo(f"warning: dropping torn last journal line "
+                   f"{data[end:][:60]!r}", err=True)
+        fh.truncate(end)
     return done
 
 
 @main.command()
-@click.argument("corpus")
+@click.argument("corpus", type=_GRAPH6)
 @click.option("--problem", required=True,
               type=click.Choice(["p1", "p2", "maxdeg4"]))
 @click.option("--journal", "journal_path", required=True,
+              type=click.Path(dir_okay=False, writable=True),
               help="append-only JSONL journal keyed by graph6 string")
 @click.option("--jobs", type=int, default=1)
 @_SEARCH[0]
@@ -498,8 +541,11 @@ def _load_journal(path):
 def survey(corpus, problem, journal_path, jobs, max_nodes, timeout_seconds):
     """Scan a graph6 corpus for line graphs where some perfect matching does
     not extend.  Gathers evidence only; resolves nothing."""
-    nodes_cap = _budget(max_nodes)
-    done = _load_journal(journal_path)
+    try:
+        journal = open(journal_path, "a+b")
+    except OSError as exc:
+        click.echo(f"error: journal: {exc}", err=True)
+        _exit(errors=True)
 
     warnings = 0
     filtered_out = 0
@@ -507,8 +553,9 @@ def survey(corpus, problem, journal_path, jobs, max_nodes, timeout_seconds):
     todo = []
     entries = []
     seen = set()
-    with open(corpus) as fh:
-        for raw in fh:
+    with journal, ExitStack() as stack:
+        done = _load_journal(journal)
+        for raw in corpus:
             raw = raw.strip()
             if not raw:
                 continue
@@ -521,7 +568,7 @@ def survey(corpus, problem, journal_path, jobs, max_nodes, timeout_seconds):
             if raw in seen:
                 continue
             seen.add(raw)
-            passes = _candidate(g, problem, nodes_cap)
+            passes = _candidate(g, problem, max_nodes)
             if passes == ABSENT:
                 filtered_out += 1
             elif passes == INCONCLUSIVE:
@@ -529,25 +576,15 @@ def survey(corpus, problem, journal_path, jobs, max_nodes, timeout_seconds):
             elif raw in done:
                 entries.append(done[raw])
             else:
-                todo.append((raw, nodes_cap, timeout_seconds))
-
-    journal = open(journal_path, "a")
-    try:
+                todo.append((raw, max_nodes, timeout_seconds))
+        fresh = map(_survey_one, todo)
         if jobs > 1 and todo:
-            with Pool(jobs) as pool:
-                fresh = pool.imap_unordered(_survey_one, todo)
-                for entry in fresh:
-                    journal.write(json.dumps(entry, sort_keys=True) + "\n")
-                    journal.flush()
-                    entries.append(entry)
-        else:
-            for args in todo:
-                entry = _survey_one(args)
-                journal.write(json.dumps(entry, sort_keys=True) + "\n")
-                journal.flush()
-                entries.append(entry)
-    finally:
-        journal.close()
+            pool = stack.enter_context(Pool(jobs))
+            fresh = pool.imap_unordered(_survey_one, todo)
+        for entry in fresh:
+            journal.write(json.dumps(entry, sort_keys=True).encode() + b"\n")
+            journal.flush()
+            entries.append(entry)
 
     candidates = sorted(e["graph6"] for e in entries if e["status"] == "not_pmh")
     inconclusive = undecided + sum(1 for e in entries

@@ -25,6 +25,8 @@ class Surgery:
 def y_extension(g: Graph, v):
     """Expand degree-3 vertex v into a triangle; each triangle vertex takes
     one former neighbor (ascending neighbor id -> ascending new id)."""
+    if not 0 <= v < g.n:
+        raise PreconditionError(f"vertex {v} is not in the graph")
     if g.degree(v) != 3:
         raise PreconditionError(f"vertex {v} has degree {g.degree(v)}, need 3")
     nbrs = sorted(g.adjacency[v])

@@ -181,6 +181,8 @@ def _spanning_even_subgraph_exists(g: Graph):
     idx = {e: i for i, e in enumerate(edge_list)}
     # spanning tree via BFS
     parent_edge = [-1] * n
+    par = [-1] * n
+    depth = [0] * n
     seen = {0}
     order = [0]
     for u in order:
@@ -188,6 +190,8 @@ def _spanning_even_subgraph_exists(g: Graph):
             if w not in seen:
                 seen.add(w)
                 parent_edge[w] = idx[(min(u, w), max(u, w))]
+                par[w] = u
+                depth[w] = depth[u] + 1
                 order.append(w)
     if len(seen) != n:
         return False
@@ -198,14 +202,6 @@ def _spanning_even_subgraph_exists(g: Graph):
         raise CapacityError(f"cycle space dimension {dim} exceeds cap")
 
     # fundamental cycle of each chord, as an edge bitmask
-    depth = [0] * n
-    par = [-1] * n
-    for u in order:
-        for w in g.adjacency[u]:
-            if parent_edge[w] == idx[(min(u, w), max(u, w))] and w != 0:
-                par[w] = u
-                depth[w] = depth[u] + 1
-
     def tree_path_mask(a, b):
         mask = 0
         while a != b:

@@ -39,6 +39,8 @@ class Graph:
 
     @property
     def adjacency(self):
+        # Not a cached_property: on CPython 3.11 its write through __dict__
+        # gives each Graph a dict, which makes reads of n and edges 5x slower.
         try:
             return self._adj_cache
         except AttributeError:
@@ -62,10 +64,6 @@ class Graph:
     def edge_list(self):
         """Edges in lexicographic order; position = dense edge id."""
         return sorted(self.edges)
-
-    def edge_index(self):
-        """Map from normalized edge to its dense id (stable under re-parsing)."""
-        return {e: i for i, e in enumerate(self.edge_list())}
 
     def is_connected(self):
         if self.n == 0:
@@ -191,7 +189,8 @@ def parse_graph6(text):
         raise FormatError("empty graph6 string", 0)
     if s.startswith(">>graph6<<"):
         s = s[len(">>graph6<<"):]
-    data = s.encode("ascii", errors="replace")
+    # non-ASCII text encodes to bytes above 126, which the range check rejects
+    data = s.encode("utf-8", errors="surrogatepass")
     for i, b in enumerate(data):
         if not (63 <= b <= 126):
             raise FormatError(f"byte {b} outside graph6 range 63..126", i)

@@ -18,7 +18,7 @@ from .cycles import (ABSENT, FOUND, INCONCLUSIVE, CycleWalk, SearchResult,
 from .errors import (BudgetError, ParityError, PreconditionError,
                      StructureError, WitnessError)
 from .graph_core import Graph, make_named_graph
-from .line_graph import LineGraphMap, build_line_graph, canonical_partition
+from .line_graph import LineGraphMap, build_line_graph
 from .matching import (Matching, enumerate_perfect_matchings, matching_to_p3)
 
 
@@ -94,6 +94,67 @@ def _checked_extension(lgm: LineGraphMap, m: Matching, walk: CycleWalk):
     return walk
 
 
+def stitch_clique_path(members, entry, exit_, inside_edges):
+    """Alternating path through one canonical clique, from entry to exit,
+    containing every matching edge inside the clique.
+
+    Matching edges are laid out in ascending order; an edge touching the
+    entry (exit) is pinned first (last) to keep the alternation.  A lone
+    matching edge joining entry and exit is the whole path; with other
+    matching edges beside it no such path exists.
+    """
+    if entry == exit_:
+        raise PreconditionError("clique entry and exit must differ")
+    inside = [(a, b) if a < b else (b, a) for a, b in sorted(inside_edges)]
+    if not set(members).issuperset(x for e in inside for x in e):
+        raise PreconditionError("matching edge leaves the clique")
+    if ((entry, exit_) if entry < exit_ else (exit_, entry)) in inside:
+        if len(inside) > 1:
+            raise PreconditionError("entry-exit edge beside other matching edges")
+        return [entry, exit_]
+    first = last = None
+    mids = []
+    for e in inside:
+        if entry in e:
+            first = e
+        elif exit_ in e:
+            last = e
+        else:
+            mids.append(e)
+    path = [entry]
+    if first is not None:
+        path.append(first[0] if first[1] == entry else first[1])
+    for a, b in mids:
+        path.extend((a, b))
+    if last is not None:
+        path.append(last[0] if last[1] == exit_ else last[1])
+    path.append(exit_)
+    if len(set(path)) != len(path):
+        raise WitnessError(f"clique path {path} revisits a vertex")
+    return path
+
+
+def _stitch_along(lgm: LineGraphMap, m: Matching, centers,
+                  cycle: CycleWalk) -> CycleWalk:
+    """Hamiltonian cycle of the line graph through m along a cycle of the
+    base: at each cycle vertex v, walk the clique Q_v from the edge entering v
+    to the edge leaving it through the matching edges `centers[v]` at v."""
+    cyc = cycle.vertices[:-1]
+    s = len(cyc)
+    verts = []
+    for i, v in enumerate(cyc):
+        entry = lgm.lg_vertex(cyc[i - 1], v)
+        exit_ = lgm.lg_vertex(v, cyc[(i + 1) % s])
+        if v not in centers:
+            verts.append(entry)
+            continue
+        members = [lgm.lg_vertex(v, w) for w in lgm.base.adjacency[v]]
+        verts.extend(stitch_clique_path(members, entry, exit_,
+                                        centers[v])[:-1])
+    walk = closed(verts, kinds={"cycle", "tour", "hamiltonian"})
+    return _checked_extension(lgm, m, walk)
+
+
 # ---------------------------------------------------------------------------
 # Dominating-cycle extension (subcubic bases)
 
@@ -101,8 +162,8 @@ def _checked_extension(lgm: LineGraphMap, m: Matching, walk: CycleWalk):
 def extend_via_dominating_cycle(lgm: LineGraphMap, m: Matching,
                                 d: CycleWalk) -> CycleWalk:
     """Turn a dominating cycle of the base into a hamiltonian cycle of the
-    line graph containing the perfect matching, by the three-case clique
-    traversal.  Requires max base degree 3."""
+    line graph containing the perfect matching, by walking the clique of
+    each cycle vertex.  Requires max base degree 3."""
     g = lgm.base
     if g.max_degree() > 3:
         raise PreconditionError("dominating-cycle extension needs max degree 3")
@@ -114,33 +175,7 @@ def extend_via_dominating_cycle(lgm: LineGraphMap, m: Matching,
         if g.degree(v) >= 2 and v in centers:
             raise PreconditionError(
                 f"untouched vertex {v} has a matching-intersected clique")
-
-    cyc = list(d.vertices[:-1])
-    s = len(cyc)
-    segments = []
-    for i, v in enumerate(cyc):
-        prev_v = cyc[(i - 1) % s]
-        next_v = cyc[(i + 1) % s]
-        entry = lgm.lg_vertex(prev_v, v)
-        exit_ = lgm.lg_vertex(v, next_v)
-        inside = centers.get(v, [])
-        if not inside:
-            segments.append([entry, exit_])         # case 2: single clique edge
-            continue
-        (a, b) = inside[0]                          # case 1: subcubic => one edge
-        if {a, b} == {entry, exit_}:
-            segments.append([entry, exit_])
-        elif a in (entry, exit_) or b in (entry, exit_):
-            x = a if b in (entry, exit_) else b
-            segments.append([entry, x, exit_])
-        else:
-            raise PreconditionError(
-                f"matching edge in clique of vertex {v} avoids the cycle edges")
-    verts = []
-    for seg in segments:
-        verts.extend(seg[:-1])
-    walk = closed(verts, kinds={"cycle", "tour", "hamiltonian"})
-    return _checked_extension(lgm, m, walk)
+    return _stitch_along(lgm, m, centers, d)
 
 
 def extend_matching_subcubic(lgm: LineGraphMap, m: Matching,
@@ -341,73 +376,14 @@ def count_pc_hamiltonian_cycles(g: Graph, c: EdgeColouring, limit=0):
     return count
 
 
-def stitch_clique_path(members, entry, exit_, inside_edges):
-    """Alternating path through one canonical clique, from entry to exit,
-    containing every matching edge inside the clique.
-
-    Matching edges are laid out in ascending order; an edge touching the
-    entry (exit) is pinned first (last) to keep the alternation.
-    """
-    if entry == exit_:
-        raise PreconditionError("clique entry and exit must differ")
-    inside = [tuple(sorted(e)) for e in sorted(inside_edges)]
-    for e in inside:
-        if set(e) == {entry, exit_}:
-            raise PreconditionError("entry-exit edge lies in the matching")
-        if not set(e) <= set(members):
-            raise PreconditionError("matching edge leaves the clique")
-    first = last = None
-    mids = []
-    for e in inside:
-        if entry in e:
-            first = e
-        elif exit_ in e:
-            last = e
-        else:
-            mids.append(e)
-    path = [entry]
-    if first is not None:
-        path.append(first[0] if first[1] == entry else first[1])
-    for a, b in mids:
-        path.extend((a, b))
-    if last is not None:
-        path.append(last[0] if last[1] == exit_ else last[1])
-    path.append(exit_)
-    if len(set(path)) != len(path):
-        raise WitnessError(f"clique path {path} revisits a vertex")
-    return path
-
-
-def _extend_via_pc_cycle(lgm: LineGraphMap, m: Matching,
-                         pc_walk: CycleWalk) -> CycleWalk:
-    """Concatenate per-clique alternating paths along a properly coloured
-    hamiltonian cycle of the base."""
-    g = lgm.base
-    cp = canonical_partition(lgm)
-    clique_members = dict(cp.cliques)
-    centers = _matching_centers(lgm, m)
-    cyc = list(pc_walk.vertices[:-1])
-    n = len(cyc)
-    verts = []
-    for i, v in enumerate(cyc):
-        prev_v = cyc[(i - 1) % n]
-        next_v = cyc[(i + 1) % n]
-        entry = lgm.lg_vertex(prev_v, v)
-        exit_ = lgm.lg_vertex(v, next_v)
-        seg = stitch_clique_path(clique_members[v], entry, exit_,
-                                 centers.get(v, []))
-        verts.extend(seg[:-1])
-    walk = closed(verts, kinds={"cycle", "tour", "hamiltonian"})
-    return _checked_extension(lgm, m, walk)
-
-
 def _extend_via_pc_search(lgm: LineGraphMap, m: Matching,
                           max_nodes) -> SearchResult:
     colouring = colouring_from_matching(lgm, m)
     pc = find_pc_hamiltonian_cycle(lgm.base, colouring, max_nodes=max_nodes)
     if pc.outcome != FOUND:
         return pc
-    return SearchResult(FOUND, _extend_via_pc_cycle(lgm, m, pc.walk), pc.nodes)
+    walk = _stitch_along(lgm, m, _matching_centers(lgm, m), pc.walk)
+    return SearchResult(FOUND, walk, pc.nodes)
 
 
 def extend_matching_complete(n, m: Matching, lgm: LineGraphMap | None = None,

@@ -311,3 +311,75 @@ def test_extend_rechecks_its_witness_under_python_O(tmp_path):
     assert out.returncode == 1, out.stderr
     assert out.stdout.split() == ["1"]
     assert "fails its re-check" in out.stderr
+
+
+# (command args with {tmp} for the test's directory, environment); each
+# must exit 1 with an error message and no traceback
+BAD_INPUTS = {
+    "matching missing": (["extend", "--method", "subcubic", "--matching",
+                          "{tmp}/none.json"], {}),
+    "matching not json": (["extend", "--method", "subcubic", "--matching",
+                           "{tmp}/brace.json"], {}),
+    "matching without edges": (["kotzig", "--matching", "{tmp}/edgez.json"],
+                               {}),
+    "matching not pairs": (["extend", "--method", "complete", "--matching",
+                            "{tmp}/triple.json"], {}),
+    "matching not integers": (["extend", "--method", "subcubic",
+                               "--matching", "{tmp}/letters.json"], {}),
+    "allow": (["cycles", "domcycle", "--allow", "x"], {}),
+    "triangle": (["construct", "yred", "--triangle", "a,b,c"], {}),
+    "yext vertex": (["construct", "yext", "--at", "99"], {}),
+    "max-nodes env": (["cycles", "ham"], {"PMHGRAPH_MAX_NODES": "abc"}),
+    "max-nodes negative": (["pmh-check", "--max-nodes", "-1"], {}),
+    "max-nodes above 64 bits": (["cycles", "ham", "--max-nodes",
+                                 str(2**64)], {}),
+    "timeout negative": (["cycles", "ham", "--timeout-seconds", "-1"], {}),
+    "timeout nan": (["cycles", "ham", "--timeout-seconds", "nan"], {}),
+    "timeout inf": (["cycles", "ham", "--timeout-seconds", "inf"], {}),
+    "survey corpus missing": (["survey", "{tmp}/none.g6", "--problem", "p2",
+                               "--journal", "{tmp}/j.jsonl"], {}),
+    "survey journal dir missing": (["survey", "{tmp}/c.g6", "--problem", "p2",
+                                    "--journal", "{tmp}/none/j.jsonl"], {}),
+    "extend without --method": (["extend", "--matching",
+                                 "{tmp}/complete.json"], {}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+def test_bad_input_exits_1_without_traceback(case, tmp_path):
+    args, env = BAD_INPUTS[case]
+    for name, text in [("brace.json", "{"), ("edgez.json", '{"edgez": []}'),
+                       ("triple.json", "[[1, 2, 3]]"),
+                       ("letters.json", '[[0, "a"]]'),
+                       ("c.g6", g6("complete", [4]) + "\n")]:
+        (tmp_path / name).write_text(text)
+    matching_file(tmp_path, "complete", (4,))
+    args = [a.format(tmp=tmp_path) for a in args]
+    if args[0] != "survey":
+        args.append("-")
+    res = CliRunner().invoke(main, args, input=g6("complete", [4]) + "\n",
+                             env=env, catch_exceptions=False)
+    assert res.exit_code == 1, res.output
+    assert "error" in res.stderr.lower() and "Traceback" not in res.output
+    assert res.stdout == ""
+
+
+def test_non_utf8_line_is_one_bad_line():
+    res = run("cycles", "ham", "-", input=b"\xff\xfe\n" + g6("cube").encode()
+              + b"\n")
+    assert res.exit_code == 1
+    assert res.stderr.startswith("error: ") and "graph6 range" in res.stderr
+    assert [json.loads(line)["input"] for line in res.stdout.splitlines()] \
+        == [g6("cube")]
+
+
+def test_max_nodes_from_environment():
+    env = {"PMHGRAPH_MAX_NODES": "1"}
+    res = run("cycles", "ham", "-", input=g6("petersen") + "\n", env=env)
+    assert res.exit_code == 2
+    (rep,) = reports(res)
+    assert rep["verdict"]["outcome"] == "inconclusive"
+    # the option beats the environment
+    res = run("cycles", "ham", "--max-nodes", "0", "-",
+              input=g6("petersen") + "\n", env=env)
+    assert res.exit_code == 0 and reports(res)[0]["verdict"]["outcome"] == "absent"

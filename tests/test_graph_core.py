@@ -76,6 +76,9 @@ def test_graph6_format_errors():
         parse_graph6("C")          # truncated bit field
     err = pytest.raises(FormatError, parse_graph6, "C\x19").value
     assert err.offset is not None
+    # non-ASCII text is not graph6, even where "?" would be: "C?" is a graph
+    err = pytest.raises(FormatError, parse_graph6, "C\u00e9").value
+    assert err.offset == 1
 
 
 def test_isomorphism():

@@ -133,8 +133,13 @@ def test_stitch_clique_path():
     # entry matched inside the clique: its edge must come first
     path = stitch_clique_path(members, 1, 5, [(1, 2), (3, 4)])
     assert path[:2] == [1, 2]
+    # a lone matching edge joining entry and exit is the whole path ...
+    assert stitch_clique_path(members, 0, 5, [(0, 5)]) == [0, 5]
+    # ... and no path holds it beside another matching edge of the clique
     with pytest.raises(PreconditionError):
-        stitch_clique_path(members, 0, 5, [(0, 5)])
+        stitch_clique_path(members, 0, 5, [(0, 5), (1, 2)])
+    with pytest.raises(PreconditionError):
+        stitch_clique_path(members, 0, 5, [(1, 9)])  # leaves the clique
     with pytest.raises(PreconditionError):
         stitch_clique_path(members, 0, 0, [])
 
