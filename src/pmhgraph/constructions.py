@@ -79,7 +79,7 @@ def y_reduction(g: Graph, triangle):
     return out, surgery
 
 
-def prop6_construct(g: Graph, keep, check_hypohamiltonian=True, max_nodes=0):
+def prop6_construct(g: Graph, keep, max_nodes=0):
     """From a cubic hypohamiltonian graph of odd size, expand every vertex
     except `keep` into a triangle.  The result is cubic, of even size, with
     circumference one below its order, and its line graph is not PMH.
@@ -93,7 +93,9 @@ def prop6_construct(g: Graph, keep, check_hypohamiltonian=True, max_nodes=0):
         raise PreconditionError("base must be cubic")
     if len(g.edges) % 2 == 0:
         raise ParityError("base must have odd size")
-    if check_hypohamiltonian and not is_hypohamiltonian(g, max_nodes=max_nodes):
+    if not 0 <= keep < g.n:
+        raise PreconditionError(f"vertex {keep} is not in the graph")
+    if not is_hypohamiltonian(g, max_nodes=max_nodes):
         raise PreconditionError("base must be hypohamiltonian")
     cur = g
     # expansions never renumber surviving vertices, so original ids persist

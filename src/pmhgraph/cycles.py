@@ -144,6 +144,9 @@ def find_dominating_cycle(g: Graph, allowed_untouched=frozenset(),
     `allowed_untouched`; candidate untouched sets are tried smallest first
     with lexicographic tie-break."""
     allowed = sorted(set(allowed_untouched))
+    outside = [v for v in allowed if not 0 <= v < g.n]
+    if outside:
+        raise PreconditionError(f"vertex {outside[0]} is not in the graph")
     saw_budget = False
     total_nodes = 0
     for size in range(len(allowed) + 1):
@@ -323,6 +326,8 @@ def euler_tour(g: Graph):
 def is_arbitrarily_traceable(g: Graph, v):
     """True iff g is eulerian and every cycle of g passes through v,
     equivalently g - v is acyclic."""
+    if not 0 <= v < g.n:
+        raise PreconditionError(f"vertex {v} is not in the graph")
     if not g.is_connected():
         return False
     if any(g.degree(u) % 2 for u in range(g.n)):

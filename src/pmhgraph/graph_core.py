@@ -13,6 +13,9 @@ from itertools import combinations
 from .errors import CapacityError, FormatError, ParameterError, StructureError
 
 ISO_SIZE_BOUND = 64
+# Largest named instance, in edges: its line graph has one vertex per edge,
+# and the compiled kernel searches at most 16,384 vertices.
+GEN_SIZE_BOUND = 16384
 
 
 def _norm_edge(u, v):
@@ -147,30 +150,37 @@ def _coxeter():
     return Graph.from_edges(28, edges)
 
 
+# tag -> (parameter count, builder, edge count from the parameters or None
+# for a fixed instance)
 _GENERATORS = {
-    "complete": (1, _complete),
-    "bipartite": (2, _bipartite),
-    "cycle": (1, _cycle),
-    "path": (1, _path),
-    "petersen": (0, _petersen),
-    "prism": (0, _prism),
-    "cube": (0, _cube),
-    "bowtie": (0, _bowtie),
-    "octahedron": (0, _octahedron),
-    "coxeter": (0, _coxeter),
+    "complete": (1, _complete, lambda n: n * (n - 1) // 2),
+    "bipartite": (2, _bipartite, lambda a, b: a * b),
+    "cycle": (1, _cycle, lambda n: n),
+    "path": (1, _path, lambda n: n - 1),
+    "petersen": (0, _petersen, None),
+    "prism": (0, _prism, None),
+    "cube": (0, _cube, None),
+    "bowtie": (0, _bowtie, None),
+    "octahedron": (0, _octahedron, None),
+    "coxeter": (0, _coxeter, None),
 }
 
 
 def make_named_graph(name, params=()):
-    """Build the canonical labeled instance of a named family."""
+    """Build the canonical labeled instance of a named family; an instance
+    above GEN_SIZE_BOUND edges is refused before any edge is built."""
     if name not in _GENERATORS:
         raise ParameterError(f"unknown generator tag {name!r}")
-    arity, fn = _GENERATORS[name]
+    arity, fn, size = _GENERATORS[name]
     params = list(params)
     if len(params) != arity:
         raise ParameterError(f"{name} takes {arity} parameter(s), got {len(params)}")
     if any(p < 1 for p in params):
         raise ParameterError(f"{name}: parameters must be positive")
+    edges = size(*params) if size else 0
+    if edges > GEN_SIZE_BOUND:
+        raise ParameterError(f"{name} {' '.join(map(str, params))} has {edges} "
+                             f"edges, above the bound {GEN_SIZE_BOUND}")
     return fn(*params)
 
 
@@ -241,18 +251,13 @@ def write_graph6(g: Graph):
         head = bytes([126, ((n >> 12) & 63) + 63, ((n >> 6) & 63) + 63, (n & 63) + 63])
     else:
         head = bytes([126, 126] + [((n >> s) & 63) + 63 for s in (30, 24, 18, 12, 6, 0)])
-    bits = 0
-    nbits = n * (n - 1) // 2
-    k = nbits - 1
-    for v in range(1, n):
-        for u in range(v):
-            if g.has_edge(u, v):
-                bits |= 1 << k
-            k -= 1
-    nbytes = (nbits + 5) // 6
-    bits <<= (6 * nbytes - nbits)
-    body = bytes(((bits >> (6 * (nbytes - 1 - i))) & 63) + 63 for i in range(nbytes))
-    return (head + body).decode("ascii")
+    # edge (u, v), u < v, is bit v * (v - 1) / 2 + u; six bits a byte, high
+    # bit first, each byte offset by 63 ("?")
+    body = bytearray(b"?") * ((n * (n - 1) // 2 + 5) // 6)
+    for u, v in g.edges:
+        k = v * (v - 1) // 2 + u
+        body[k // 6] += 32 >> k % 6
+    return (head + bytes(body)).decode("ascii")
 
 
 # ---------------------------------------------------------------------------

@@ -13,8 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .cycles import (ABSENT, FOUND, INCONCLUSIVE, CycleWalk, SearchResult,
-                     closed, find_dominating_cycle, find_hamiltonian_cycle,
-                     is_arbitrarily_traceable, validate_walk)
+                     closed, euler_tour, find_dominating_cycle,
+                     find_hamiltonian_cycle, is_arbitrarily_traceable,
+                     validate_walk)
 from .errors import (BudgetError, ParityError, PreconditionError,
                      StructureError, WitnessError)
 from .graph_core import Graph, make_named_graph
@@ -164,10 +165,14 @@ def extend_via_dominating_cycle(lgm: LineGraphMap, m: Matching,
     """Turn a dominating cycle of the base into a hamiltonian cycle of the
     line graph containing the perfect matching, by walking the clique of
     each cycle vertex.  Requires max base degree 3."""
+    return _extend_via_dominating_cycle(lgm, m, _matching_centers(lgm, m), d)
+
+
+def _extend_via_dominating_cycle(lgm: LineGraphMap, m: Matching, centers,
+                                 d: CycleWalk) -> CycleWalk:
     g = lgm.base
     if g.max_degree() > 3:
         raise PreconditionError("dominating-cycle extension needs max degree 3")
-    centers = _matching_centers(lgm, m)
     if not validate_walk(g, closed(d.vertices, kinds={"cycle", "dominating"})):
         raise PreconditionError("d is not a dominating cycle of the base")
     untouched = set(range(g.n)) - d.touched
@@ -192,7 +197,7 @@ def extend_matching_subcubic(lgm: LineGraphMap, m: Matching,
     res = find_dominating_cycle(g, allowed_untouched=allowed, max_nodes=max_nodes)
     if res.outcome != FOUND:
         return res
-    walk = extend_via_dominating_cycle(lgm, m, res.walk)
+    walk = _extend_via_dominating_cycle(lgm, m, centers, res.walk)
     return SearchResult(FOUND, walk, res.nodes)
 
 
@@ -207,45 +212,20 @@ def kotzig_partition(g: Graph, m: Matching, lgm: LineGraphMap | None = None,
         raise ParityError("kotzig partition requires even base size")
     if lgm is None:
         lgm = build_line_graph(g)
-    matching_to_p3(lgm, m)  # m must be perfect before any search runs
+    centers = _matching_centers(lgm, m)  # m must be perfect before any search
     res = find_hamiltonian_cycle(g, max_nodes=max_nodes)
     if res.outcome == INCONCLUSIVE:
         raise BudgetError("hamiltonian cycle search of the base ran out of nodes")
     if res.outcome == ABSENT:
         raise PreconditionError("base graph is not hamiltonian")
-    h1 = extend_via_dominating_cycle(lgm, m, res.walk)
-    rest = set(lgm.lg.edges) - set(h1.edge_seq)
-    h2 = _cycle_from_edge_set(lgm.lg, rest)
+    h1 = _extend_via_dominating_cycle(lgm, m, centers, res.walk)
+    rest = Graph(lgm.lg.n, lgm.lg.edges - set(h1.edge_seq))
+    tour = euler_tour(rest) if rest.is_connected() else None
+    h2 = None if tour is None else closed(
+        tour.vertices, kinds={"cycle", "tour", "hamiltonian"})
     if h2 is None or not validate_walk(lgm.lg, h2):
         raise WitnessError("complement of the extension is not a hamiltonian cycle")
     return h1, h2
-
-
-def _cycle_from_edge_set(g: Graph, edges):
-    """Interpret an edge set as a hamiltonian cycle, or None."""
-    if len(edges) != g.n:
-        return None
-    nbr = {}
-    for u, v in edges:
-        nbr.setdefault(u, []).append(v)
-        nbr.setdefault(v, []).append(u)
-    if len(nbr) != g.n or any(len(x) != 2 for x in nbr.values()):
-        return None
-    start = 0
-    verts = [start]
-    prev, cur = -1, start
-    while True:
-        a, b = nbr[cur]
-        nxt = b if a == prev else a
-        if nxt == start:
-            break
-        verts.append(nxt)
-        prev, cur = cur, nxt
-        if len(verts) > g.n:
-            return None
-    if len(verts) != g.n:
-        return None
-    return closed(verts, kinds={"cycle", "tour", "hamiltonian"})
 
 
 # ---------------------------------------------------------------------------
@@ -267,14 +247,14 @@ def colouring_from_matching(lgm: LineGraphMap, m: Matching) -> EdgeColouring:
     return ec
 
 
-def daykin_hypothesis_holds(g: Graph, c: EdgeColouring, cap=2):
-    """No vertex incident to more than `cap` edges of one colour."""
+def daykin_hypothesis_holds(g: Graph, c: EdgeColouring):
+    """No vertex incident to more than two edges of one colour."""
     for v in range(g.n):
         counts = {}
         for w in g.adjacency[v]:
             col = c.of(v, w)
             counts[col] = counts.get(col, 0) + 1
-            if counts[col] > cap:
+            if counts[col] > 2:
                 return False
     return True
 
@@ -440,79 +420,38 @@ def extend_matching_arb_traceable(lgm: LineGraphMap, v, m: Matching,
     consecutive; read as a vertex sequence of the line graph it is a
     hamiltonian cycle containing the matching.
 
-    The transition-constrained search is exhaustive.  Absence means no
-    pair-consecutive Euler tour exists for this decomposition; such
-    matchings do exist (pair two 3-paths at a degree-4 cut vertex and the
-    constrained transitions split the tour), so absence is reported rather
-    than treated as unreachable.  Absence of the tour does not by itself
-    certify that the matching is non-extendable in the line graph.  A search
-    stopped by `max_nodes` is inconclusive."""
+    Such tours are the Euler tours of the split graph: one vertex per 3-path
+    of m's decomposition, one per base vertex that ends some 3-path, and for
+    each base edge of the 3-path centred at c an edge joining the path to
+    the edge's other end.  A path vertex has degree 2 and a base vertex x
+    degree deg(x) - 2 * (3-paths centred at x), even on an eulerian base, so
+    the tour exists exactly when the split graph is connected.  A
+    disconnected split graph certifies absence without a search, under any
+    budget; such matchings do exist (pair two 3-paths at a degree-4 cut
+    vertex).  Absence does not by itself certify that the matching is
+    non-extendable in the line graph.  The tour takes one node per base
+    edge; a `max_nodes` below that is inconclusive."""
     g = lgm.base
     if not is_arbitrarily_traceable(g, v):
         raise PreconditionError(f"base is not arbitrarily traceable from {v}")
     if len(g.edges) % 2:
         raise ParityError("even base size required")
-
-    decomp = matching_to_p3(lgm, m)
-    partner = {}
-    center_of = {}
-    for c, (e1, e2) in decomp.paths:
-        partner[e1] = e2
-        partner[e2] = e1
-        center_of[e1] = c
-        center_of[e2] = c
-
-    edges = g.edge_list()
-    used = set()
-    seq = []
-    calls = 0
-    capped = False
-
-    def other_end(e, x):
-        return e[0] if e[1] == x else e[1]
-
-    def dfs(x, prev):
-        nonlocal calls, capped
-        calls += 1
-        if max_nodes and calls > max_nodes:
-            capped = True
-            return False
-        if len(seq) == len(edges):
-            if x != v:
-                return False
-            first = seq[0]
-            # wrap-around: pending pairs must close across the seam
-            if center_of[prev] == v and partner[prev] != first and partner[prev] != seq[-2]:
-                return False
-            if center_of[first] == v and partner[first] != prev and partner[first] != seq[1]:
-                return False
-            return True
-        if prev is not None and center_of[prev] == x:
-            p = partner[prev]
-            cands = [] if p in used else [p]
-        else:
-            cands = [e for e in edges
-                     if e not in used and x in e]
-        for e in cands:
-            # Leaving a 3-path center without its partner behind breaks the
-            # pair; the very first departure is exempt (seam checked above).
-            if center_of[e] == x and partner[e] != prev and prev is not None:
-                continue
-            used.add(e)
-            seq.append(e)
-            if dfs(other_end(e, x), e):
-                return True
-            seq.pop()
-            used.discard(e)
-            if capped:
-                return False
-        return False
-
-    if not dfs(v, None):
-        return SearchResult(INCONCLUSIVE if capped else ABSENT, None, calls)
-    idx = lgm._edge_idx
-    walk = closed([idx[e] for e in seq], kinds={"cycle", "tour", "hamiltonian"})
-    return SearchResult(FOUND, _checked_extension(lgm, m, walk), calls)
+    paths = matching_to_p3(lgm, m).paths
+    ends = {}   # base vertex -> split-graph vertex, after the path vertices
+    step = {}   # split-graph edge -> line-graph vertex of its base edge
+    for p, (c, pair) in enumerate(paths):
+        for e in pair:
+            end = ends.setdefault(e[0] if e[1] == c else e[1],
+                                  len(paths) + len(ends))
+            step[(p, end)] = lgm.lg_vertex(*e)
+    split = Graph(len(paths) + len(ends), frozenset(step))
+    if not split.is_connected():
+        return SearchResult(ABSENT, None, 0)
+    if max_nodes and max_nodes < len(g.edges):
+        return SearchResult(INCONCLUSIVE, None, 0)
+    walk = closed([step[e] for e in euler_tour(split).edge_seq],
+                  kinds={"cycle", "tour", "hamiltonian"})
+    return SearchResult(FOUND, _checked_extension(lgm, m, walk), len(g.edges))
 
 
 # ---------------------------------------------------------------------------

@@ -36,6 +36,23 @@ def test_gen():
     assert run("gen", "nope").exit_code == 1
 
 
+def test_gen_refuses_an_instance_above_the_size_bound():
+    t0 = time.perf_counter()
+    res = run("gen", "complete", "99999")
+    assert time.perf_counter() - t0 < 5
+    assert res.exit_code == 1 and "above the bound" in res.stderr
+    assert "Traceback" not in res.output and res.stdout == ""
+    res = run("gen", "complete", "181")     # 16,290 edges
+    assert res.exit_code == 0
+    assert parse_graph6(res.stdout).n == 181
+    # few edges on many vertices: encoding costs one step per edge
+    t0 = time.perf_counter()
+    res = run("gen", "cycle", "4000")
+    assert time.perf_counter() - t0 < 5
+    assert res.exit_code == 0
+    assert len(res.stdout.strip()) == 4 + (4000 * 3999 // 2 + 5) // 6
+
+
 def test_lg_report():
     res = run("lg", "-", input=g6("complete", [4]) + "\n")
     assert res.exit_code == 0
@@ -155,6 +172,14 @@ def test_construct_commands():
               input=g6("petersen") + "\n")
     (rep3,) = reports(res)
     assert rep3["verdict"]["order"] == 28 and rep3["verdict"]["size"] == 42
+
+
+def test_prop6_keep_outside_the_graph():
+    # Petersen passes the cubic and parity checks that stop K4 first
+    res = run("construct", "prop6", "--keep", "99", "-",
+              input=g6("petersen") + "\n")
+    assert res.exit_code == 1 and res.stdout == ""
+    assert "vertex 99 is not in the graph" in res.stderr
 
 
 def test_survey_resumable(tmp_path):
@@ -329,6 +354,8 @@ BAD_INPUTS = {
     "allow": (["cycles", "domcycle", "--allow", "x"], {}),
     "triangle": (["construct", "yred", "--triangle", "a,b,c"], {}),
     "yext vertex": (["construct", "yext", "--at", "99"], {}),
+    "arbtrace vertex": (["cycles", "arbtrace", "--from", "-5"], {}),
+    "allow vertex": (["cycles", "domcycle", "--allow", "99"], {}),
     "max-nodes env": (["cycles", "ham"], {"PMHGRAPH_MAX_NODES": "abc"}),
     "max-nodes negative": (["pmh-check", "--max-nodes", "-1"], {}),
     "max-nodes above 64 bits": (["cycles", "ham", "--max-nodes",

@@ -76,6 +76,8 @@ def test_dominating_cycle(petersen):
     assert validate_walk(petersen, res.walk)
     # with nothing allowed untouched this demands a hamiltonian cycle
     assert find_dominating_cycle(petersen).outcome == "absent"
+    with pytest.raises(PreconditionError):
+        find_dominating_cycle(petersen, allowed_untouched={10})
 
 
 def test_dominating_cycle_prefers_fewer_untouched():
@@ -123,6 +125,8 @@ def test_arbitrarily_traceable():
     assert is_arbitrarily_traceable(sq, 0)
     assert not is_arbitrarily_traceable(sq, 1)
     assert not is_arbitrarily_traceable(make_named_graph("cube", []), 0)
+    with pytest.raises(PreconditionError):
+        is_arbitrarily_traceable(bow, 5)
 
 
 def test_hypohamiltonian(petersen, k4):

@@ -51,6 +51,8 @@ def test_named_generator_errors():
         make_named_graph("cycle", [0])
     with pytest.raises(ParameterError):
         make_named_graph("cycle", [2])
+    with pytest.raises(ParameterError):
+        make_named_graph("bipartite", [129, 128])    # 16,512 edges
 
 
 def test_graph6_roundtrip_known():

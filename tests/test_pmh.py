@@ -1,6 +1,8 @@
 import pytest
 
-from pmhgraph.cycles import closed, find_hamiltonian_cycle, validate_walk
+from pmhgraph.corpus import connected_graphs_upto
+from pmhgraph.cycles import (closed, find_hamiltonian_cycle,
+                             is_arbitrarily_traceable, validate_walk)
 from pmhgraph.errors import ParityError, PreconditionError, StructureError
 from pmhgraph.graph_core import Graph, make_named_graph
 from pmhgraph.line_graph import build_line_graph, canonical_partition
@@ -192,6 +194,47 @@ def test_extend_arb_traceable_matches_oracle_on_two_squares():
         assert res.outcome == oracle.outcome
         agree.append(res.outcome)
     assert agree.count("found") == 3 and agree.count("absent") == 3
+
+
+def test_extend_arb_traceable_budget_on_two_squares():
+    """A disconnected split graph is a certified absence under any budget;
+    a tour the budget cannot lay is inconclusive."""
+    lgm = build_line_graph(two_squares())
+    outcomes = [extend_matching_arb_traceable(lgm, 0, m, max_nodes=1).outcome
+                for m in enumerate_perfect_matchings(lgm.lg)]
+    assert sorted(outcomes) == ["absent"] * 3 + ["inconclusive"] * 3
+
+
+def _base_tour(lgm, walk):
+    """The closed walk of the base whose edges a line-graph walk lists."""
+    es = [set(lgm.from_lg[x]) for x in walk.vertices[:-1]]
+    joints = [es[i - 1] & es[i] for i in range(len(es))]
+    assert all(len(j) == 1 for j in joints)
+    xs = [min(j) for j in joints]
+    assert all({xs[i - 1], xs[i]} == es[i - 1] for i in range(len(xs)))
+    return closed(xs, kinds={"tour", "euler"})
+
+
+def test_extend_arb_traceable_sweep_small_graphs():
+    """Every connected even-size graph up to 7 vertices, from every vertex
+    it is arbitrarily traceable from, with every perfect matching."""
+    outcomes = []
+    for g in connected_graphs_upto(7):
+        if g.n < 3 or len(g.edges) % 2:
+            continue
+        vs = [v for v in range(g.n) if is_arbitrarily_traceable(g, v)]
+        lgm = build_line_graph(g) if vs else None
+        for v in vs:
+            for m in enumerate_perfect_matchings(lgm.lg):
+                res = extend_matching_arb_traceable(lgm, v, m)
+                outcomes.append(res.outcome)
+                if res.outcome == "found":
+                    assert res.walk.contains_edges(m.edges)
+                    assert validate_walk(g, _base_tour(lgm, res.walk))
+                    assert find_hamiltonian_cycle(
+                        lgm.lg, forced=sorted(m.edges)).outcome == "found"
+    assert len(outcomes) == 134
+    assert outcomes.count("found") == 97 and outcomes.count("absent") == 37
 
 
 def test_extend_arb_traceable_preconditions():
