@@ -12,6 +12,10 @@ FOUND = purecore.FOUND
 ABSENT = purecore.ABSENT
 BUDGET = purecore.BUDGET
 
+# The largest graph a search accepts, in vertices: the compiled searches
+# recurse once per path vertex, and _fastcore.c's MAX_VERTICES refuses more.
+MAX_VERTICES = 1 << 14
+
 if os.environ.get("PMHGRAPH_KERNEL") == "pure":
     _impl = purecore
 else:

@@ -2,8 +2,9 @@
  *
  * Mirrors purecore.py exactly (same start vertex, same candidate order, same
  * node counting, hence the same status, witness and node count); see that
- * module for the contract.  Vertex sets are bitsets of nw = ceil(n/64)
- * uint64_t words, the same masks purecore builds from Python ints.
+ * module for the contract.  The pruning tests decide what purecore's decide,
+ * with less work (see prune_words).  Vertex sets are bitsets of nw =
+ * ceil(n/64) uint64_t words, the same masks purecore builds from Python ints.
  *
  * A search polls PyErr_CheckSignals() every 2^14 nodes, so a signal handler
  * that raises (a SIGALRM timeout, Ctrl-C) interrupts it; the search then
@@ -38,7 +39,7 @@ typedef struct {
     int start, nforced, root, plen, blen;
     word *amask;            /* bitset row per vertex; self-loops cleared
                                (no purecore check reads a vertex's own bit) */
-    word *full, *visited, *allow, *reach, *frontier, *next, *above;
+    word *full, *visited, *allow, *target, *reach, *frontier, *next, *above;
     long long nodes, max_nodes;
 } Search;
 
@@ -74,7 +75,7 @@ static int search_init(Search *s, PyObject *adj, long long max_nodes)
     s->n = (int)n;
     s->nw = nw;
     s->off = PyMem_Calloc(7 * n + m + 1, sizeof(int));
-    s->amask = PyMem_Calloc(((size_t)n + 7) * nw + 1, sizeof(word));
+    s->amask = PyMem_Calloc(((size_t)n + 8) * nw + 1, sizeof(word));
     if (!s->off || !s->amask) {
         PyErr_NoMemory();
         goto fail;
@@ -85,9 +86,9 @@ static int search_init(Search *s, PyObject *adj, long long max_nodes)
     s->fn = s->best + n;
     s->fused = s->fn + 2 * n;
     word *w0 = s->amask + (size_t)n * nw;
-    word **scratch[] = {&s->full, &s->visited, &s->allow, &s->reach,
-                        &s->frontier, &s->next, &s->above};
-    for (int i = 0; i < 7; i++)
+    word **scratch[] = {&s->full, &s->visited, &s->allow, &s->target,
+                        &s->reach, &s->frontier, &s->next, &s->above};
+    for (int i = 0; i < 8; i++)
         *scratch[i] = w0 + i * nw;
     Py_ssize_t k = 0;
     for (Py_ssize_t v = 0; v < n; v++) {
@@ -133,10 +134,11 @@ INLINE int count_node(Search *s)
     return 0;
 }
 
-/* reach := the vertices reachable from u through s->allow (u included);
- * returns whether that is all of allow.  The callers pass nw == 1 as a
- * constant so the one-word case compiles flat. */
-INLINE int flood(Search *s, int u, int nw)
+/* reach := the vertices reachable from u through s->allow (u included), or
+ * at least all of `target` (a subset of allow) among them; returns whether
+ * every target vertex was reached.  The callers pass nw == 1 as a constant so
+ * the one-word case compiles flat. */
+INLINE int flood(Search *s, int u, const word *target, int nw)
 {
     word *reach = s->reach, *frontier = s->frontier, *next = s->next;
     word more = 1, left = 1;
@@ -144,7 +146,7 @@ INLINE int flood(Search *s, int u, int nw)
         reach[i] = frontier[i] = 0;
     ADD(reach, u);
     ADD(frontier, u);
-    /* Stop when nothing is new or nothing is left: reach never leaves allow + u. */
+    /* Stop when nothing is new or no target is left. */
     while (more && left) {
         for (int i = 0; i < nw; i++)
             next[i] = 0;
@@ -159,7 +161,7 @@ INLINE int flood(Search *s, int u, int nw)
             frontier[i] = next[i] & s->allow[i] & ~reach[i];
             reach[i] |= frontier[i];
             more |= frontier[i];
-            left |= s->allow[i] & ~reach[i];
+            left |= target[i] & ~reach[i];
         }
     }
     return !left;
@@ -186,8 +188,10 @@ static void mark_used(Search *s, int u, int w, int used)
 /* purecore's degree_ok and reachable_ok: every unvisited vertex keeps two
  * neighbours among the unvisited ones, the start and u, and all of those are
  * reachable from u through them.  A node's usable set is its parent's minus
- * the parent, and the parent passed the degree test (it was expanded), so
- * only the parent's unvisited neighbours need it again; parent < 0 tests all. */
+ * the parent, and the parent passed both tests (it was expanded).  So only the
+ * parent's unvisited neighbours need the degree test again, and the set is
+ * still connected iff the parent's neighbours in it are reachable from u: any
+ * other vertex reached the parent through one of them.  parent < 0 tests all. */
 INLINE int prune_words(Search *s, int u, int parent, int nw)
 {
     for (int i = 0; i < nw; i++)
@@ -209,7 +213,11 @@ INLINE int prune_words(Search *s, int u, int parent, int nw)
                 return 0;
         }
     }
-    return flood(s, u, nw);
+    if (parent < 0)
+        return flood(s, u, s->allow, nw);
+    for (int i = 0; i < nw; i++)
+        s->target[i] = s->amask[(size_t)parent * nw + i] & s->allow[i];
+    return flood(s, u, s->target, nw);
 }
 
 static int ham_dfs(Search *s, int u, int parent, int count, int used)
@@ -359,7 +367,7 @@ static int lc_dfs(Search *s, int u)
     /* Bound: vertices reachable from u through the unvisited region. */
     for (int i = 0; i < nw; i++)
         s->allow[i] = s->above[i] & ~s->visited[i];
-    (void)(nw == 1 ? flood(s, u, 1) : flood(s, u, nw));
+    (void)(nw == 1 ? flood(s, u, s->allow, 1) : flood(s, u, s->allow, nw));
     for (int i = 0; i < nw; i++)
         cnt += __builtin_popcountll(s->reach[i] & s->allow[i]);
     if (s->plen + cnt <= s->blen)

@@ -26,6 +26,8 @@ _STATUS = {_kernel.FOUND: FOUND, _kernel.ABSENT: ABSENT, _kernel.BUDGET: INCONCL
 
 CYCLE_SPACE_DIM_CAP = 24
 
+_HAMILTONIAN = frozenset({"cycle", "tour", "hamiltonian", "dominating"})
+
 
 @dataclass(frozen=True)
 class CycleWalk:
@@ -104,31 +106,50 @@ class SearchResult:
         return self.outcome == FOUND
 
 
+def _check_size(g: Graph):
+    if g.n > _kernel.MAX_VERTICES:
+        raise CapacityError(f"{g.n} vertices, above the search bound "
+                            f"{_kernel.MAX_VERTICES}")
+
+
 def _check_forced(g: Graph, forced):
-    # Deduplicated: the kernels read a repeated edge as two forced edges.
-    norm = list(dict.fromkeys((u, v) if u < v else (v, u) for u, v in forced))
-    if not g.edges.issuperset(norm):
-        u, v = next(e for e in norm if e not in g.edges)
-        raise PreconditionError(f"forced edge ({u},{v}) not in the graph")
-    deg = Counter(chain.from_iterable(norm))
-    if deg and max(deg.values()) > 2:
-        v = next(v for v, d in deg.items() if d > 2)
-        raise PreconditionError(f"vertex {v} has {deg[v]} forced incidences (max 2)")
+    """The forced edges normalised and deduplicated (the kernels read a
+    repeated edge as two forced edges), after refusing a non-edge and a
+    vertex on more than two of them."""
+    edges = g.edges
+    norm = {}
+    for u, v in forced:
+        if u > v:
+            u, v = v, u
+        if (u, v) not in edges:
+            raise PreconditionError(f"forced edge ({u},{v}) not in the graph")
+        norm[u, v] = None
+    norm = list(norm)
+    ends = list(chain.from_iterable(norm))
+    if len(set(ends)) < len(ends):
+        for v, d in Counter(ends).items():
+            if d > 2:
+                raise PreconditionError(f"vertex {v} has {d} forced incidences (max 2)")
     return norm
 
 
 def find_hamiltonian_cycle(g: Graph, forced=(), max_nodes=0) -> SearchResult:
     """Exhaustive hamiltonian cycle search; the cycle must contain every
     forced edge.  Absence verdicts are certified by search-tree exhaustion."""
+    _check_size(g)
     norm = _check_forced(g, forced)
     status, cyc, nodes = _kernel.ham_cycle(g.adjacency, norm, max_nodes)
-    if status == _kernel.FOUND:
-        walk = closed(cyc, kinds={"cycle", "tour", "hamiltonian", "dominating"})
-        if not (validate_walk(g, walk) and walk.contains_edges(norm)):
-            raise WitnessError(f"kernel returned an invalid hamiltonian cycle {cyc}"
-                               f" for forced edges {norm}")
-        return SearchResult(FOUND, walk, nodes)
-    return SearchResult(_STATUS[status], None, nodes)
+    if status != _kernel.FOUND:
+        return SearchResult(_STATUS[status], None, nodes)
+    # The re-check of validate_walk and contains_edges for this one shape:
+    # n >= 3 distinct vertices whose n steps, the closing one included, are
+    # edges of g and include every forced edge.
+    steps = {(u, v) if u < v else (v, u) for u, v in zip(cyc, cyc[1:] + cyc[:1])}
+    if not (len(cyc) == g.n >= 3 and len(set(cyc)) == g.n
+            and g.edges.issuperset(steps) and steps.issuperset(norm)):
+        raise WitnessError(f"kernel returned an invalid hamiltonian cycle {cyc}"
+                           f" for forced edges {norm}")
+    return SearchResult(FOUND, CycleWalk((*cyc, cyc[0]), _HAMILTONIAN), nodes)
 
 
 def _induced(g: Graph, keep):
@@ -380,6 +401,7 @@ def is_hypohamiltonian(g: Graph, max_nodes=0):
 def longest_cycle_search(g: Graph, max_nodes=0) -> SearchResult:
     """Exact longest cycle (branch and bound); inconclusive under a budget
     cap returns the best cycle found so far as a lower bound."""
+    _check_size(g)
     status, cyc, nodes = _kernel.longest_cycle(g.adjacency, max_nodes)
     if cyc is not None:
         walk = closed(cyc, kinds={"cycle", "tour"})

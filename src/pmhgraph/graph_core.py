@@ -7,15 +7,18 @@ every operation here is a pure function.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from itertools import combinations
+from math import isqrt
 
+from ._kernel import MAX_VERTICES
 from .errors import CapacityError, FormatError, ParameterError, StructureError
 
 ISO_SIZE_BOUND = 64
 # Largest named instance, in edges: its line graph has one vertex per edge,
-# and the compiled kernel searches at most 16,384 vertices.
-GEN_SIZE_BOUND = 16384
+# and the search kernels take at most MAX_VERTICES vertices.
+GEN_SIZE_BOUND = MAX_VERTICES
 
 
 def _norm_edge(u, v):
@@ -191,6 +194,11 @@ def generator_tags():
 # ---------------------------------------------------------------------------
 # graph6 codec (dense format only)
 
+_G6_BYTES = bytes(range(63, 127))
+_NONZERO = re.compile(rb"[^?]+")
+# the set bits of each six-bit value, as offsets from its high bit
+_BITS = [tuple(b for b in range(6) if x & 32 >> b) for x in range(64)]
+
 
 def parse_graph6(text):
     """Decode one graph6 string into a Graph."""
@@ -201,9 +209,11 @@ def parse_graph6(text):
         s = s[len(">>graph6<<"):]
     # non-ASCII text encodes to bytes above 126, which the range check rejects
     data = s.encode("utf-8", errors="surrogatepass")
-    for i, b in enumerate(data):
-        if not (63 <= b <= 126):
-            raise FormatError(f"byte {b} outside graph6 range 63..126", i)
+    bad = data.translate(None, _G6_BYTES)
+    if bad:
+        # the first bad byte is the first byte of its value
+        raise FormatError(f"byte {bad[0]} outside graph6 range 63..126",
+                          data.index(bad[0]))
     pos = 0
     if data[0] == 126:
         if len(data) >= 2 and data[1] == 126:
@@ -228,17 +238,20 @@ def parse_graph6(text):
     if len(data) - pos != nbytes:
         raise FormatError(
             f"bit vector length {len(data) - pos} bytes, expected {nbytes}", pos)
-    bits = 0
-    for b in data[pos:]:
-        bits = (bits << 6) | (b - 63)
-    bits >>= (6 * nbytes - nbits)
+    # The inverse of write_graph6: bit k of the body (six bits a byte, high
+    # bit first) is edge (u, v), u < v, with k = v * (v - 1) / 2 + u; the
+    # padding bits past nbits are ignored.  Only runs of bytes other than
+    # "?" hold a bit.
     edges = []
-    k = nbits - 1
-    for v in range(1, n):
-        for u in range(v):
-            if (bits >> k) & 1:
-                edges.append((u, v))
-            k -= 1
+    for run in _NONZERO.finditer(data, pos):
+        k0 = 6 * (run.start() - pos)
+        for x in run.group():
+            for b in _BITS[x - 63]:
+                k = k0 + b
+                if k < nbits:
+                    v = (isqrt(8 * k + 1) + 1) // 2
+                    edges.append((k - v * (v - 1) // 2, v))
+            k0 += 6
     return Graph.from_edges(n, edges)
 
 

@@ -13,7 +13,9 @@ import pmhgraph
 from pmhgraph import cli
 from pmhgraph.cli import main
 from pmhgraph.cycles import closed, validate_walk
-from pmhgraph.graph_core import make_named_graph, parse_graph6, write_graph6
+from pmhgraph._kernel import MAX_VERTICES
+from pmhgraph.graph_core import (Graph, make_named_graph, parse_graph6,
+                                 write_graph6)
 from pmhgraph.line_graph import build_line_graph
 from pmhgraph.matching import enumerate_perfect_matchings
 
@@ -389,6 +391,19 @@ def test_bad_input_exits_1_without_traceback(case, tmp_path):
     assert res.exit_code == 1, res.output
     assert "error" in res.stderr.lower() and "Traceback" not in res.output
     assert res.stdout == ""
+
+
+@pytest.mark.parametrize("command", ["ham", "circ"])
+def test_graph_above_the_kernel_bound_is_one_error_line(command):
+    n = MAX_VERTICES + 1
+    text = write_graph6(Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)]))
+    res = CliRunner().invoke(main, ["cycles", command, "-"], input=text + "\n",
+                             catch_exceptions=False)
+    assert res.exit_code == 1 and res.stdout == ""
+    (line,) = res.stderr.splitlines()
+    assert line.startswith("error: ") and line.endswith(
+        f"{n} vertices, above the search bound {MAX_VERTICES}")
+    assert "Traceback" not in res.output
 
 
 def test_non_utf8_line_is_one_bad_line():

@@ -13,12 +13,18 @@ from pmhgraph.cycles import (CycleWalk, SearchResult, circumference, closed,
                              find_hamiltonian_cycle, has_dominating_tour,
                              is_arbitrarily_traceable, is_hypohamiltonian,
                              longest_cycle_search, validate_walk)
-from pmhgraph.errors import (BudgetError, PreconditionError, StructureError,
-                             WitnessError)
+from pmhgraph._kernel import purecore
+from pmhgraph.errors import (BudgetError, CapacityError, PreconditionError,
+                             StructureError, WitnessError)
 from pmhgraph.graph_core import Graph, make_named_graph
 from pmhgraph.line_graph import build_line_graph
 
 from conftest import naive_ham_cycle, naive_longest_cycle_length, random_graph, two_squares
+
+try:
+    from pmhgraph._kernel import _fastcore
+except ImportError:
+    _fastcore = None
 
 
 def test_hamiltonian_basic(petersen, k4):
@@ -213,6 +219,57 @@ def test_bad_kernel_witness_raises(monkeypatch):
                         lambda adj, forced, max_nodes: (_kernel.FOUND, [0, 1, 2, 3], 1))
     with pytest.raises(WitnessError):
         find_hamiltonian_cycle(make_named_graph("complete", [4]), forced=[(0, 2)])
+
+
+# (graph, forced edges, kernel answer): each breaks one condition of
+# find_hamiltonian_cycle's re-check and no other
+BAD_HAMILTONIAN_WITNESS = {
+    "too few vertices": (make_named_graph("complete", [4]), [], [0, 1, 2]),
+    "fewer than three": (Graph.from_edges(2, [(0, 1)]), [], [0, 1]),
+    "repeated vertex": (make_named_graph("complete", [4]), [], [0, 1, 0, 2]),
+    "every vertex, one twice": (make_named_graph("complete", [4]), [],
+                                [0, 1, 2, 3, 1]),
+    "non-edge step": (make_named_graph("cycle", [5]), [], [0, 1, 3, 2, 4]),
+    "non-edge closing step": (make_named_graph("path", [4]), [], [0, 1, 2, 3]),
+    "forced edge missing": (make_named_graph("complete", [4]), [(2, 0)],
+                            [0, 1, 2, 3]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_HAMILTONIAN_WITNESS))
+def test_each_hamiltonian_witness_check(case, monkeypatch):
+    g, forced, cyc = BAD_HAMILTONIAN_WITNESS[case]
+    monkeypatch.setattr(_kernel, "ham_cycle",
+                        lambda adj, forced, max_nodes: (_kernel.FOUND, cyc, 1))
+    with pytest.raises(WitnessError):
+        find_hamiltonian_cycle(g, forced=forced)
+
+
+def test_hamiltonian_witness_is_the_closed_cycle(monkeypatch):
+    k4 = make_named_graph("complete", [4])
+    monkeypatch.setattr(_kernel, "ham_cycle",
+                        lambda adj, forced, max_nodes: (_kernel.FOUND, [0, 2, 1, 3], 7))
+    res = find_hamiltonian_cycle(k4, forced=[(1, 2)])
+    assert res == SearchResult("found", closed([0, 2, 1, 3], kinds={
+        "cycle", "tour", "hamiltonian", "dominating"}), 7)
+    assert validate_walk(k4, res.walk)
+
+
+KERNELS = [purecore] + ([] if _fastcore is None else [_fastcore])
+
+
+@pytest.mark.parametrize("impl", KERNELS, ids=lambda k: k.BACKEND)
+def test_search_refuses_a_graph_above_the_kernel_bound(impl, monkeypatch):
+    """Refused as a CapacityError before either backend runs (the compiled
+    one raises ValueError, the pure one RecursionError)."""
+    monkeypatch.setattr(_kernel, "ham_cycle", impl.ham_cycle)
+    monkeypatch.setattr(_kernel, "longest_cycle", impl.longest_cycle)
+    n = _kernel.MAX_VERTICES + 1      # above the named generators' bound too
+    big = Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
+    with pytest.raises(CapacityError, match="above the search bound"):
+        find_hamiltonian_cycle(big)
+    with pytest.raises(CapacityError, match="above the search bound"):
+        longest_cycle_search(big)
 
 
 def test_bad_dominating_witness_raises(monkeypatch):

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from pmhgraph.errors import FormatError, ParameterError, StructureError
@@ -63,10 +65,22 @@ def test_graph6_roundtrip_known():
 
 
 def test_graph6_roundtrip_random(rng):
-    for n in (1, 2, 5, 13, 62, 63, 70):
+    """Both ways, byte for byte, also with the 4-byte order field (n > 62)."""
+    for n in [*range(80), 120, 200, 259]:
         for p in (0.0, 0.3, 1.0):
             g = random_graph(rng, n, p)
-            assert parse_graph6(write_graph6(g)).edges == g.edges
+            text = write_graph6(g)
+            assert parse_graph6(text).edges == g.edges
+            assert write_graph6(parse_graph6(text)) == text
+
+
+def test_graph6_parse_is_linear():
+    n = 2000
+    text = write_graph6(Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)]))
+    t0 = time.perf_counter()
+    g = parse_graph6(text)
+    assert time.perf_counter() - t0 < 1
+    assert g.n == n and len(g.edges) == n and g.degree_sequence() == (2,) * n
 
 
 def test_graph6_format_errors():

@@ -117,23 +117,41 @@ def test_ham_cycle_parity_on_coxeter_matchings(rng):
         _assert_same("ham_cycle", _adj(lg), sorted(m.edges), 0)
 
 
+def _seeded_perfect_matching(rng, g):
+    """A perfect matching of g: the first one enumerated on g under a random
+    relabelling, mapped back to g's labels."""
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    h = Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges])
+    back = {p: v for v, p in enumerate(perm)}
+    m = next(iter(enumerate_perfect_matchings(h)))
+    return sorted((back[u], back[v]) for u, v in m.edges)
+
+
 @needs_compiled
-def test_parity_beyond_one_word():
-    """L(K_{10,10}) has 100 vertices, so its vertex sets take two words."""
+def test_parity_beyond_one_word(rng):
+    """L(K_{10,10}) has 100 vertices and the 5x14 grid 70, so their vertex
+    sets take two words."""
     lg = build_line_graph(make_named_graph("bipartite", [10, 10])).lg
     assert lg.n > 64
-    m = next(iter(enumerate_perfect_matchings(lg)))
-    _assert_same("ham_cycle", _adj(lg), sorted(m.edges), 0)
+    for _ in range(20):
+        _assert_same("ham_cycle", _adj(lg), _seeded_perfect_matching(rng, lg), 0)
     _assert_same("ham_cycle", _adj(lg), [], 0)
     for cap in (1, 100, 3000):
         _assert_same("longest_cycle", _adj(lg), cap)
-    _assert_same("ham_cycle", _adj(_grid(5, 14)), [], 5000)
+    grid = _grid(5, 14)
+    _assert_same("ham_cycle", _adj(grid), [], 5000)
+    for _ in range(20):
+        forced = _random_forced(rng, grid, rng.randint(1, 6))
+        _assert_same("ham_cycle", _adj(grid), forced, rng.choice([50, 500, 5000]))
 
 
 @needs_compiled
 def test_compiled_rejects_graphs_deeper_than_its_stack():
+    """The compiled kernel's bound is the one the library checks first."""
+    assert _fastcore.ham_cycle([[]] * _kernel.MAX_VERTICES, [], 0)[0] == _kernel.ABSENT
     with pytest.raises(ValueError, match="too large"):
-        _fastcore.ham_cycle([[]] * ((1 << 14) + 1), [], 0)
+        _fastcore.ham_cycle([[]] * (_kernel.MAX_VERTICES + 1), [], 0)
 
 
 def _bench_instances():
