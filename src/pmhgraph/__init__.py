@@ -16,7 +16,8 @@ from .pmh import (EdgeColouring, PmhVerdict, colouring_from_matching,
                   extend_matching_arb_traceable, extend_matching_bipartite,
                   extend_matching_complete, extend_matching_subcubic,
                   extend_via_dominating_cycle, find_pc_hamiltonian_cycle,
-                  haggkvist_condition, is_pmh, kotzig_partition,
+                  haggkvist_condition, is_pmh, is_pmh_line,
+                  kotzig_partition,
                   lasvergnas_condition, stitch_clique_path)
 from .constructions import (prop6_construct, remark1_reduction, y_extension,
                             y_reduction)

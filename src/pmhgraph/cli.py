@@ -49,10 +49,11 @@ from .errors import (BudgetError, ParameterError, PmhError,
 from .graph_core import (Graph, generator_tags, make_named_graph,
                          parse_graph6, write_graph6)
 from .line_graph import build_line_graph
-from .matching import enumerate_perfect_matchings, make_matching
+from .matching import (count_perfect_matchings, enumerate_perfect_matchings,
+                       make_matching)
 from .pmh import (extend_matching_arb_traceable, extend_matching_bipartite,
                   extend_matching_complete, extend_matching_subcubic, is_pmh,
-                  kotzig_partition)
+                  is_pmh_line, kotzig_partition)
 
 SCHEMA = 1
 
@@ -143,6 +144,13 @@ def _read_graphs(stream):
     return graphs
 
 
+def _brief(text):
+    """An input line as an error message repeats it: a line longer than 40
+    characters is cut to its first 40 and its length, so that one bad line
+    of a large graph cannot flood standard error."""
+    return text if len(text) <= 40 else f"{text[:40]}... ({len(text)} chars)"
+
+
 def _run(command, body, source, opts):
     """Report body(graph, options) for every input graph; see the module
     docstring for what the runner adds."""
@@ -163,7 +171,7 @@ def _run(command, body, source, opts):
                          outcome=INCONCLUSIVE)
             witness = None
         except PmhError as exc:
-            click.echo(f"error: {g6}: {exc}", err=True)
+            click.echo(f"error: {_brief(g6)}: {exc}", err=True)
             errors = True
             continue
         _emit({"schema": SCHEMA, "command": command, "input": g6,
@@ -200,10 +208,11 @@ def _lg(g, o):
 
 def _pm_enum(g, o):
     """Enumerate perfect matchings of each input graph."""
-    ms = list(enumerate_perfect_matchings(g))
-    witness = None if o.count_only else {
-        "matchings": [sorted(list(e) for e in m.edges) for m in ms]}
-    return _Line({"count": len(ms)}, witness)
+    if o.count_only:
+        return _Line({"count": count_perfect_matchings(g)})
+    ms = [sorted(list(e) for e in m.edges)
+          for m in enumerate_perfect_matchings(g)]
+    return _Line({"count": len(ms)}, {"matchings": ms})
 
 
 def _ham(g, o):
@@ -255,7 +264,8 @@ def _pmh_check(g, o):
     if v.witness is not None:
         witness = {"matching": sorted(list(e) for e in v.witness.edges)}
     return _Line({"status": v.status, "is_pmh": v.is_pmh,
-                  "vacuous": v.vacuous, "matchings_tested": v.matchings_tested},
+                  "vacuous": v.vacuous, "matchings_tested": v.matchings_tested,
+                  "searches": v.searches},
                  witness, v.nodes, v.status)
 
 
@@ -282,10 +292,10 @@ def _kotzig(g, o):
     hamiltonian base, the first containing the matching."""
     lgm = build_line_graph(g)
     m = make_matching(lgm.lg, o.matching)
-    h1, h2 = kotzig_partition(g, m, lgm, max_nodes=o.max_nodes)
+    h1, h2, nodes = kotzig_partition(g, m, lgm, max_nodes=o.max_nodes)
     return _Line({"outcome": FOUND},
                  {"containing": _Walk(h1, lgm.lg, m.edges),
-                  "complement": _Walk(h2, lgm.lg)})
+                  "complement": _Walk(h2, lgm.lg)}, nodes)
 
 
 def _yext(g, o):
@@ -489,13 +499,15 @@ def _survey_one(args):
     g6, max_nodes, timeout = args
     try:
         with _deadline(timeout):
-            v = is_pmh(build_line_graph(parse_graph6(g6)).lg,
-                       max_nodes=max_nodes)
+            v = is_pmh_line(build_line_graph(parse_graph6(g6)),
+                            max_nodes=max_nodes)
     except _Timeout:
         return {"graph6": g6, "status": INCONCLUSIVE, "reason": "timeout",
-                "vacuous": False, "matchings_tested": 0, "nodes": 0}
+                "vacuous": False, "matchings_tested": 0, "nodes": 0,
+                "searches": 0}
     entry = {"graph6": g6, "status": v.status, "vacuous": v.vacuous,
-             "matchings_tested": v.matchings_tested, "nodes": v.nodes}
+             "matchings_tested": v.matchings_tested, "nodes": v.nodes,
+             "searches": v.searches}
     if v.witness is not None:
         entry["witness_matching"] = sorted(list(e) for e in v.witness.edges)
     return entry

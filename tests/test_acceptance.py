@@ -97,7 +97,7 @@ def test_criterion_05_two_cycle_partition_cubic_hamiltonian():
         lgm = build_line_graph(g)
         count = 0
         for m in enumerate_perfect_matchings(lgm.lg):
-            h1, h2 = kotzig_partition(g, m, lgm)
+            h1, h2, _nodes = kotzig_partition(g, m, lgm)
             assert h1.contains_edges(m.edges)
             e1, e2 = set(h1.edge_seq), set(h2.edge_seq)
             assert e1.isdisjoint(e2) and e1 | e2 == set(lgm.lg.edges)

@@ -12,7 +12,7 @@ from click.testing import CliRunner
 import pmhgraph
 from pmhgraph import cli
 from pmhgraph.cli import main
-from pmhgraph.cycles import closed, validate_walk
+from pmhgraph.cycles import closed, find_hamiltonian_cycle, validate_walk
 from pmhgraph._kernel import MAX_VERTICES
 from pmhgraph.graph_core import (Graph, make_named_graph, parse_graph6,
                                  write_graph6)
@@ -76,6 +76,17 @@ def test_pm_enum():
     assert rep["witness"] is None
 
 
+def test_pm_enum_count_on_a_long_cycle():
+    """The enumeration keeps its own stack, so a cycle deeper than Python's
+    recursion limit is counted."""
+    res = CliRunner().invoke(main, ["pm-enum", "--count-only", "-"],
+                             input=g6("cycle", [2000]) + "\n",
+                             catch_exceptions=False)
+    assert res.exit_code == 0 and "Traceback" not in res.output
+    (rep,) = reports(res)
+    assert rep["verdict"]["count"] == 2 and rep["witness"] is None
+
+
 def test_cycles_ham_and_witness_revalidates():
     res = run("cycles", "ham", "-", input=g6("cube") + "\n")
     (rep,) = reports(res)
@@ -119,6 +130,8 @@ def test_pmh_check_exit_codes():
     (rep,) = reports(res)
     assert rep["verdict"]["status"] == "not_pmh"
     assert rep["witness"]["matching"]
+    # the oracle searches every matching it tests
+    assert rep["verdict"]["searches"] == rep["verdict"]["matchings_tested"] > 0
     res = run("pmh-check", "--max-nodes", "3", "-", input=g6("petersen") + "\n")
     assert res.exit_code == 2
 
@@ -148,6 +161,9 @@ def test_extend_and_kotzig(tmp_path):
     assert res.exit_code == 0
     (rep,) = reports(res)
     assert rep["witness"]["containing"] and rep["witness"]["complement"]
+    # the node count of the base's hamiltonian cycle search
+    assert rep["stats"]["nodes"] == find_hamiltonian_cycle(
+        make_named_graph("complete", [4])).nodes > 0
 
 
 def test_extend_parity_error(tmp_path):
@@ -196,6 +212,9 @@ def test_survey_resumable(tmp_path):
     assert summary["tested"] == 1 and summary["warnings"] == 1
     assert summary["candidates"] == []
     first_journal = journal.read_text()
+    (entry,) = [json.loads(line) for line in first_journal.splitlines()]
+    assert entry["status"] == "pmh"
+    assert 0 < entry["searches"] < entry["matchings_tested"]
     res2 = run("survey", str(corpus), "--problem", "p2",
                "--journal", str(journal))
     summary2 = json.loads(res2.output.strip().splitlines()[-1])
@@ -270,10 +289,10 @@ def test_survey_budget_is_honoured(tmp_path):
 
 
 def test_survey_timeout_is_honoured(tmp_path, monkeypatch):
-    def slow(h, max_nodes=0):
+    def slow(lgm, max_nodes=0):
         time.sleep(5)
 
-    monkeypatch.setattr(cli, "is_pmh", slow)
+    monkeypatch.setattr(cli, "is_pmh_line", slow)
     corpus = tmp_path / "corpus.g6"
     corpus.write_text(g6("octahedron") + "\n")
     journal = tmp_path / "journal.jsonl"
@@ -403,6 +422,8 @@ def test_graph_above_the_kernel_bound_is_one_error_line(command):
     (line,) = res.stderr.splitlines()
     assert line.startswith("error: ") and line.endswith(
         f"{n} vertices, above the search bound {MAX_VERTICES}")
+    assert f"({len(text)} chars)" in line
+    assert len(res.stderr.encode()) < 1024
     assert "Traceback" not in res.output
 
 

@@ -29,6 +29,8 @@ def test_known_matching_counts():
     assert count_perfect_matchings(make_named_graph("cycle", [6])) == 2
     assert count_perfect_matchings(make_named_graph("petersen", [])) == 6
     assert count_perfect_matchings(make_named_graph("cycle", [5])) == 0
+    # deeper than Python's recursion limit
+    assert count_perfect_matchings(make_named_graph("cycle", [2000])) == 2
 
 
 def test_enumeration_is_deterministic_and_valid(rng):
@@ -36,7 +38,7 @@ def test_enumeration_is_deterministic_and_valid(rng):
         g = random_graph(rng, 8, 0.45)
         first = [sorted(m.edges) for m in enumerate_perfect_matchings(g)]
         second = [sorted(m.edges) for m in enumerate_perfect_matchings(g)]
-        assert first == second
+        assert first == second == sorted(first)
         for edges in first:
             flat = [v for e in edges for v in e]
             assert sorted(flat) == list(range(8))
@@ -50,6 +52,9 @@ def test_has_perfect_matching_with():
     assert has_perfect_matching_with(c6, [(0, 1), (2, 3)])
     assert not has_perfect_matching_with(c6, [(0, 1), (1, 2)])
     assert not has_perfect_matching_with(c6, [(0, 2)])
+    c2000 = make_named_graph("cycle", [2000])
+    assert has_perfect_matching_with(c2000, [(1, 2)])
+    assert not has_perfect_matching_with(c2000, [(1, 2), (4, 5)])
 
 
 def test_p3_bijection_roundtrip():

@@ -1,13 +1,18 @@
 import pytest
 
+from pmhgraph import pmh
+from pmhgraph.cli import _candidate
+from pmhgraph.constructions import prop6_construct
 from pmhgraph.corpus import connected_graphs_upto
-from pmhgraph.cycles import (closed, find_hamiltonian_cycle,
+from pmhgraph.cycles import (FOUND, closed, find_hamiltonian_cycle,
                              is_arbitrarily_traceable, validate_walk)
 from pmhgraph.errors import ParityError, PreconditionError, StructureError
 from pmhgraph.graph_core import Graph, make_named_graph
 from pmhgraph.line_graph import build_line_graph, canonical_partition
-from pmhgraph.matching import enumerate_perfect_matchings, make_matching
-from pmhgraph.pmh import (colouring_from_matching, count_pc_hamiltonian_cycles,
+from pmhgraph.matching import (Matching, enumerate_perfect_matchings,
+                               make_matching)
+from pmhgraph.pmh import (_checked_extension, colouring_from_matching,
+                          count_pc_hamiltonian_cycles,
                           daykin_hypothesis_holds,
                           enumerate_hamiltonian_cycles,
                           extend_matching_arb_traceable,
@@ -15,8 +20,9 @@ from pmhgraph.pmh import (colouring_from_matching, count_pc_hamiltonian_cycles,
                           extend_matching_subcubic,
                           extend_via_dominating_cycle,
                           find_pc_hamiltonian_cycle, haggkvist_condition,
-                          is_pmh, is_properly_coloured, kotzig_partition,
-                          lasvergnas_condition, stitch_clique_path)
+                          is_pmh, is_pmh_line, is_properly_coloured,
+                          kotzig_partition, lasvergnas_condition,
+                          stitch_clique_path)
 
 from conftest import two_squares
 
@@ -34,6 +40,123 @@ def test_is_pmh_verdicts(petersen):
     assert v.is_pmh and v.vacuous
     v = is_pmh(petersen, max_nodes=3)
     assert v.status == "inconclusive"
+    assert v.searches == v.matchings_tested > 0
+
+
+def _walk_from_trail(lgm, trail, m):
+    """The hamiltonian cycle of L(G) through m that a trail hit promises,
+    laid out from the trail record alone: the record's (entry, exit) pairs
+    chain the trail's edges into one cycle, and each segment at c is its
+    entry, the entry's partner if centred at c, the off-trail 2-paths at c
+    (in the first segment at c that a 2-path of trail edges does not fill),
+    the exit's partner if centred at c, its exit."""
+    def shared(a, b):
+        (c,) = set(lgm.from_lg[a]) & set(lgm.from_lg[b])
+        return c
+
+    on = {x for pair in trail.pairs for x in pair}
+    partner, centre, off = {}, {}, {}
+    for a, b in sorted(m.edges):
+        partner[a], partner[b] = b, a
+        centre[a] = centre[b] = shared(a, b)
+        if a not in on and b not in on:
+            off.setdefault(centre[a], []).extend((a, b))
+    kinds = {"cycle", "tour", "hamiltonian"}
+    if not on:
+        (c,) = trail.segments
+        return closed(off[c], kinds=kinds)
+    nbrs = {}
+    for a, b in trail.pairs:
+        nbrs.setdefault(a, []).append(b)
+        nbrs.setdefault(b, []).append(a)
+    order = [min(on)]
+    while len(order) < len(on):
+        order.append(next(y for y in nbrs[order[-1]]
+                          if len(order) < 2 or y != order[-2]))
+    verts = []
+    for entry, exit_ in zip(order, order[1:] + order[:1]):
+        c = shared(entry, exit_)
+        verts.append(entry)
+        if partner[entry] == exit_:
+            continue
+        if centre[entry] == c:
+            verts.append(partner[entry])
+        verts.extend(off.pop(c, ()))
+        if centre[exit_] == c:
+            verts.append(partner[exit_])
+    return closed(verts, kinds=kinds)
+
+
+@pytest.fixture
+def cross_check(monkeypatch):
+    """is_pmh_line(lgm) against is_pmh(lgm.lg).  Every trail hit is turned
+    into its cycle by `_walk_from_trail` and re-checked by
+    `_checked_extension`, so no hit goes uncertified."""
+    real_fits = pmh._fits
+
+    def check(lgm):
+        def fits(trail, edges, centre):
+            ok = real_fits(trail, edges, centre)
+            if ok:
+                m = Matching(edges, lgm.lg.n)
+                _checked_extension(lgm, m, _walk_from_trail(lgm, trail, m))
+            return ok
+
+        monkeypatch.setattr(pmh, "_fits", fits)
+        fast, oracle = is_pmh_line(lgm), is_pmh(lgm.lg)
+        assert (fast.status, fast.witness, fast.matchings_tested,
+                fast.vacuous) == (oracle.status, oracle.witness,
+                                  oracle.matchings_tested, oracle.vacuous)
+        assert fast.nodes <= oracle.nodes
+        assert fast.searches <= oracle.searches == oracle.matchings_tested
+        return fast
+
+    return check
+
+
+def test_is_pmh_line_equals_oracle_on_small_graphs(cross_check):
+    verdicts = [cross_check(build_line_graph(g))
+                for g in connected_graphs_upto(6)
+                if g.n >= 3 and len(g.edges) % 2 == 0]
+    assert len(verdicts) == 70
+    assert sum(v.matchings_tested for v in verdicts) == 6642
+    assert sum(v.searches for v in verdicts) == 282
+
+
+def test_is_pmh_line_equals_oracle_on_survey_graphs(cross_check):
+    """The graphs `survey --problem maxdeg4` checks on the corpus up to 7
+    vertices."""
+    verdicts = [cross_check(build_line_graph(g))
+                for g in connected_graphs_upto(7)
+                if _candidate(g, "maxdeg4", 0) == FOUND]
+    assert len(verdicts) == 66 and {v.status for v in verdicts} == {"pmh"}
+    assert sum(v.matchings_tested for v in verdicts) == 6580
+    assert sum(v.searches for v in verdicts) == 392
+
+
+@pytest.mark.parametrize("name, params", [
+    ("complete", [4]), ("cube", []), ("complete", [5]), ("bipartite", [4, 4])])
+def test_is_pmh_line_equals_oracle_on_named_graphs(cross_check, name, params):
+    assert cross_check(build_line_graph(make_named_graph(name, params))).is_pmh
+
+
+def test_is_pmh_line_finds_the_criterion_07_counterexample(cross_check):
+    out, _keep, _tmap = prop6_construct(make_named_graph("petersen", []), 0)
+    v = cross_check(build_line_graph(out))
+    assert v.status == "not_pmh" and v.matchings_tested == v.searches == 1
+
+
+def test_is_pmh_line_on_coxeter():
+    v = is_pmh_line(build_line_graph(make_named_graph("coxeter", [])))
+    assert v.status == "pmh" and v.matchings_tested == 32768
+    assert v.searches == 16 and v.nodes < 10_211_097
+
+
+def test_is_pmh_line_caches_no_trail_under_a_spent_budget():
+    lgm = build_line_graph(make_named_graph("complete", [4]))
+    v = is_pmh_line(lgm, max_nodes=1)
+    assert v.status == "inconclusive"
+    assert v.searches == v.matchings_tested == 8
 
 
 def test_extend_via_dominating_cycle_cases():
@@ -82,7 +205,8 @@ def test_kotzig_partition_properties():
         g = make_named_graph(name, [4] if name == "complete" else [])
         lgm = build_line_graph(g)
         for m in enumerate_perfect_matchings(lgm.lg):
-            h1, h2 = kotzig_partition(g, m, lgm)
+            h1, h2, nodes = kotzig_partition(g, m, lgm)
+            assert nodes == find_hamiltonian_cycle(g).nodes > 0
             assert validate_walk(lgm.lg, h1) and validate_walk(lgm.lg, h2)
             assert h1.contains_edges(m.edges)
             e1, e2 = set(h1.edge_seq), set(h2.edge_seq)
