@@ -155,29 +155,43 @@ def find_hamiltonian_cycle(g: Graph, forced=(), max_nodes=0) -> SearchResult:
 def _induced(g: Graph, keep):
     keep = sorted(keep)
     pos = {v: i for i, v in enumerate(keep)}
-    edges = [(pos[u], pos[v]) for u, v in g.edges if u in pos and v in pos]
-    return Graph.from_edges(len(keep), edges), keep
+    # keep is sorted, so u < v gives pos[u] < pos[v]: each edge stays (low, high).
+    edges = frozenset((pos[u], pos[v]) for u, v in g.edges
+                      if u in pos and v in pos)
+    return Graph(len(keep), edges), keep
 
 
 def find_dominating_cycle(g: Graph, allowed_untouched=frozenset(),
                           max_nodes=0) -> SearchResult:
     """Dominating cycle whose untouched vertices form a subset of
     `allowed_untouched`; candidate untouched sets are tried smallest first
-    with lexicographic tie-break."""
+    with lexicographic tie-break.
+
+    A candidate U that leaves some kept vertex with fewer than two kept
+    neighbours is skipped without a search: G - U has no hamiltonian cycle,
+    which certifies that U fails under any budget."""
     allowed = sorted(set(allowed_untouched))
     outside = [v for v in allowed if not 0 <= v < g.n]
     if outside:
         raise PreconditionError(f"vertex {outside[0]} is not in the graph")
+    adj = g.adjacency
+    nbr = [sum(1 << w for w in a) for a in adj]
+    full = (1 << g.n) - 1
+    low = sum(1 << v for v, a in enumerate(adj) if len(a) < 2)
     saw_budget = False
     total_nodes = 0
     for size in range(len(allowed) + 1):
+        if g.n - size < 3:
+            break
         for untouched in combinations(allowed, size):
-            off = set(untouched)
-            if any(u in off and v in off for u, v in g.edges):
-                continue  # an edge with both ends untouched is undominated
-            if g.n - size < 3:
-                continue
-            sub, keep = _induced(g, set(range(g.n)) - off)
+            off = sum(1 << v for v in untouched)
+            if low & ~off or any(nbr[v] & off for v in untouched):
+                continue  # a vertex of degree < 2 kept, or an undominated edge
+            kept = full ^ off
+            if any((nbr[w] & kept).bit_count() < 2
+                   for v in untouched for w in adj[v]):
+                continue  # a neighbour of U keeps fewer than two neighbours
+            sub, keep = _induced(g, [v for v in range(g.n) if kept >> v & 1])
             res = find_hamiltonian_cycle(sub, max_nodes=max_nodes)
             total_nodes += res.nodes
             if res.outcome == FOUND:

@@ -313,9 +313,9 @@ def _extend_via_dominating_cycle(lgm: LineGraphMap, m: Matching, centers,
         raise PreconditionError("dominating-cycle extension needs max degree 3")
     if not validate_walk(g, closed(d.vertices, kinds={"cycle", "dominating"})):
         raise PreconditionError("d is not a dominating cycle of the base")
-    untouched = set(range(g.n)) - d.touched
-    for v in untouched:
-        if g.degree(v) >= 2 and v in centers:
+    adj = g.adjacency
+    for v in set(range(g.n)) - d.touched:
+        if len(adj[v]) >= 2 and v in centers:
             raise PreconditionError(
                 f"untouched vertex {v} has a matching-intersected clique")
     return _stitch_along(lgm, m, centers, d)
@@ -330,8 +330,8 @@ def extend_matching_subcubic(lgm: LineGraphMap, m: Matching,
     if g.max_degree() > 3:
         raise PreconditionError("subcubic extension requires max degree 3")
     centers = _matching_centers(lgm, m)
-    allowed = {v for v in range(g.n)
-               if g.degree(v) == 1 or (g.degree(v) >= 2 and v not in centers)}
+    allowed = {v for v, a in enumerate(g.adjacency)
+               if len(a) == 1 or (len(a) >= 2 and v not in centers)}
     res = find_dominating_cycle(g, allowed_untouched=allowed, max_nodes=max_nodes)
     if res.outcome != FOUND:
         return res

@@ -122,6 +122,12 @@ def test_cycles_subcommands():
               input=g6("petersen") + "\n")
     (rep,) = reports(res)
     assert rep["verdict"]["outcome"] == "found"
+    # a tree: every untouched set leaves a vertex with under two kept
+    # neighbours, so no search runs
+    res = run("cycles", "domcycle", "--allow", "0,1,2,3,4", "-",
+              input=g6("path", [5]) + "\n")
+    (rep,) = reports(res)
+    assert rep["verdict"]["outcome"] == "absent" and rep["stats"]["nodes"] == 0
 
 
 def test_pmh_check_exit_codes():

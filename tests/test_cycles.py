@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 import textwrap
+from itertools import chain, combinations
 from pathlib import Path
 
 import pytest
@@ -14,10 +15,12 @@ from pmhgraph.cycles import (CycleWalk, SearchResult, circumference, closed,
                              is_arbitrarily_traceable, is_hypohamiltonian,
                              longest_cycle_search, validate_walk)
 from pmhgraph._kernel import purecore
+from pmhgraph.corpus import connected_subcubic_upto
 from pmhgraph.errors import (BudgetError, CapacityError, PreconditionError,
                              StructureError, WitnessError)
 from pmhgraph.graph_core import Graph, make_named_graph
 from pmhgraph.line_graph import build_line_graph
+from pmhgraph.matching import enumerate_perfect_matchings, matching_to_p3
 
 from conftest import naive_ham_cycle, naive_longest_cycle_length, random_graph, two_squares
 
@@ -90,6 +93,84 @@ def test_dominating_cycle_prefers_fewer_untouched():
     c6 = make_named_graph("cycle", [6])
     res = find_dominating_cycle(c6, allowed_untouched={0, 1})
     assert res and res.walk.touched == set(range(6))
+
+
+def unpruned_dominating_cycle(g, allowed):
+    """find_dominating_cycle's candidate order with no pruning beyond the
+    undominated-edge test: one hamiltonian search per remaining untouched
+    set, on an induced graph built here."""
+    nodes = 0
+    for size in range(len(allowed) + 1):
+        for untouched in combinations(sorted(allowed), size):
+            off = set(untouched)
+            if g.n - size < 3 or any(u in off and v in off for u, v in g.edges):
+                continue
+            keep = [v for v in range(g.n) if v not in off]
+            pos = {v: i for i, v in enumerate(keep)}
+            sub = Graph.from_edges(len(keep), [(pos[u], pos[v]) for u, v in g.edges
+                                               if u in pos and v in pos])
+            res = find_hamiltonian_cycle(sub)
+            nodes += res.nodes
+            if res:
+                return "found", [keep[v] for v in res.walk.vertices], nodes
+    return "absent", None, nodes
+
+
+def subcubic_allowed_sets():
+    """The untouched set extend_matching_subcubic allows for every perfect
+    matching of every connected subcubic even-size base up to 8 vertices."""
+    for g in connected_subcubic_upto(8, even_size_only=True):
+        lgm = build_line_graph(g)
+        for m in enumerate_perfect_matchings(lgm.lg):
+            centres = {c for c, _ in matching_to_p3(lgm, m).paths}
+            yield g, {v for v in range(g.n) if g.degree(v) == 1
+                      or (g.degree(v) >= 2 and v not in centres)}
+
+
+def small_allowed_sets():
+    for name in ("petersen", "cube"):
+        g = make_named_graph(name, [])
+        for size in range(3):
+            for allowed in combinations(range(g.n), size):
+                yield g, set(allowed)
+
+
+def test_dominating_cycle_pruning_is_exact():
+    """Skipping impossible untouched sets changes no outcome or walk, and
+    never costs nodes."""
+    checked = 0
+    for g, allowed in chain(subcubic_allowed_sets(), small_allowed_sets()):
+        outcome, walk, nodes = unpruned_dominating_cycle(g, allowed)
+        res = find_dominating_cycle(g, allowed_untouched=allowed)
+        assert res.outcome == outcome, (g.edges, allowed)
+        assert (res.walk and list(res.walk.vertices)) == walk, (g.edges, allowed)
+        assert res.nodes <= nodes
+        checked += 1
+    assert checked > 600
+
+
+def test_impossible_untouched_sets_never_reach_the_kernel(monkeypatch):
+    calls = []
+    search = _kernel.ham_cycle
+
+    def counted(adj, forced, max_nodes):
+        calls.append(len(adj))
+        return search(adj, forced, max_nodes)
+
+    monkeypatch.setattr(_kernel, "ham_cycle", counted)
+    p5 = make_named_graph("path", [5])
+    for max_nodes in (0, 1):
+        res = find_dominating_cycle(p5, allowed_untouched=set(range(5)),
+                                    max_nodes=max_nodes)
+        assert res == SearchResult("absent", None, 0)
+    assert calls == []
+    # C6 with a pendant vertex 6 at 0: the pendant must stay untouched
+    g = Graph.from_edges(7, [(i, (i + 1) % 6) for i in range(6)] + [(0, 6)])
+    assert find_dominating_cycle(g, allowed_untouched=set(range(6))).outcome == "absent"
+    assert calls == []
+    res = find_dominating_cycle(g, allowed_untouched={6})
+    assert res and res.walk.touched == set(range(6))
+    assert calls == [6]
 
 
 def test_dominating_tour():
