@@ -72,7 +72,7 @@ def ham_cycle(adj, forced=(), max_nodes=0):
     full = (1 << n) - 1
     nodes = 0
     path = [start]
-    used_forced = 0
+    used_edges = set()
 
     def edge_forced(a, b):
         return ((a, b) if a < b else (b, a)) in fset
@@ -94,48 +94,26 @@ def ham_cycle(adj, forced=(), max_nodes=0):
                 return False
         return True
 
-    def dfs(u, visited, count, used):
+    def visit(u, visited, used):
+        """Count the search node at path end u.  Returns its status when it
+        is a leaf, else None and the frame that walks its candidates:
+        [u, visited, used, candidates, next index, saw_budget]."""
         nonlocal nodes
         nodes += 1
         if max_nodes and nodes > max_nodes:
-            return BUDGET
-        if count == n:
+            return BUDGET, None
+        if len(path) == n:
             closing = edge_forced(u, start)
             if (amask[u] >> start) & 1 and used + (1 if closing else 0) == nforced:
-                return FOUND
-            return ABSENT
-        pending = [w for w in fnbr[u] if not _used_edge(u, w)]
+                return FOUND, None
+            return ABSENT, None
+        pending = [w for w in fnbr[u]
+                   if ((u, w) if u < w else (w, u)) not in used_edges]
         if len(pending) >= 2:
-            return ABSENT
-        if pending:
-            cands = pending
-        else:
-            cands = adj[u]
+            return ABSENT, None
         if not degree_ok(visited, u) or not reachable_ok(visited, u):
-            return ABSENT
-        saw_budget = False
-        for w in cands:
-            bit = 1 << w
-            if visited & bit:
-                continue
-            f = edge_forced(u, w)
-            if f:
-                used_edges.add((u, w) if u < w else (w, u))
-            path.append(w)
-            r = dfs(w, visited | bit, count + 1, used + (1 if f else 0))
-            if r == FOUND:
-                return FOUND
-            if r == BUDGET:
-                saw_budget = True
-            path.pop()
-            if f:
-                used_edges.discard((u, w) if u < w else (w, u))
-        return BUDGET if saw_budget else ABSENT
-
-    used_edges = set()
-
-    def _used_edge(a, b):
-        return ((a, b) if a < b else (b, a)) in used_edges
+            return ABSENT, None
+        return None, [u, visited, used, pending or adj[u], 0, False]
 
     # First move: with forced edges at the start, direction symmetry lets us
     # take the lowest forced neighbor as the first step.
@@ -144,11 +122,40 @@ def ham_cycle(adj, forced=(), max_nodes=0):
         w = min(fnbr[start])
         used_edges.add((start, w) if start < w else (w, start))
         path.append(w)
-        status = dfs(w, visited0 | (1 << w), 2, 1)
-        if status == FOUND:
-            return FOUND, list(path), nodes
-        return status, None, nodes
-    status = dfs(start, visited0, 1, 0)
+        status, frame = visit(w, visited0 | (1 << w), 1)
+    else:
+        status, frame = visit(start, visited0, 0)
+    # Depth-first with an explicit stack of frames, one per inner path
+    # vertex; `status` is the result of the node just left, for the frame
+    # below it.
+    stack = []
+    while True:
+        if frame is not None:
+            stack.append(frame)
+        elif status == FOUND or not stack:
+            break
+        else:
+            top = stack[-1]
+            if status == BUDGET:
+                top[5] = True
+            w = path.pop()
+            if edge_forced(top[0], w):
+                used_edges.discard((top[0], w) if top[0] < w else (w, top[0]))
+        top = stack[-1]
+        u, visited, used, cands, i, saw_budget = top
+        while i < len(cands) and visited >> cands[i] & 1:
+            i += 1
+        if i == len(cands):
+            stack.pop()
+            status, frame = (BUDGET if saw_budget else ABSENT), None
+            continue
+        top[4] = i + 1
+        w = cands[i]
+        f = edge_forced(u, w)
+        if f:
+            used_edges.add((u, w) if u < w else (w, u))
+        path.append(w)
+        status, frame = visit(w, visited | 1 << w, used + f)
     if status == FOUND:
         return FOUND, list(path), nodes
     return status, None, nodes
@@ -178,32 +185,41 @@ def longest_cycle(adj, max_nodes=0):
 
         path = [root]
 
-        def dfs(u, visited):
+        def visit(u, visited):
+            """Count the search node at path end u; True when its
+            neighbours are to be tried."""
             nonlocal nodes, capped, best
             nodes += 1
             if max_nodes and nodes > max_nodes:
                 capped = True
-                return
+                return False
             if len(path) >= 3 and (amask[u] >> root) & 1 and len(path) > len(best):
                 best = list(path)
             # Bound: vertices reachable from u through the unvisited region.
             allow = allow_root & ~visited
             reach = _flood(amask, u, allow)
-            if len(path) + (reach & allow).bit_count() <= len(best):
-                return
-            for w in adj[u]:
-                if w <= root:
-                    continue
-                bit = 1 << w
-                if visited & bit:
-                    continue
-                path.append(w)
-                dfs(w, visited | bit)
-                path.pop()
-                if capped:
-                    return
+            return len(path) + (reach & allow).bit_count() > len(best)
 
-        dfs(root, 1 << root)
+        # Depth-first with an explicit stack of [u, visited, next index],
+        # one frame per path vertex whose neighbours are being tried.
+        stack = [[root, 1 << root, 0]] if visit(root, 1 << root) else []
+        while stack and not capped:
+            top = stack[-1]
+            u, visited, i = top
+            nbrs = adj[u]
+            while i < len(nbrs) and (nbrs[i] <= root or visited >> nbrs[i] & 1):
+                i += 1
+            if i == len(nbrs):
+                stack.pop()
+                path.pop()
+                continue
+            top[2] = i + 1
+            w = nbrs[i]
+            path.append(w)
+            if visit(w, visited | 1 << w):
+                stack.append([w, visited | 1 << w, 0])
+            else:
+                path.pop()
         if capped:
             break
 

@@ -136,8 +136,14 @@ def _check_forced(g: Graph, forced):
 def find_hamiltonian_cycle(g: Graph, forced=(), max_nodes=0) -> SearchResult:
     """Exhaustive hamiltonian cycle search; the cycle must contain every
     forced edge.  Absence verdicts are certified by search-tree exhaustion."""
+    return _hamiltonian_search(g, _check_forced(g, forced), max_nodes)
+
+
+def _hamiltonian_search(g: Graph, norm, max_nodes) -> SearchResult:
+    """`find_hamiltonian_cycle` for forced edges `norm` that are already
+    normalised, distinct edges of g with at most two at any vertex, such as
+    the sorted edges of a matching of g; the kernel's cycle is re-checked."""
     _check_size(g)
-    norm = _check_forced(g, forced)
     status, cyc, nodes = _kernel.ham_cycle(g.adjacency, norm, max_nodes)
     if status != _kernel.FOUND:
         return SearchResult(_STATUS[status], None, nodes)
@@ -161,6 +167,22 @@ def _induced(g: Graph, keep):
     return Graph(len(keep), edges), keep
 
 
+def _dominating_memo(g: Graph):
+    """Per-graph state of `find_dominating_cycle`, kept on g like its
+    adjacency: the neighbour bitmask of every vertex, the bitmask of the
+    vertices of degree < 2, and the certified outcome of each G - U searched
+    so far, keyed by U's bitmask: its dominating cycle of g, or None when
+    G - U has no hamiltonian cycle.  Budget-capped outcomes are not kept."""
+    try:
+        return g._dominating_cache
+    except AttributeError:
+        adj = g.adjacency
+        memo = ([sum(1 << w for w in a) for a in adj],
+                sum(1 << v for v, a in enumerate(adj) if len(a) < 2), {})
+        object.__setattr__(g, "_dominating_cache", memo)
+        return memo
+
+
 def find_dominating_cycle(g: Graph, allowed_untouched=frozenset(),
                           max_nodes=0) -> SearchResult:
     """Dominating cycle whose untouched vertices form a subset of
@@ -169,15 +191,17 @@ def find_dominating_cycle(g: Graph, allowed_untouched=frozenset(),
 
     A candidate U that leaves some kept vertex with fewer than two kept
     neighbours is skipped without a search: G - U has no hamiltonian cycle,
-    which certifies that U fails under any budget."""
+    which certifies that U fails under any budget.  The search of G - U
+    depends on U alone, so its certified outcome is kept on g and a later
+    call on the same graph object takes it without a search (0 nodes),
+    under any budget."""
     allowed = sorted(set(allowed_untouched))
     outside = [v for v in allowed if not 0 <= v < g.n]
     if outside:
         raise PreconditionError(f"vertex {outside[0]} is not in the graph")
     adj = g.adjacency
-    nbr = [sum(1 << w for w in a) for a in adj]
+    nbr, low, searched = _dominating_memo(g)
     full = (1 << g.n) - 1
-    low = sum(1 << v for v, a in enumerate(adj) if len(a) < 2)
     saw_budget = False
     total_nodes = 0
     for size in range(len(allowed) + 1):
@@ -191,6 +215,10 @@ def find_dominating_cycle(g: Graph, allowed_untouched=frozenset(),
             if any((nbr[w] & kept).bit_count() < 2
                    for v in untouched for w in adj[v]):
                 continue  # a neighbour of U keeps fewer than two neighbours
+            if off in searched:
+                if searched[off] is None:
+                    continue
+                return SearchResult(FOUND, searched[off], total_nodes)
             sub, keep = _induced(g, [v for v in range(g.n) if kept >> v & 1])
             res = find_hamiltonian_cycle(sub, max_nodes=max_nodes)
             total_nodes += res.nodes
@@ -199,9 +227,12 @@ def find_dominating_cycle(g: Graph, allowed_untouched=frozenset(),
                 walk = closed(verts, kinds={"cycle", "tour", "dominating"})
                 if not validate_walk(g, walk):
                     raise WitnessError(f"invalid dominating cycle {verts}")
+                searched[off] = walk
                 return SearchResult(FOUND, walk, total_nodes)
             if res.outcome == INCONCLUSIVE:
                 saw_budget = True
+            else:
+                searched[off] = None
     return SearchResult(INCONCLUSIVE if saw_budget else ABSENT, None, total_nodes)
 
 

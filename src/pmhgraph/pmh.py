@@ -15,9 +15,9 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .cycles import (ABSENT, FOUND, INCONCLUSIVE, CycleWalk, SearchResult,
-                     closed, euler_tour, find_dominating_cycle,
-                     find_hamiltonian_cycle, is_arbitrarily_traceable,
-                     validate_walk)
+                     _hamiltonian_search, closed, euler_tour,
+                     find_dominating_cycle, find_hamiltonian_cycle,
+                     is_arbitrarily_traceable, validate_walk)
 from .errors import (BudgetError, ParityError, PreconditionError,
                      StructureError, WitnessError)
 from .graph_core import Graph, make_named_graph
@@ -65,9 +65,10 @@ def is_pmh(h: Graph, max_nodes=0) -> PmhVerdict:
     tested = 0
     nodes = 0
     inconclusive = False
+    # an enumerated matching is a valid forced set of h: skip the wrapper's check
     for m in enumerate_perfect_matchings(h):
         tested += 1
-        res = find_hamiltonian_cycle(h, forced=sorted(m.edges), max_nodes=max_nodes)
+        res = _hamiltonian_search(h, sorted(m.edges), max_nodes)
         nodes += res.nodes
         if res.outcome == ABSENT:
             return PmhVerdict("not_pmh", witness=m, matchings_tested=tested,
@@ -190,8 +191,7 @@ def is_pmh_line(lgm: LineGraphMap, max_nodes=0) -> PmhVerdict:
                 break
         else:
             searches += 1
-            res = find_hamiltonian_cycle(h, forced=sorted(m.edges),
-                                         max_nodes=max_nodes)
+            res = _hamiltonian_search(h, sorted(m.edges), max_nodes)
             nodes += res.nodes
             if res.outcome == ABSENT:
                 return PmhVerdict("not_pmh", witness=m, matchings_tested=tested,
@@ -303,16 +303,19 @@ def extend_via_dominating_cycle(lgm: LineGraphMap, m: Matching,
     """Turn a dominating cycle of the base into a hamiltonian cycle of the
     line graph containing the perfect matching, by walking the clique of
     each cycle vertex.  Requires max base degree 3."""
-    return _extend_via_dominating_cycle(lgm, m, _matching_centers(lgm, m), d)
-
-
-def _extend_via_dominating_cycle(lgm: LineGraphMap, m: Matching, centers,
-                                 d: CycleWalk) -> CycleWalk:
     g = lgm.base
     if g.max_degree() > 3:
         raise PreconditionError("dominating-cycle extension needs max degree 3")
     if not validate_walk(g, closed(d.vertices, kinds={"cycle", "dominating"})):
         raise PreconditionError("d is not a dominating cycle of the base")
+    return _extend_via_dominating_cycle(lgm, m, _matching_centers(lgm, m), d)
+
+
+def _extend_via_dominating_cycle(lgm: LineGraphMap, m: Matching, centers,
+                                 d: CycleWalk) -> CycleWalk:
+    """`extend_via_dominating_cycle` for a base of max degree 3 and a `d`
+    already checked as a dominating cycle of it."""
+    g = lgm.base
     adj = g.adjacency
     for v in set(range(g.n)) - d.touched:
         if len(adj[v]) >= 2 and v in centers:

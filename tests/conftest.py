@@ -10,6 +10,7 @@ from itertools import combinations, permutations
 import pytest
 
 import pmhgraph
+from pmhgraph import _kernel
 from pmhgraph.graph_core import Graph, make_named_graph
 
 
@@ -75,3 +76,18 @@ def petersen():
 @pytest.fixture
 def k4():
     return make_named_graph("complete", [4])
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """The order (vertex count) of each graph handed to the hamiltonian
+    kernel while the test runs."""
+    calls = []
+    search = _kernel.ham_cycle
+
+    def counted(adj, forced, max_nodes):
+        calls.append(len(adj))
+        return search(adj, forced, max_nodes)
+
+    monkeypatch.setattr(_kernel, "ham_cycle", counted)
+    return calls

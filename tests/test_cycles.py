@@ -149,28 +149,39 @@ def test_dominating_cycle_pruning_is_exact():
     assert checked > 600
 
 
-def test_impossible_untouched_sets_never_reach_the_kernel(monkeypatch):
-    calls = []
-    search = _kernel.ham_cycle
-
-    def counted(adj, forced, max_nodes):
-        calls.append(len(adj))
-        return search(adj, forced, max_nodes)
-
-    monkeypatch.setattr(_kernel, "ham_cycle", counted)
+def test_impossible_untouched_sets_never_reach_the_kernel(kernel_calls):
     p5 = make_named_graph("path", [5])
     for max_nodes in (0, 1):
         res = find_dominating_cycle(p5, allowed_untouched=set(range(5)),
                                     max_nodes=max_nodes)
         assert res == SearchResult("absent", None, 0)
-    assert calls == []
+    assert kernel_calls == []
     # C6 with a pendant vertex 6 at 0: the pendant must stay untouched
     g = Graph.from_edges(7, [(i, (i + 1) % 6) for i in range(6)] + [(0, 6)])
     assert find_dominating_cycle(g, allowed_untouched=set(range(6))).outcome == "absent"
-    assert calls == []
+    assert kernel_calls == []
     res = find_dominating_cycle(g, allowed_untouched={6})
     assert res and res.walk.touched == set(range(6))
-    assert calls == [6]
+    assert kernel_calls == [6]
+
+
+def test_dominating_memo_keeps_only_certified_outcomes(kernel_calls):
+    petersen = make_named_graph("petersen", [])
+    # U = {} and U = {0} both stop at the budget, so neither is kept
+    capped = find_dominating_cycle(petersen, allowed_untouched={0}, max_nodes=1)
+    assert capped.outcome == "inconclusive" and kernel_calls == [10, 9]
+    res = find_dominating_cycle(petersen, allowed_untouched={0})
+    assert res and res.walk.touched == set(range(1, 10))
+    assert kernel_calls == [10, 9, 10, 9] and res.nodes > 0
+    # both outcomes are kept now: no search, no nodes, under any budget
+    again = find_dominating_cycle(petersen, allowed_untouched={0}, max_nodes=1)
+    assert again == SearchResult("found", res.walk, 0)
+    assert find_dominating_cycle(petersen) == SearchResult("absent", None, 0)
+    assert len(kernel_calls) == 4
+    # the memo lives on the graph object: an equal graph searches again
+    fresh = make_named_graph("petersen", [])
+    assert find_dominating_cycle(fresh, allowed_untouched={0}) == res
+    assert len(kernel_calls) == 6
 
 
 def test_dominating_tour():

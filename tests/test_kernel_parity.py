@@ -240,6 +240,18 @@ def test_pure_longest_against_naive(rng):
         assert got == want
 
 
+def test_pure_searches_on_a_long_cycle():
+    """A 1,200-vertex path is deeper than Python's default recursion limit."""
+    adj = _adj(make_named_graph("cycle", [1200]))
+    ham = purecore.ham_cycle(adj, [], 0)
+    longest = purecore.longest_cycle(adj, 0)
+    assert ham[0] == longest[0] == purecore.FOUND
+    assert len(ham[1]) == len(longest[1]) == 1200
+    if _fastcore is not None:
+        assert ham == _fastcore.ham_cycle(adj, [], 0)
+        assert longest == _fastcore.longest_cycle(adj, 0)
+
+
 def test_budget_status_never_claims_absence():
     g = make_named_graph("petersen", [])
     status, cyc, _nodes = purecore.ham_cycle(_adj(g), [], 3)

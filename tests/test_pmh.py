@@ -1,9 +1,11 @@
+from itertools import islice
+
 import pytest
 
 from pmhgraph import pmh
 from pmhgraph.cli import _candidate
 from pmhgraph.constructions import prop6_construct
-from pmhgraph.corpus import connected_graphs_upto
+from pmhgraph.corpus import connected_graphs_upto, connected_subcubic_upto
 from pmhgraph.cycles import (FOUND, closed, find_hamiltonian_cycle,
                              is_arbitrarily_traceable, validate_walk)
 from pmhgraph.errors import ParityError, PreconditionError, StructureError
@@ -188,6 +190,35 @@ def test_extend_subcubic_agrees_with_oracle():
             oracle = find_hamiltonian_cycle(lgm.lg, forced=sorted(m.edges))
             assert res.outcome == oracle.outcome == "found"
             assert res.walk.contains_edges(m.edges)
+
+
+def test_subcubic_memo_changes_no_outcome():
+    """One base graph object per base, whose dominating-cycle searches are
+    kept across its matchings, gives each matching the outcome and walk of
+    a fresh base graph, at no more nodes."""
+    bases = connected_subcubic_upto(9, even_size_only=True)
+    assert len(bases) == 418
+    matchings = 0
+    for g in bases:
+        shared = build_line_graph(Graph(g.n, g.edges))
+        for m in enumerate_perfect_matchings(shared.lg):
+            kept = extend_matching_subcubic(shared, m)
+            fresh = extend_matching_subcubic(
+                build_line_graph(Graph(g.n, g.edges)), m)
+            assert (kept.outcome, kept.walk) == (fresh.outcome, fresh.walk)
+            assert kept.nodes <= fresh.nodes
+            matchings += 1
+    assert matchings == 3013
+
+
+def test_subcubic_searches_coxeter_itself_once(kernel_calls):
+    """Coxeter is not hamiltonian, so each matching of its line graph first
+    tries U = {}; that search of the whole base runs for the first only."""
+    lgm = build_line_graph(make_named_graph("coxeter", []))
+    for m in islice(enumerate_perfect_matchings(lgm.lg), 64):
+        res = extend_matching_subcubic(lgm, m)
+        assert res and res.walk.contains_edges(m.edges)
+    assert kernel_calls.count(28) == 1 and len(kernel_calls) < 64
 
 
 def test_extend_subcubic_certifies_absence():

@@ -17,3 +17,18 @@ def test_no_assert_in_package():
             if isinstance(node, ast.Assert):
                 found.append(f"{path.relative_to(PACKAGE)}:{node.lineno}")
     assert found == []
+
+
+def test_pure_kernel_does_not_recurse():
+    """The pure searches keep explicit stacks: a function that calls itself
+    would stop at Python's recursion limit on a long path, far below the
+    kernel's vertex bound."""
+    path = PACKAGE / "_kernel" / "purecore.py"
+    found = []
+    for fn in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            found += [f"{fn.name}:{node.lineno}" for node in ast.walk(fn)
+                      if isinstance(node, ast.Call)
+                      and isinstance(node.func, ast.Name)
+                      and node.func.id == fn.name]
+    assert found == []
