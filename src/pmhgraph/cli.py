@@ -547,7 +547,7 @@ def _load_journal(fh):
 @click.option("--journal", "journal_path", required=True,
               type=click.Path(dir_okay=False, writable=True),
               help="append-only JSONL journal keyed by graph6 string")
-@click.option("--jobs", type=int, default=1)
+@click.option("--jobs", type=click.IntRange(min=1), default=1)
 @_SEARCH[0]
 @_SEARCH[1]
 def survey(corpus, problem, journal_path, jobs, max_nodes, timeout_seconds):

@@ -307,21 +307,7 @@ def _spanning_even_subgraph_exists(g: Graph):
             e = edge_list[b.bit_length() - 1]
             sel.append(e)
             verts.update(e)
-        if verts != full_vs:
-            continue
-        adj = {v: [] for v in verts}
-        for u, v in sel:
-            adj[u].append(v)
-            adj[v].append(u)
-        stack = [next(iter(verts))]
-        comp = {stack[0]}
-        while stack:
-            u = stack.pop()
-            for w in adj[u]:
-                if w not in comp:
-                    comp.add(w)
-                    stack.append(w)
-        if comp == verts:
+        if verts == full_vs and Graph(n, frozenset(sel)).is_connected():
             return True
     return False
 

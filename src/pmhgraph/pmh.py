@@ -354,6 +354,8 @@ def kotzig_partition(g: Graph, m: Matching, lgm: LineGraphMap | None = None,
         raise ParityError("kotzig partition requires even base size")
     if lgm is None:
         lgm = build_line_graph(g)
+    elif lgm.base != g:
+        raise PreconditionError("lgm is not the line graph of the base graph")
     centers = _matching_centers(lgm, m)  # m must be perfect before any search
     res = find_hamiltonian_cycle(g, max_nodes=max_nodes)
     if res.outcome == INCONCLUSIVE:
@@ -401,56 +403,69 @@ def daykin_hypothesis_holds(g: Graph, c: EdgeColouring):
     return True
 
 
+class _HamiltonianWalk:
+    """The hamiltonian cycles of g as vertex lists from vertex 0, in
+    lexicographic order and once per direction; with a colouring, only the
+    properly coloured ones.  Iterating runs a depth-first search over the
+    sorted adjacency with an explicit stack.  `nodes` counts the vertices
+    put on the path, the root and each full path's last vertex included;
+    `capped` is set when the walk stops at a nonzero `max_nodes`."""
+
+    def __init__(self, g: Graph, c: EdgeColouring | None = None, max_nodes=0):
+        self.g, self.c, self.max_nodes = g, c, max_nodes
+        self.nodes, self.capped = 0, False
+
+    def _node(self):
+        self.nodes += 1
+        self.capped = bool(self.max_nodes) and self.nodes > self.max_nodes
+        return not self.capped
+
+    def __iter__(self):
+        g, c, n = self.g, self.c, self.g.n
+        if n < 3 or not self._node():
+            return
+        # path[i] is entered by a step of colour cols[i]; tries[i] iterates
+        # the neighbours of path[i] not yet tried.
+        path, cols, tries = [0], [None], [iter(g.adjacency[0])]
+        visited = [True] + [False] * (n - 1)
+        while tries:
+            u, last = path[-1], cols[-1]
+            for w in tries[-1]:
+                if visited[w]:
+                    continue
+                col = None if c is None else c.of(u, w)
+                if c is None or col != last:
+                    break
+            else:
+                tries.pop()
+                cols.pop()
+                visited[path.pop()] = False
+                continue
+            if not self._node():
+                return
+            if len(path) + 1 < n:
+                path.append(w)
+                cols.append(col)
+                tries.append(iter(g.adjacency[w]))
+                visited[w] = True
+            elif g.has_edge(w, 0) and (c is None
+                                       or c.of(w, 0) not in (col, cols[1])):
+                yield path + [w]
+
+
 def find_pc_hamiltonian_cycle(g: Graph, c: EdgeColouring,
                               max_nodes=0) -> SearchResult:
     """Hamiltonian cycle with no two consecutive edges sharing a colour,
     by exhaustive colour-aware backtracking."""
-    n = g.n
-    if n < 3:
-        return SearchResult(ABSENT, None, 0)
-    adj = g.adjacency
-    path = [0]
-    visited = [False] * n
-    visited[0] = True
-    nodes = 0
-    capped = False
-
-    def dfs(u, last_col, count):
-        nonlocal nodes, capped
-        nodes += 1
-        if max_nodes and nodes > max_nodes:
-            capped = True
-            return None
-        if count == n:
-            if g.has_edge(u, 0):
-                cc = c.of(u, 0)
-                if cc != last_col and cc != c.of(path[0], path[1]):
-                    return list(path)
-            return None
-        for w in adj[u]:
-            if visited[w]:
-                continue
-            cc = c.of(u, w)
-            if cc == last_col:
-                continue
-            visited[w] = True
-            path.append(w)
-            got = dfs(w, cc, count + 1)
-            if got is not None:
-                return got
-            path.pop()
-            visited[w] = False
-            if capped:
-                return None
-        return None
-
-    got = dfs(0, None, 1)
-    if got is not None:
-        walk = closed(got, kinds={"cycle", "tour", "hamiltonian"})
-        if not (validate_walk(g, walk) and is_properly_coloured(walk, c)):
-            raise WitnessError(f"invalid properly coloured cycle {got}")
-        return SearchResult(FOUND, walk, nodes)
-    return SearchResult(INCONCLUSIVE if capped else ABSENT, None, nodes)
+    search = _HamiltonianWalk(g, c, max_nodes)
+    got = next(iter(search), None)
+    if got is None:
+        return SearchResult(INCONCLUSIVE if search.capped else ABSENT, None,
+                            search.nodes)
+    walk = closed(got, kinds={"cycle", "tour", "hamiltonian"})
+    if not (validate_walk(g, walk) and is_properly_coloured(walk, c)):
+        raise WitnessError(f"invalid properly coloured cycle {got}")
+    return SearchResult(FOUND, walk, search.nodes)
 
 
 def is_properly_coloured(walk: CycleWalk, c: EdgeColouring):
@@ -462,36 +477,15 @@ def is_properly_coloured(walk: CycleWalk, c: EdgeColouring):
 def enumerate_hamiltonian_cycles(g: Graph):
     """All hamiltonian cycles up to rotation and reflection (anchored at
     vertex 0, direction fixed by second < last)."""
-    n = g.n
-    if n < 3:
-        return
-    adj = g.adjacency
-    path = [0]
-    visited = [False] * n
-    visited[0] = True
-
-    def dfs(u, count):
-        if count == n:
-            if g.has_edge(u, 0) and path[1] < path[-1]:
-                yield list(path)
-            return
-        for w in adj[u]:
-            if not visited[w]:
-                visited[w] = True
-                path.append(w)
-                yield from dfs(w, count + 1)
-                path.pop()
-                visited[w] = False
-
-    yield from dfs(0, 1)
+    return (p for p in _HamiltonianWalk(g) if p[1] < p[-1])
 
 
 def count_pc_hamiltonian_cycles(g: Graph, c: EdgeColouring, limit=0):
     """Number of properly coloured hamiltonian cycles (up to symmetry);
     stops early at `limit` when nonzero."""
     count = 0
-    for verts in enumerate_hamiltonian_cycles(g):
-        if is_properly_coloured(closed(verts), c):
+    for p in _HamiltonianWalk(g, c):
+        if p[1] < p[-1]:
             count += 1
             if limit and count >= limit:
                 break

@@ -396,6 +396,11 @@ BAD_INPUTS = {
                                     "--journal", "{tmp}/none/j.jsonl"], {}),
     "extend without --method": (["extend", "--matching",
                                  "{tmp}/complete.json"], {}),
+    "survey no jobs": (["survey", "{tmp}/c.g6", "--problem", "p2",
+                        "--journal", "{tmp}/j.jsonl", "--jobs", "0"], {}),
+    "survey negative jobs": (["survey", "{tmp}/c.g6", "--problem", "p2",
+                              "--journal", "{tmp}/j.jsonl", "--jobs", "-1"],
+                             {}),
 }
 
 

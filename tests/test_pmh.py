@@ -1,4 +1,4 @@
-from itertools import islice
+from itertools import islice, permutations
 
 import pytest
 
@@ -13,7 +13,8 @@ from pmhgraph.graph_core import Graph, make_named_graph
 from pmhgraph.line_graph import build_line_graph, canonical_partition
 from pmhgraph.matching import (Matching, enumerate_perfect_matchings,
                                make_matching)
-from pmhgraph.pmh import (_checked_extension, colouring_from_matching,
+from pmhgraph.pmh import (EdgeColouring, _checked_extension,
+                          colouring_from_matching,
                           count_pc_hamiltonian_cycles,
                           daykin_hypothesis_holds,
                           enumerate_hamiltonian_cycles,
@@ -251,6 +252,8 @@ def test_kotzig_preconditions(petersen):
         kotzig_partition(make_named_graph("prism", []), m)  # odd size
     with pytest.raises(PreconditionError):
         kotzig_partition(make_named_graph("cycle", [6]), m)  # not cubic
+    with pytest.raises(PreconditionError, match="not the line graph"):
+        kotzig_partition(make_named_graph("complete", [4]), m, lgm)
 
 
 def test_colouring_from_matching():
@@ -272,6 +275,66 @@ def test_pc_cycle_search():
     res = find_pc_hamiltonian_cycle(lgm.base, c)
     assert res and is_properly_coloured(res.walk, c)
     assert count_pc_hamiltonian_cycles(lgm.base, c, limit=2) >= 2
+    res = find_pc_hamiltonian_cycle(lgm.base, c, max_nodes=1)
+    assert res.outcome == "inconclusive" and res.walk is None
+
+
+def _directed_cycles(g):
+    """Every hamiltonian cycle of g from vertex 0, once per direction, in
+    lexicographic order: the brute-force oracle for the walker."""
+    return [(0,) + p for p in permutations(range(1, g.n))
+            if all(g.has_edge(a, b) for a, b in zip((0,) + p, p + (0,)))]
+
+
+def _properly_coloured(edges, c):
+    return all(c.colour[edges[i - 1]] != c.colour[edges[i]]
+               for i in range(len(edges)))
+
+
+def _up_to_symmetry(cycle):
+    k = len(cycle)
+    return min(tuple(seq[(i + j) % k] for j in range(k))
+               for seq in (cycle, cycle[::-1]) for i in range(k))
+
+
+@pytest.mark.parametrize("name,params", [("complete", [5]), ("complete", [6]),
+                                         ("bipartite", [3, 3]),
+                                         ("bipartite", [4, 4])])
+def test_hamiltonian_walk_matches_brute_force(name, params):
+    lgm = build_line_graph(make_named_graph(name, params))
+    g = lgm.base
+    cycles = _directed_cycles(g)
+    found = list(enumerate_hamiltonian_cycles(g))
+    assert len(found) == len(cycles) // 2
+    assert {_up_to_symmetry(tuple(p)) for p in found} \
+        == {_up_to_symmetry(p) for p in cycles}
+    # K_6 and K_{3,3} have an odd size, so no matching: colour them by rule
+    colourings = [colouring_from_matching(lgm, m)
+                  for m in enumerate_perfect_matchings(lgm.lg)]
+    colourings += [EdgeColouring({e: sum(e) % k for e in g.edges})
+                   for k in (2, 3)]
+    edges = [[(min(e), max(e)) for e in zip(p, p[1:] + p[:1])] for p in cycles]
+    for c in colourings:
+        pc = [p for p, es in zip(cycles, edges) if _properly_coloured(es, c)]
+        res = find_pc_hamiltonian_cycle(g, c)
+        if pc:
+            assert res.outcome == "found" and res.walk.vertices[:-1] == pc[0]
+        else:
+            assert res.outcome == "absent" and res.walk is None
+        assert count_pc_hamiltonian_cycles(g, c) == len(pc) // 2
+        assert count_pc_hamiltonian_cycles(g, c, limit=1) == min(len(pc), 1)
+
+
+def test_hamiltonian_walk_on_a_long_cycle():
+    n = 1200
+    g = make_named_graph("cycle", [n])
+    c = EdgeColouring({(min(i, (i + 1) % n), max(i, (i + 1) % n)): i % 2
+                       for i in range(n)})
+    res = find_pc_hamiltonian_cycle(g, c)
+    assert res.outcome == "found" and res.nodes == n
+    assert res.walk.vertices == tuple(range(n)) + (0,)
+    assert count_pc_hamiltonian_cycles(g, c) == 1
+    assert len(list(enumerate_hamiltonian_cycles(g))) == 1
 
 
 def test_enumerate_hamiltonian_cycles_count():

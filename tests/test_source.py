@@ -20,15 +20,17 @@ def test_no_assert_in_package():
 
 
 def test_pure_kernel_does_not_recurse():
-    """The pure searches keep explicit stacks: a function that calls itself
-    would stop at Python's recursion limit on a long path, far below the
-    kernel's vertex bound."""
-    path = PACKAGE / "_kernel" / "purecore.py"
+    """The pure searches, and the searches over a base graph's cycles, keep
+    explicit stacks: a function that calls itself would stop at Python's
+    recursion limit on a long path, far below the kernel's vertex bound."""
     found = []
-    for fn in ast.walk(ast.parse(path.read_text(), str(path))):
-        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            found += [f"{fn.name}:{node.lineno}" for node in ast.walk(fn)
-                      if isinstance(node, ast.Call)
-                      and isinstance(node.func, ast.Name)
-                      and node.func.id == fn.name]
+    for path in [PACKAGE / "_kernel" / "purecore.py", PACKAGE / "pmh.py",
+                 PACKAGE / "cycles.py"]:
+        for fn in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                found += [f"{path.name}:{fn.name}:{node.lineno}"
+                          for node in ast.walk(fn)
+                          if isinstance(node, ast.Call)
+                          and isinstance(node.func, ast.Name)
+                          and node.func.id == fn.name]
     assert found == []
