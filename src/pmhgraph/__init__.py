@@ -1,10 +1,10 @@
 """Perfect-matching extension to hamiltonian cycles in line graphs."""
 
 from ._kernel import BACKEND as kernel_backend
-from .graph_core import (Graph, are_isomorphic, bridges, make_named_graph,
-                         parse_graph6, write_graph6)
+from .graph_core import (Graph, are_isomorphic, make_named_graph, parse_graph6,
+                         write_graph6)
 from .line_graph import (CliquePartition, LineGraphMap, build_line_graph,
-                         canonical_partition, clique_of_lg_edge)
+                         canonical_partition)
 from .matching import (Matching, P3Decomposition, enumerate_perfect_matchings,
                        find_p3_decomposition, make_matching, matching_to_p3,
                        one_extendability_check, p3_to_matching)

@@ -27,3 +27,4 @@ else:
 BACKEND = _impl.BACKEND
 ham_cycle = _impl.ham_cycle
 longest_cycle = _impl.longest_cycle
+pm_scan = _impl.pm_scan

@@ -1,4 +1,5 @@
-/* Compiled search kernels: hamiltonian cycle with forced edges, longest cycle.
+/* Compiled search kernels: hamiltonian cycle with forced edges, longest cycle,
+ * and the perfect-matching scan of a line graph against held trails.
  *
  * Mirrors purecore.py exactly (same start vertex, same candidate order, same
  * node counting, hence the same status, witness and node count); see that
@@ -6,13 +7,15 @@
  * with less work (see prune_words).  Vertex sets are bitsets of nw =
  * ceil(n/64) uint64_t words, the same masks purecore builds from Python ints.
  *
- * A search polls PyErr_CheckSignals() every 2^14 nodes, so a signal handler
- * that raises (a SIGALRM timeout, Ctrl-C) interrupts it; the search then
- * unwinds, frees its memory and the call raises.
+ * A search polls PyErr_CheckSignals() every 2^14 nodes, and the scan every
+ * 2^14 matchings, so a signal handler that raises (a SIGALRM timeout, Ctrl-C)
+ * interrupts it; the search or scan then frees its memory and the call
+ * raises.
  */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
+#include <structmember.h>
 #include <stdint.h>
 #include <string.h>
 
@@ -416,6 +419,406 @@ static PyObject *longest_cycle(PyObject *Py_UNUSED(self), PyObject *args,
     return out;
 }
 
+/* ------------------------------------------------------------------------ */
+/* Perfect-matching scan against held trails (see purecore.pm_scan) */
+
+enum { SCAN_START, SCAN_RUN, SCAN_LEAF, SCAN_DONE };
+
+typedef struct {
+    PyObject_HEAD
+    int n, m, mw, half;     /* vertices, edges, words of an edge set, n / 2 */
+    int *uoff, *unbr;       /* neighbours above each vertex in adj's order
+                               (CSR); an edge's id is its index in unbr */
+    int *ea, *eb, *centre;  /* ends (ea < eb) and centre of each edge */
+    int *lo, *next, *chosen;/* per depth: lowest uncovered vertex, next
+                               candidate in unbr, edge chosen */
+    int *filled;            /* n + 1 segment counts, zero between uses */
+    unsigned char *covered; /* n + 1 entries, the last never set */
+    int depth, state;
+    long long tested;
+    int ntrails, tcap, tw;  /* trails held, room for, tcap / 64 */
+    word *tbits;            /* 3 * mw words per trail: refused, off, pairs */
+    int *segs;              /* n + 1 segment counts per trail */
+    word *refusers;         /* tw words per edge: the trails refusing it */
+    word *alive;            /* tw words per depth d <= half: the trails that
+                               no edge chosen above d refuses (tw >= 1 once
+                               the scan is made) */
+} PmScan;
+
+#define TRAIL(s, t) ((s)->tbits + (size_t)(t) * 3 * (s)->mw)
+#define SEGS(s, t) ((s)->segs + (size_t)(t) * ((s)->n + 1))
+
+static void scan_release(PmScan *s)
+{
+    PyMem_Free(s->uoff);
+    PyMem_Free(s->tbits);
+    PyMem_Free(s->segs);
+    PyMem_Free(s->refusers);
+    PyMem_Free(s->alive);
+    s->uoff = s->segs = NULL;
+    s->tbits = s->refusers = s->alive = NULL;
+    s->ntrails = s->tcap = s->tw = 0;
+    s->state = SCAN_DONE;
+}
+
+static void scan_dealloc(PmScan *s)
+{
+    scan_release(s);
+    Py_TYPE(s)->tp_free((PyObject *)s);
+}
+
+/* Rule (c) for trail t at the matching chosen[0..half): the centre of each
+ * off-T 2-path keeps a segment that the filling 2-paths leave free. */
+static int scan_rule_c(PmScan *s, int t)
+{
+    const word *off = TRAIL(s, t) + s->mw, *pairs = off + s->mw;
+    const int *seg = SEGS(s, t);
+    int filling = 0, ok = 1;
+    for (int i = 0; i < s->half; i++)
+        if (HAS(pairs, s->chosen[i])) {
+            s->filled[s->centre[s->chosen[i]]]++;
+            filling = 1;
+        }
+    if (!filling)
+        return 1;
+    for (int i = 0; i < s->half && ok; i++) {
+        int c = s->centre[s->chosen[i]];
+        ok = !HAS(off, s->chosen[i]) || seg[c] > s->filled[c];
+    }
+    for (int i = 0; i < s->half; i++)
+        s->filled[s->centre[s->chosen[i]]] = 0;
+    return ok;
+}
+
+/* Run to the next matching that no trail fits: 1 there, 0 when the scan is
+ * finished, -1 with an exception set (the scan is then finished too). */
+static int scan_advance(PmScan *s)
+{
+    int tw = s->tw, half = s->half;
+    if (s->state == SCAN_START) {
+        s->state = s->n % 2 ? SCAN_DONE : SCAN_RUN;
+        if (s->n == 0) {
+            /* one empty matching, before any trail */
+            s->tested = 1;
+            s->state = SCAN_LEAF;
+            return 1;
+        }
+        s->depth = s->lo[0] = 0;
+        s->next[0] = s->uoff[0];
+    } else if (s->state == SCAN_LEAF) {
+        s->state = half ? SCAN_RUN : SCAN_DONE;
+    }
+    if (s->state == SCAN_DONE)
+        return 0;
+    /* _completions' walk: a frame per depth, the leaf's frame at half - 1 */
+    for (;;) {
+        int d = s->depth, v = s->lo[d], i = s->next[d];
+        while (i < s->uoff[v + 1] && s->covered[s->unbr[i]])
+            i++;
+        if (i == s->uoff[v + 1]) {
+            if (d == 0) {
+                s->state = SCAN_DONE;
+                return 0;
+            }
+            s->depth = --d;
+            s->covered[s->eb[s->chosen[d]]] = 0;
+            continue;
+        }
+        s->next[d] = i + 1;
+        s->chosen[d] = i;
+        word *here = s->alive + (size_t)d * tw, *below = here + tw;
+        for (int j = 0; j < tw; j++)
+            below[j] = here[j] & ~s->refusers[(size_t)i * tw + j];
+        if (d + 1 < half) {
+            s->covered[s->unbr[i]] = 1;
+            while (s->covered[++v])
+                ;
+            s->depth = ++d;
+            s->lo[d] = v;
+            s->next[d] = s->uoff[v];
+            continue;
+        }
+        if ((++s->tested & SIGNAL_EVERY) == 0 && PyErr_CheckSignals() < 0) {
+            scan_release(s);
+            return -1;
+        }
+        /* the trails in `below` break no rule before (c) */
+        int hit = 0;
+        for (int j = 0; j < tw && !hit; j++)
+            for (word x = below[j]; x && !hit; x &= x - 1)
+                hit = scan_rule_c(s, j * 64 + __builtin_ctzll(x));
+        if (!hit) {
+            s->state = SCAN_LEAF;
+            return 1;
+        }
+    }
+}
+
+static PyObject *scan_iternext(PmScan *s)
+{
+    if (scan_advance(s) <= 0)
+        return NULL;
+    PyObject *out = PyList_New(s->half);
+    for (int i = 0; out && i < s->half; i++) {
+        PyObject *pair = Py_BuildValue("(ii)", s->ea[s->chosen[i]],
+                                       s->eb[s->chosen[i]]);
+        if (pair == NULL)
+            Py_CLEAR(out);
+        else
+            PyList_SET_ITEM(out, i, pair);
+    }
+    return out;
+}
+
+/* Edge id of (a, b), or -1 when it is not an edge. */
+static int scan_edge(const PmScan *s, int a, int b)
+{
+    int lo = a < b ? a : b, hi = a < b ? b : a;
+    for (int i = s->uoff[lo]; i < s->uoff[lo + 1]; i++)
+        if (s->unbr[i] == hi)
+            return i;
+    return -1;
+}
+
+/* Add edge (a, b) to `pairs`; -1 when it is not an edge. */
+static int scan_pair(const PmScan *s, word *pairs, int a, int b)
+{
+    int e = scan_edge(s, a, b);
+    if (e >= 0)
+        ADD(pairs, e);
+    return e;
+}
+
+/* Room for one more trail.  Returns 0, or -1 with an exception set. */
+static int scan_grow(PmScan *s)
+{
+    if (s->ntrails < s->tcap)
+        return 0;
+    int cap = s->tcap ? 2 * s->tcap : 64, tw = cap / 64;
+    word *tbits = PyMem_Realloc(s->tbits, (size_t)cap * 3 * s->mw * sizeof(word));
+    if (tbits)
+        s->tbits = tbits;
+    int *segs = PyMem_Realloc(s->segs, (size_t)cap * (s->n + 1) * sizeof(int));
+    if (segs)
+        s->segs = segs;
+    /* the sets over trails get wider: copy each row into its wider slot */
+    int rows[] = {s->m, s->half + 1};
+    word **sets[] = {&s->refusers, &s->alive}, *wide[2];
+    for (int k = 0; k < 2; k++) {
+        wide[k] = PyMem_Calloc((size_t)rows[k] * tw + 1, sizeof(word));
+        for (int r = 0; wide[k] && r < rows[k]; r++)
+            memcpy(wide[k] + (size_t)r * tw, *sets[k] + (size_t)r * s->tw,
+                   s->tw * sizeof(word));
+    }
+    if (!tbits || !segs || !wide[0] || !wide[1]) {
+        PyMem_Free(wide[0]);
+        PyMem_Free(wide[1]);
+        PyErr_NoMemory();
+        return -1;
+    }
+    for (int k = 0; k < 2; k++) {
+        PyMem_Free(*sets[k]);
+        *sets[k] = wide[k];
+    }
+    s->tcap = cap;
+    s->tw = tw;
+    return 0;
+}
+
+/* The trail of the closed walk cyc[0..k) into slot s->ntrails, by
+ * purecore.pm_scan.add's rule; `at` and `on` are scratch of k and n
+ * entries.  Returns 0, or -1 when a step of the walk is not an edge. */
+static int scan_trail(PmScan *s, const int *cyc, int k, int *at, int *on)
+{
+    int mw = s->mw, first = -1, prev = -1;
+    word *refused = TRAIL(s, s->ntrails), *off = refused + mw, *pairs = off + mw;
+    int *seg = SEGS(s, s->ntrails);
+    memset(refused, 0, 3 * (size_t)mw * sizeof(word));
+    memset(seg, 0, (s->n + 1) * sizeof(int));
+    memset(on, 0, s->n * sizeof(int));
+    for (int i = 0; i < k; i++) {
+        int e = scan_edge(s, cyc[i], cyc[(i + 1) % k]);
+        if (e < 0)
+            return -1;
+        at[i] = s->centre[e];
+    }
+    /* One segment starts at each turn, where the cycle's vertex is an edge
+     * of T; T's edges chain in the cycle's order into the segments'
+     * (entry, exit) pairs.  With no turn, C stays in one clique: G is a
+     * star, and T is one segment at its centre. */
+    for (int i = 0; i < k; i++) {
+        if (at[(i + k - 1) % k] == at[i])
+            continue;
+        if (prev < 0)
+            first = cyc[i];
+        else if (scan_pair(s, pairs, prev, cyc[i]) < 0)
+            return -1;
+        seg[at[i]]++;
+        on[cyc[i]] = 1;
+        prev = cyc[i];
+    }
+    if (prev < 0)
+        seg[at[0]] = 1;
+    else if (scan_pair(s, pairs, prev, first) < 0)
+        return -1;
+    for (int e = 0; e < s->m; e++) {
+        int a = on[s->ea[e]], b = on[s->eb[e]];
+        if (a && b && !HAS(pairs, e))
+            ADD(refused, e);
+        else if (!a && !b)
+            ADD(seg[s->centre[e]] ? off : refused, e);
+    }
+    return 0;
+}
+
+/* Hold the trail in slot s->ntrails; returns whether it fits the leaf. */
+static int scan_commit(PmScan *s)
+{
+    int t = s->ntrails++, clean = 1;
+    const word *refused = TRAIL(s, t);
+    for (int e = 0; e < s->m; e++)
+        if (HAS(refused, e))
+            ADD(s->refusers + (size_t)e * s->tw, t);
+    /* t is alive at each depth of the leaf's stack down to the first chosen
+     * edge it refuses */
+    for (int d = 0; d < s->half && clean; d++) {
+        ADD(s->alive + (size_t)d * s->tw, t);
+        clean = !HAS(refused, s->chosen[d]);
+    }
+    return clean && scan_rule_c(s, t);
+}
+
+static PyObject *scan_add(PmScan *s, PyObject *cycle)
+{
+    if (s->state != SCAN_LEAF) {
+        PyErr_SetString(PyExc_ValueError, "add follows a yielded matching");
+        return NULL;
+    }
+    PyObject *walk = PySequence_Fast(cycle, "cycle must be a sequence");
+    if (walk == NULL)
+        return NULL;
+    Py_ssize_t k = PySequence_Fast_GET_SIZE(walk) - 1;
+    int *cyc = k > 0 && k < INT_MAX / 2 ?
+        PyMem_Malloc((2 * (size_t)k + s->n) * sizeof(int)) : NULL;
+    int ok = cyc != NULL, fit = 0;
+    if (k > 0 && k < INT_MAX / 2 && cyc == NULL)
+        PyErr_NoMemory();
+    for (Py_ssize_t i = 0; ok && i < k; i++) {
+        long x = PyLong_AsLong(PySequence_Fast_GET_ITEM(walk, i));
+        ok = x >= 0 && x < s->n;
+        cyc[i] = (int)x;
+    }
+    if (ok && scan_grow(s) == 0 &&
+        scan_trail(s, cyc, (int)k, cyc + k, cyc + 2 * k) == 0)
+        fit = scan_commit(s);
+    else if (!PyErr_Occurred())
+        PyErr_SetString(PyExc_ValueError, "not a closed walk of the graph");
+    PyMem_Free(cyc);
+    Py_DECREF(walk);
+    return PyErr_Occurred() ? NULL : PyBool_FromLong(fit);
+}
+
+static PyObject *scan_new(PyTypeObject *type, PyObject *args, PyObject *kwargs)
+{
+    static char *kwlist[] = {"adj", "centre", NULL};
+    PyObject *adj, *centre, *cs = NULL;
+    PmScan *s = NULL;
+    Search g;
+    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "OO:pm_scan", kwlist,
+                                     &adj, &centre) ||
+        search_init(&g, adj, 0) < 0)
+        return NULL;
+    int n = g.n, m = 0;
+    for (int v = 0; v < n; v++)
+        for (int i = g.off[v]; i < g.off[v + 1]; i++)
+            m += g.nbr[i] > v;
+    s = (PmScan *)type->tp_alloc(type, 0);
+    if (s == NULL)
+        goto fail;
+    s->n = n;
+    s->m = m;
+    s->mw = (m + 63) / 64;
+    s->half = n / 2;
+    s->uoff = PyMem_Calloc(n + 1 + 4 * (size_t)m + 3 * (s->half + 1) + n + 1
+                           + n / sizeof(int) + 1, sizeof(int));
+    if (s->uoff == NULL) {
+        PyErr_NoMemory();
+        goto fail;
+    }
+    s->unbr = s->uoff + n + 1;
+    s->ea = s->unbr + m;
+    s->eb = s->ea + m;
+    s->centre = s->eb + m;
+    s->lo = s->centre + m;
+    s->next = s->lo + s->half + 1;
+    s->chosen = s->next + s->half + 1;
+    s->filled = s->chosen + s->half + 1;
+    s->covered = (unsigned char *)(s->filled + n + 1);
+    int k = 0;
+    for (int v = 0; v < n; v++) {
+        s->uoff[v] = k;
+        for (int i = g.off[v]; i < g.off[v + 1]; i++)
+            if (g.nbr[i] > v) {
+                s->ea[k] = v;
+                s->eb[k] = s->unbr[k] = g.nbr[i];
+                k++;
+            }
+    }
+    s->uoff[n] = k;
+    cs = PySequence_Fast(centre, "centre must be a sequence");
+    if (cs == NULL)
+        goto fail;
+    if (PySequence_Fast_GET_SIZE(cs) != m) {
+        PyErr_SetString(PyExc_ValueError, "one centre per edge required");
+        goto fail;
+    }
+    for (int e = 0; e < m; e++) {
+        long c = PyLong_AsLong(PySequence_Fast_GET_ITEM(cs, e));
+        if (c < 0 || c > n) {
+            if (!PyErr_Occurred())
+                PyErr_Format(PyExc_ValueError,
+                             "centre %ld of edge %d out of range", c, e);
+            goto fail;
+        }
+        s->centre[e] = (int)c;
+    }
+    if (scan_grow(s) < 0)
+        goto fail;
+    Py_DECREF(cs);
+    search_free(&g);
+    return (PyObject *)s;
+fail:
+    Py_XDECREF(cs);
+    Py_XDECREF(s);
+    search_free(&g);
+    return NULL;
+}
+
+static PyMethodDef scan_methods[] = {
+    {"add", (PyCFunction)scan_add, METH_O, "See purecore.pm_scan.add."},
+    {NULL, NULL, 0, NULL},
+};
+
+static PyMemberDef scan_members[] = {
+    {"tested", T_LONGLONG, offsetof(PmScan, tested), READONLY,
+     "matchings enumerated so far"},
+    {NULL, 0, 0, 0, NULL},
+};
+
+static PyTypeObject ScanType = {
+    PyVarObject_HEAD_INIT(NULL, 0)
+    .tp_name = "pmhgraph._kernel._fastcore.pm_scan",
+    .tp_basicsize = sizeof(PmScan),
+    .tp_flags = Py_TPFLAGS_DEFAULT,
+    .tp_doc = "See purecore.pm_scan.",
+    .tp_new = scan_new,
+    .tp_dealloc = (destructor)scan_dealloc,
+    .tp_iter = PyObject_SelfIter,
+    .tp_iternext = (iternextfunc)scan_iternext,
+    .tp_methods = scan_methods,
+    .tp_members = scan_members,
+};
+
 static PyMethodDef methods[] = {
     {"ham_cycle", (PyCFunction)(void (*)(void))ham_cycle,
      METH_VARARGS | METH_KEYWORDS, "See purecore.ham_cycle."},
@@ -434,8 +837,9 @@ static struct PyModuleDef module = {
 
 PyMODINIT_FUNC PyInit__fastcore(void)
 {
-    PyObject *m = PyModule_Create(&module);
-    if (m != NULL && (PyModule_AddIntConstant(m, "FOUND", FOUND) < 0 ||
+    PyObject *m = PyType_Ready(&ScanType) < 0 ? NULL : PyModule_Create(&module);
+    if (m != NULL && (PyModule_AddObjectRef(m, "pm_scan", (PyObject *)&ScanType) < 0 ||
+                      PyModule_AddIntConstant(m, "FOUND", FOUND) < 0 ||
                       PyModule_AddIntConstant(m, "ABSENT", ABSENT) < 0 ||
                       PyModule_AddIntConstant(m, "BUDGET", BUDGET) < 0 ||
                       PyModule_AddStringConstant(m, "BACKEND", "compiled") < 0))

@@ -33,7 +33,6 @@ import signal
 import sys
 import time
 from contextlib import ExitStack, contextmanager
-from multiprocessing import Pool
 from types import SimpleNamespace
 from typing import NamedTuple
 
@@ -552,7 +551,8 @@ def _load_journal(fh):
 @_SEARCH[1]
 def survey(corpus, problem, journal_path, jobs, max_nodes, timeout_seconds):
     """Scan a graph6 corpus for line graphs where some perfect matching does
-    not extend.  Gathers evidence only; resolves nothing."""
+    not extend.  Each candidate is certified; with none, the survey is
+    evidence only."""
     try:
         journal = open(journal_path, "a+b")
     except OSError as exc:
@@ -591,6 +591,7 @@ def survey(corpus, problem, journal_path, jobs, max_nodes, timeout_seconds):
                 todo.append((raw, max_nodes, timeout_seconds))
         fresh = map(_survey_one, todo)
         if jobs > 1 and todo:
+            from multiprocessing import Pool   # ~8 ms to import: only here
             pool = stack.enter_context(Pool(jobs))
             fresh = pool.imap_unordered(_survey_one, todo)
         for entry in fresh:
@@ -610,7 +611,9 @@ def survey(corpus, problem, journal_path, jobs, max_nodes, timeout_seconds):
         "warnings": warnings,
         "inconclusive": inconclusive,
         "candidates": candidates,
-        "note": "evidence only; the underlying questions remain open",
+        "note": ("each candidate is certified by an exhausted search"
+                 if candidates else
+                 "evidence only; the underlying questions remain open"),
     }
     _emit(summary)
     _exit(False, inconclusive)

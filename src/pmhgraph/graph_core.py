@@ -13,7 +13,7 @@ from itertools import combinations
 from math import isqrt
 
 from ._kernel import MAX_VERTICES
-from .errors import CapacityError, FormatError, ParameterError, StructureError
+from .errors import CapacityError, FormatError, ParameterError
 
 ISO_SIZE_BOUND = 64
 # Largest named instance, in edges: its line graph has one vertex per edge,
@@ -352,49 +352,3 @@ def are_isomorphic(g1: Graph, g2: Graph, witness=False):
     if extend(0):
         return answer(True, list(mapping))
     return answer(False)
-
-
-# ---------------------------------------------------------------------------
-# Bridges
-
-
-def bridges(g: Graph):
-    """Cut edges of a connected graph, via DFS low-link."""
-    if not g.is_connected():
-        raise StructureError("bridges() requires a connected graph")
-    n = g.n
-    disc = [-1] * n
-    low = [0] * n
-    out = set()
-    timer = [0]
-
-    def dfs(root):
-        stack = [(root, -1, iter(g.adjacency[root]))]
-        disc[root] = low[root] = timer[0]
-        timer[0] += 1
-        while stack:
-            u, parent, it = stack[-1]
-            advanced = False
-            for w in it:
-                if disc[w] == -1:
-                    disc[w] = low[w] = timer[0]
-                    timer[0] += 1
-                    stack.append((w, u, iter(g.adjacency[w])))
-                    advanced = True
-                    break
-                elif w != parent:
-                    low[u] = min(low[u], disc[w])
-                elif parent == w:
-                    # parallel edges impossible in a simple graph; skip parent once
-                    parent = -2
-            if not advanced:
-                stack.pop()
-                if stack:
-                    p = stack[-1][0]
-                    low[p] = min(low[p], low[u])
-                    if low[u] > disc[p]:
-                        out.add(_norm_edge(p, u))
-
-    if n:
-        dfs(0)
-    return out

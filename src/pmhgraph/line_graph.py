@@ -80,14 +80,3 @@ def canonical_partition(lgm: LineGraphMap) -> CliquePartition:
         cliques.append((v, members))
     return CliquePartition(lgm=lgm, cliques=tuple(cliques))
 
-
-def clique_of_lg_edge(cp: CliquePartition, e):
-    """Center base vertex of the unique canonical clique containing lg edge e."""
-    a, b = e
-    if not cp.lgm.lg.has_edge(a, b):
-        raise KeyError(f"({a},{b}) is not an edge of the line graph")
-    ea, eb = cp.lgm.from_lg[a], cp.lgm.from_lg[b]
-    shared = set(ea) & set(eb)
-    # Incident base edges can share two endpoints only in a multigraph.
-    (v,) = shared
-    return v

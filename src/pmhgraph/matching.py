@@ -1,15 +1,18 @@
 """Perfect matchings, the matching <-> 3-path-decomposition bijection, and
 1-extendability.
 
-Enumeration is plain backtracking over the lowest-id uncovered vertex, which
-is exact and deterministic at the sizes this package targets; it keeps its
-own stack, so a graph of any order is enumerated without recursion.
+Enumeration is plain backtracking over the lowest-id uncovered vertex
+(`_kernel.purecore._completions`, which the kernel scan of `is_pmh_line`
+shares), exact and deterministic at the sizes this package targets; it
+keeps its own stack, so a graph of any order is enumerated without
+recursion.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ._kernel.purecore import _completions
 from .errors import ParityError, PreconditionError, StructureError, WitnessError
 from .graph_core import Graph
 from .line_graph import LineGraphMap
@@ -31,14 +34,6 @@ class Matching:
 
     def is_perfect(self):
         return len(self.covered()) == self.host_n
-
-    def partner(self, v):
-        for a, b in self.edges:
-            if a == v:
-                return b
-            if b == v:
-                return a
-        return None
 
 
 @dataclass(frozen=True)
@@ -62,67 +57,19 @@ def make_matching(g: Graph, edges) -> Matching:
     return Matching(edges=norm, host_n=g.n)
 
 
-def _completions(g: Graph, covered):
-    """Yield the pairs that complete a partial matching to a perfect one,
-    once per completion, lexicographically by the dense edge ids of the
-    pairs.  `covered` marks the partial matching's vertices and has one more
-    entry than g has vertices, False, which stops the scan for the lowest
-    uncovered vertex.  The yielded list is reused: copy it to keep it.
-
-    The search is depth-first with an explicit stack, so its depth is not
-    bounded by Python's recursion limit.  A frame is the lowest uncovered
-    vertex, in `los`, and the iterator over its higher neighbours still to
-    try, in `tries`.  Two lists and no tuple per frame: a frame tuple
-    shares its allocator size class with the chosen pairs and spreads them
-    out in memory; with one, later forced searches over the 32,768
-    matchings of L(Coxeter) ran about 5% slower."""
-    n = g.n
-    up = [[w for w in a if w > v] for v, a in enumerate(g.adjacency)]
-    chosen = []
-    lo = covered.index(False)
-    if lo == n:
-        yield chosen
-        return
-    los, tries = [lo], [iter(up[lo])]
-    while tries:
-        for w in tries[-1]:
-            # neighbours below lo are covered already (lo is lowest uncovered)
-            if not covered[w]:
-                break
-        else:
-            tries.pop()
-            los.pop()
-            if tries:
-                covered[chosen.pop()[1]] = False
-            continue
-        covered[w] = True
-        lo = los[-1]
-        chosen.append((lo, w))
-        lo += 1
-        while covered[lo]:
-            lo += 1
-        if lo == n:
-            yield chosen
-            covered[w] = False
-            chosen.pop()
-        else:
-            los.append(lo)
-            tries.append(iter(up[lo]))
-
-
 def enumerate_perfect_matchings(g: Graph):
     """Yield every perfect matching exactly once, lexicographically by the
     dense edge ids of the chosen edges."""
     if g.n % 2 == 1:
         return
-    for chosen in _completions(g, [False] * (g.n + 1)):
+    for chosen in _completions(g.adjacency, [False] * (g.n + 1)):
         yield Matching(edges=frozenset(chosen), host_n=g.n)
 
 
 def count_perfect_matchings(g: Graph):
     if g.n % 2 == 1:
         return 0
-    return sum(1 for _ in _completions(g, [False] * (g.n + 1)))
+    return sum(1 for _ in _completions(g.adjacency, [False] * (g.n + 1)))
 
 
 def has_perfect_matching_with(g: Graph, required=()):
@@ -135,7 +82,7 @@ def has_perfect_matching_with(g: Graph, required=()):
         if covered[u] or covered[v]:
             return False
         covered[u] = covered[v] = True
-    return next(_completions(g, covered), None) is not None
+    return next(_completions(g.adjacency, covered), None) is not None
 
 
 def matching_to_p3(lgm: LineGraphMap, m: Matching) -> P3Decomposition:

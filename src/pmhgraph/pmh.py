@@ -10,10 +10,9 @@ brute-force extendability oracle used to cross-validate everything.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
-from typing import NamedTuple
 
+from . import _kernel
 from .cycles import (ABSENT, FOUND, INCONCLUSIVE, CycleWalk, SearchResult,
                      _hamiltonian_search, closed, euler_tour,
                      find_dominating_cycle, find_hamiltonian_cycle,
@@ -86,128 +85,46 @@ def is_pmh(h: Graph, max_nodes=0) -> PmhVerdict:
 # Trail cache for line graphs
 
 
-class _Trail(NamedTuple):
-    """The closed trail T of the base that a hamiltonian cycle C of L(G)
-    projects to.  Each step of C joins two edges of G at their shared
-    vertex; a maximal run of steps at one vertex v is a segment at v, and
-    the edges where C passes from one segment to the next are the edges of
-    T.  A segment starts at its entry edge and ends at its exit edge.
-
-    A perfect matching M of L(G) is a set of 2-paths (x, y) of G, each
-    centred at the vertex c that x and y share; as an edge of L(G), (x, y)
-    with x < y.  M lies in a hamiltonian cycle with trail T iff
-    (a) every centre is on T;
-    (b) a 2-path of two T edges is the entry and exit of one segment at c,
-        which it then fills;
-    (c) a centre of a 2-path of two off-T edges keeps a segment that (b)
-        does not fill.
-    Each segment at c is then laid out as: its entry, the entry's partner if
-    centred at c, the off-T 2-paths at c if this is the first unfilled
-    segment at c, the exit's partner if centred at c, its exit.  A 2-path
-    with one T edge has its centre on T and needs nothing more.  The edges
-    of T are the ends of the pairs.  The last two fields hold the rules as
-    sets of line-graph edges, so that `_fits` tests a matching with set
-    operations."""
-
-    segments: dict       # base vertex -> number of segments of C at it
-    pairs: frozenset     # (entry, exit) of each segment, as lg edges
-    refused: frozenset   # 2-paths that break (a) or (b)
-    off: frozenset       # 2-paths of two off-T edges centred on T, for (c)
-
-
 def _centres(lgm: LineGraphMap):
-    """Line-graph edge (a, b), a < b -> the base vertex its two ends share."""
-    centre = {}
-    for v, nbrs in enumerate(lgm.base.adjacency):
-        ids = sorted(lgm.lg_vertex(v, w) for w in nbrs)
-        for i, a in enumerate(ids):
-            for b in ids[i + 1:]:
-                centre[a, b] = v
-    return centre
-
-
-def _trail_of(cycle: CycleWalk, centre) -> _Trail:
-    cyc = cycle.vertices[:-1]
-    # at[i]: the vertex of the step from cyc[i] to the next lg vertex
-    at = [centre[(a, b) if a < b else (b, a)]
-          for a, b in zip(cyc, cyc[1:] + cyc[:1])]
-    turns = [i for i in range(len(cyc)) if at[i - 1] != at[i]]
-    # one segment starts at each turn; with none, C stays in one clique:
-    # G is a star, and T is one segment at its centre
-    segments = dict(Counter(at[i] for i in turns)) if turns else {at[0]: 1}
-    t = [cyc[i] for i in turns]  # T's edges in C's order
-    on = frozenset(t)
-    pairs = frozenset((a, b) if a < b else (b, a)
-                      for a, b in zip(t, t[1:] + t[:1]))
-    refused, off = set(), set()
-    for (a, b), c in centre.items():
-        if a in on and b in on:
-            if (a, b) not in pairs:
-                refused.add((a, b))
-        elif a not in on and b not in on:
-            (off if c in segments else refused).add((a, b))
-    return _Trail(segments, pairs, frozenset(refused), frozenset(off))
-
-
-def _fits(trail: _Trail, edges, centre):
-    """Does the perfect matching with line-graph edges `edges` lie in a
-    hamiltonian cycle of L(G) whose trail is `trail` (rules (a)-(c) of
-    `_Trail`)?"""
-    if not trail.refused.isdisjoint(edges):
-        return False
-    filling = trail.pairs.intersection(edges)
-    if not filling:
-        return True
-    filled = {}
-    for e in filling:
-        filled[centre[e]] = filled.get(centre[e], 0) + 1
-    return all(trail.segments[centre[e]] > filled.get(centre[e], 0)
-               for e in trail.off.intersection(edges))
+    """The base vertex that the two ends of each edge of L(G) share, by the
+    edge ids of `_kernel.pm_scan` on L(G)'s adjacency."""
+    ends = lgm.from_lg
+    return [ends[v][0] if ends[v][0] in ends[w] else ends[v][1]
+            for v, nbrs in enumerate(lgm.lg.adjacency) for w in nbrs if w > v]
 
 
 def is_pmh_line(lgm: LineGraphMap, max_nodes=0) -> PmhVerdict:
     """`is_pmh(lgm.lg)` with most kernel searches replaced by a local test.
 
-    The perfect matchings are taken in `is_pmh`'s order.  Each is tested
-    against the trails of the cycles found so far, most recently used first
-    (`_fits`); a hit certifies that the matching extends.  On a miss, the
-    forced-edge search runs as in `is_pmh`, and the trail of the cycle it
-    finds joins the cache.  "not_pmh" comes only from an exhausted search,
-    so status, witness and matchings_tested equal `is_pmh`'s when no budget
-    is set, and nodes can only be fewer.  Under a budget a hit is still
-    certified, so a verdict `is_pmh` leaves inconclusive can be "pmh".
+    `_kernel.pm_scan` tests the perfect matchings, in `is_pmh`'s order,
+    against the trails of the cycles found so far; a hit certifies that the
+    matching extends.  A miss gets `is_pmh`'s forced search, and the trail
+    of the cycle it finds joins the scan.  "not_pmh" comes only from an
+    exhausted search, so without a budget status, witness and
+    matchings_tested equal `is_pmh`'s, and nodes can only be fewer; under
+    one, a hit stays certified, so `is_pmh`'s "inconclusive" can be "pmh".
     """
     h = lgm.lg
-    centre = _centres(lgm)
-    trails = []
-    tested = searches = nodes = 0
+    scan = _kernel.pm_scan(h.adjacency, _centres(lgm))
+    searches = nodes = 0
     inconclusive = False
-    for m in enumerate_perfect_matchings(h):
-        tested += 1
-        for i, trail in enumerate(trails):
-            if _fits(trail, m.edges, centre):
-                if i:
-                    trails.insert(0, trails.pop(i))
-                break
-        else:
-            searches += 1
-            res = _hamiltonian_search(h, sorted(m.edges), max_nodes)
-            nodes += res.nodes
-            if res.outcome == ABSENT:
-                return PmhVerdict("not_pmh", witness=m, matchings_tested=tested,
-                                  nodes=nodes, searches=searches)
-            if res.outcome == INCONCLUSIVE:
-                inconclusive = True
-                continue
-            trail = _trail_of(res.walk, centre)
-            if not _fits(trail, m.edges, centre):
-                raise WitnessError(f"the trail of cycle {res.walk.vertices} "
-                                   f"does not fit its own matching")
-            trails.insert(0, trail)
-    if tested == 0:
+    for pairs in scan:
+        searches += 1
+        res = _hamiltonian_search(h, pairs, max_nodes)
+        nodes += res.nodes
+        if res.outcome == ABSENT:
+            return PmhVerdict("not_pmh", witness=Matching(frozenset(pairs), h.n),
+                              matchings_tested=scan.tested, nodes=nodes,
+                              searches=searches)
+        if res.outcome == INCONCLUSIVE:
+            inconclusive = True
+        elif not scan.add(res.walk.vertices):
+            raise WitnessError(f"the trail of cycle {res.walk.vertices} "
+                               f"does not fit its own matching")
+    if scan.tested == 0:
         return PmhVerdict("pmh", vacuous=True)
     status = "inconclusive" if inconclusive else "pmh"
-    return PmhVerdict(status, matchings_tested=tested, nodes=nodes,
+    return PmhVerdict(status, matchings_tested=scan.tested, nodes=nodes,
                       searches=searches)
 
 
@@ -424,6 +341,10 @@ class _HamiltonianWalk:
         g, c, n = self.g, self.c, self.g.n
         if n < 3 or not self._node():
             return
+        # colour[u][w]: the colour of edge uw, read once per walk
+        colour = [{} for _ in range(n)]
+        for (a, b), col in c.colour.items() if c else ():
+            colour[a][b] = colour[b][a] = col
         # path[i] is entered by a step of colour cols[i]; tries[i] iterates
         # the neighbours of path[i] not yet tried.
         path, cols, tries = [0], [None], [iter(g.adjacency[0])]
@@ -433,7 +354,7 @@ class _HamiltonianWalk:
             for w in tries[-1]:
                 if visited[w]:
                     continue
-                col = None if c is None else c.of(u, w)
+                col = None if c is None else colour[u][w]
                 if c is None or col != last:
                     break
             else:
@@ -449,7 +370,7 @@ class _HamiltonianWalk:
                 tries.append(iter(g.adjacency[w]))
                 visited[w] = True
             elif g.has_edge(w, 0) and (c is None
-                                       or c.of(w, 0) not in (col, cols[1])):
+                                       or colour[w][0] not in (col, cols[1])):
                 yield path + [w]
 
 

@@ -217,6 +217,7 @@ def test_survey_resumable(tmp_path):
     summary = json.loads(res.output.strip().splitlines()[-1])
     assert summary["tested"] == 1 and summary["warnings"] == 1
     assert summary["candidates"] == []
+    assert summary["note"].startswith("evidence only")
     first_journal = journal.read_text()
     (entry,) = [json.loads(line) for line in first_journal.splitlines()]
     assert entry["status"] == "pmh"
@@ -226,6 +227,46 @@ def test_survey_resumable(tmp_path):
     summary2 = json.loads(res2.output.strip().splitlines()[-1])
     assert summary2 == summary
     assert journal.read_text() == first_journal  # no duplicate oracle work
+
+
+def test_survey_certifies_its_candidates(tmp_path):
+    """G?qaf_ is hamiltonian with maximum degree 4, and a perfect matching
+    of its line graph lies in no hamiltonian cycle.  Two workers journal
+    what one does."""
+    corpus = tmp_path / "corpus.g6"
+    corpus.write_text("\n".join(["G?qaf_", g6("octahedron"), g6("cube")]) + "\n")
+    journals = []
+    for jobs in ("1", "2"):
+        journal = tmp_path / f"journal{jobs}.jsonl"
+        res = run("survey", str(corpus), "--problem", "maxdeg4",
+                  "--journal", str(journal), "--jobs", jobs)
+        assert res.exit_code == 0, res.output
+        summary = json.loads(res.stdout)
+        assert summary["tested"] == 2 and summary["candidates"] == ["G?qaf_"]
+        assert summary["note"].startswith("each candidate is certified")
+        journals.append(sorted(journal.read_text().splitlines()))
+    assert journals[0] == journals[1]
+    entry = next(e for e in map(json.loads, journals[0])
+                 if e["graph6"] == "G?qaf_")
+    assert entry["status"] == "not_pmh"
+    lg = build_line_graph(parse_graph6("G?qaf_")).lg
+    forced = [tuple(e) for e in entry["witness_matching"]]
+    assert find_hamiltonian_cycle(lg, forced=forced).outcome == "absent"
+
+
+def test_survey_timeout_interrupts_the_scan(tmp_path):
+    """L(K8) has 3,321,907,200 perfect matchings; a one-second timeout must
+    stop its check, inside the scan or a search, within a few seconds."""
+    corpus = tmp_path / "corpus.g6"
+    corpus.write_text(g6("complete", [8]) + "\n")
+    journal = tmp_path / "journal.jsonl"
+    t0 = time.perf_counter()
+    res = run("survey", str(corpus), "--problem", "p1", "--timeout-seconds",
+              "1", "--journal", str(journal))
+    assert time.perf_counter() - t0 < 5
+    assert res.exit_code == 2
+    (entry,) = [json.loads(line) for line in journal.read_text().splitlines()]
+    assert entry["status"] == "inconclusive" and entry["reason"] == "timeout"
 
 
 def test_survey_filters(tmp_path):

@@ -2,10 +2,9 @@ import time
 
 import pytest
 
-from pmhgraph.errors import FormatError, ParameterError, StructureError
-from pmhgraph.graph_core import (Graph, are_isomorphic, bridges,
-                                 generator_tags, make_named_graph,
-                                 parse_graph6, write_graph6)
+from pmhgraph.errors import FormatError, ParameterError
+from pmhgraph.graph_core import (Graph, are_isomorphic, generator_tags,
+                                 make_named_graph, parse_graph6, write_graph6)
 
 from conftest import random_graph
 
@@ -110,12 +109,3 @@ def test_isomorphism():
     assert not are_isomorphic(c6, two_tri)
     assert not are_isomorphic(c6, make_named_graph("cycle", [5]))
 
-
-def test_bridges():
-    path = make_named_graph("path", [5])
-    assert set(bridges(path)) == set(path.edges)
-    assert not bridges(make_named_graph("cycle", [5]))
-    bow = make_named_graph("bowtie", [])
-    assert not bridges(bow)
-    with pytest.raises(StructureError):
-        bridges(Graph.from_edges(4, [(0, 1), (2, 3)]))

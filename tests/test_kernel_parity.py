@@ -5,14 +5,19 @@ naive permutation oracles on small random graphs.
 
 import signal
 import time
+from itertools import combinations, islice
 
 import pytest
 
 from pmhgraph import _kernel
 from pmhgraph._kernel import BACKEND, purecore
-from pmhgraph.graph_core import Graph, make_named_graph
+from pmhgraph.cli import _candidate
+from pmhgraph.corpus import connected_graphs_upto
+from pmhgraph.cycles import FOUND, _hamiltonian_search
+from pmhgraph.graph_core import Graph, make_named_graph, parse_graph6
 from pmhgraph.matching import enumerate_perfect_matchings
 from pmhgraph.line_graph import build_line_graph
+from pmhgraph.pmh import _centres, enumerate_hamiltonian_cycles
 
 from conftest import naive_ham_cycle, naive_longest_cycle_length, random_graph
 
@@ -174,6 +179,84 @@ def test_parity_on_representative_searches():
             _assert_same(kind, _adj(g), list(forced), 0)
         else:
             _assert_same(kind, _adj(g), 0)
+
+
+def _scan_both(lgm, extra=0):
+    """Run the compiled and the pure scan of L(G) side by side, as
+    `is_pmh_line` does, and check that they yield the same pairs with the
+    same `tested` and give the same `add` results.  At each miss, `extra`
+    more hamiltonian cycles of L(G), most of which the matching does not
+    fit, join the scan.  Returns (tested, adds)."""
+    h = lgm.lg
+    adj, centre = _adj(h), _centres(lgm)
+    fast, ref = _fastcore.pm_scan(adj, centre), purecore.pm_scan(adj, centre)
+    more = ((*p, p[0]) for p in enumerate_hamiltonian_cycles(h))
+    adds = 0
+    for pairs in ref:
+        assert (next(fast), fast.tested) == (pairs, ref.tested)
+        res = _hamiltonian_search(h, pairs, 0)
+        cycles = [res.walk.vertices] if res.outcome == FOUND else []
+        for cycle in cycles + list(islice(more, extra)):
+            assert fast.add(cycle) == ref.add(cycle)
+            adds += 1
+    assert next(fast, None) is None and fast.tested == ref.tested
+    return ref.tested, adds
+
+
+@needs_compiled
+def test_pm_scan_parity(rng):
+    """L(K4), L(cube), L(K5), L(K_{4,4}) (over 64 trails), the two order-8
+    graphs whose line graphs are not PMH, all with extra cycles; then
+    L(Coxeter), the 66 survey graphs, and random graphs whose line graphs
+    have over 64 edges."""
+    random_bases = []
+    while len(random_bases) < 3:
+        n = rng.randint(6, 8)
+        g = Graph.from_edges(n, [e for e in combinations(range(n), 2)
+                                 if rng.random() < 0.6])
+        if (g.is_connected() and len(g.edges) % 2 == 0
+                and len(g.edges) <= 18
+                and len(build_line_graph(g).lg.edges) > 64):
+            random_bases.append(g)
+    # (base, extra cycles per miss, matchings, cycles added)
+    for g, extra, tested, adds in [
+            (make_named_graph("complete", [4]), 3, 8, 4),
+            (make_named_graph("cube", []), 3, 32, 4),
+            (make_named_graph("complete", [5]), 3, 144, 8),
+            (make_named_graph("bipartite", [4, 4]), 6, 2016, 105),
+            # the scans go on past the matching no hamiltonian cycle contains
+            (parse_graph6("G?qaf_"), 3, 10, 7),
+            (parse_graph6("G?ovf_"), 3, 52, 10),
+            (make_named_graph("coxeter", []), 0, 32768, 16)]:
+        assert _scan_both(build_line_graph(g), extra) == (tested, adds)
+    survey = [g for g in connected_graphs_upto(7)
+              if _candidate(g, "maxdeg4", 0) == FOUND]
+    assert [_scan_both(build_line_graph(g))[0] for g in random_bases] == \
+        [19416, 25344, 24192]
+    assert sum(_scan_both(build_line_graph(g))[0] for g in survey) == 6580
+
+
+@needs_compiled
+def test_pm_scan_edge_cases():
+    """Both scans: the empty graph has one empty perfect matching and an
+    odd order none; a wrong centre table, an `add` before a yield and a
+    walk with a step that is not an edge are refused."""
+    p4 = build_line_graph(make_named_graph("path", [4]))   # L(P4) = P3
+    for impl in (_fastcore, purecore):
+        scan = impl.pm_scan([], [])
+        assert (list(scan), scan.tested) == ([[]], 1)
+        scan = impl.pm_scan(_adj(p4.lg), _centres(p4))
+        assert (list(scan), scan.tested) == ([], 0)
+        with pytest.raises(ValueError):
+            impl.pm_scan(_adj(p4.lg), [1])
+        k4 = build_line_graph(make_named_graph("complete", [4]))
+        scan = impl.pm_scan(_adj(k4.lg), _centres(k4))
+        with pytest.raises(ValueError):
+            scan.add((0, 1, 2, 0))
+        assert next(iter(scan)) == [(0, 1), (2, 4), (3, 5)]
+        for walk in [(0, 5, 1, 0), (0,), (0, 1, 2, 3, 4, 99, 0)]:
+            with pytest.raises(ValueError):
+                scan.add(walk)
 
 
 class _Alarm(Exception):

@@ -2,8 +2,7 @@ import pytest
 
 from pmhgraph.errors import PreconditionError
 from pmhgraph.graph_core import Graph, are_isomorphic, make_named_graph
-from pmhgraph.line_graph import (build_line_graph, canonical_partition,
-                                 clique_of_lg_edge)
+from pmhgraph.line_graph import build_line_graph, canonical_partition
 
 
 def test_line_graph_of_path3_is_single_edge():
@@ -73,17 +72,3 @@ def test_c4_partition_contributes_one_edge_per_clique():
     cp = canonical_partition(build_line_graph(make_named_graph("cycle", [4])))
     assert len(cp.cliques) == 4
     assert all(len(members) == 2 for _v, members in cp.cliques)
-
-
-def test_clique_of_lg_edge():
-    g = make_named_graph("bowtie", [])
-    lgm = build_line_graph(g)
-    cp = canonical_partition(lgm)
-    for a, b in lgm.lg.edge_list():
-        v = clique_of_lg_edge(cp, (a, b))
-        assert {a, b} <= cp.clique_of(v)
-    with pytest.raises(KeyError):
-        non_edge = next((a, b) for a in range(lgm.lg.n)
-                        for b in range(a + 1, lgm.lg.n)
-                        if not lgm.lg.has_edge(a, b))
-        clique_of_lg_edge(cp, non_edge)

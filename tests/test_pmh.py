@@ -2,17 +2,17 @@ from itertools import islice, permutations
 
 import pytest
 
-from pmhgraph import pmh
+from pmhgraph import _kernel, pmh
+from pmhgraph._kernel import purecore
 from pmhgraph.cli import _candidate
 from pmhgraph.constructions import prop6_construct
 from pmhgraph.corpus import connected_graphs_upto, connected_subcubic_upto
 from pmhgraph.cycles import (FOUND, closed, find_hamiltonian_cycle,
                              is_arbitrarily_traceable, validate_walk)
 from pmhgraph.errors import ParityError, PreconditionError, StructureError
-from pmhgraph.graph_core import Graph, make_named_graph
+from pmhgraph.graph_core import Graph, make_named_graph, parse_graph6
 from pmhgraph.line_graph import build_line_graph, canonical_partition
-from pmhgraph.matching import (Matching, enumerate_perfect_matchings,
-                               make_matching)
+from pmhgraph.matching import enumerate_perfect_matchings, make_matching
 from pmhgraph.pmh import (EdgeColouring, _checked_extension,
                           colouring_from_matching,
                           count_pc_hamiltonian_cycles,
@@ -46,18 +46,19 @@ def test_is_pmh_verdicts(petersen):
     assert v.searches == v.matchings_tested > 0
 
 
-def _walk_from_trail(lgm, trail, m):
+def _walk_from_trail(lgm, segments, pairs, m):
     """The hamiltonian cycle of L(G) through m that a trail hit promises,
     laid out from the trail record alone: the record's (entry, exit) pairs
     chain the trail's edges into one cycle, and each segment at c is its
     entry, the entry's partner if centred at c, the off-trail 2-paths at c
     (in the first segment at c that a 2-path of trail edges does not fill),
-    the exit's partner if centred at c, its exit."""
+    the exit's partner if centred at c, its exit.  `pairs` are line-graph
+    edges."""
     def shared(a, b):
         (c,) = set(lgm.from_lg[a]) & set(lgm.from_lg[b])
         return c
 
-    on = {x for pair in trail.pairs for x in pair}
+    on = {x for pair in pairs for x in pair}
     partner, centre, off = {}, {}, {}
     for a, b in sorted(m.edges):
         partner[a], partner[b] = b, a
@@ -66,10 +67,10 @@ def _walk_from_trail(lgm, trail, m):
             off.setdefault(centre[a], []).extend((a, b))
     kinds = {"cycle", "tour", "hamiltonian"}
     if not on:
-        (c,) = trail.segments
+        (c,) = segments
         return closed(off[c], kinds=kinds)
     nbrs = {}
-    for a, b in trail.pairs:
+    for a, b in pairs:
         nbrs.setdefault(a, []).append(b)
         nbrs.setdefault(b, []).append(a)
     order = [min(on)]
@@ -90,28 +91,72 @@ def _walk_from_trail(lgm, trail, m):
     return closed(verts, kinds=kinds)
 
 
+class _RecordingScan:
+    """A kernel scan that records each matching it yields, with its
+    position, and each cycle added after it."""
+
+    def __init__(self, scan, log):
+        self.scan, self.log = scan, log
+
+    def __iter__(self):
+        for pairs in self.scan:
+            self.log.append((self.scan.tested, list(pairs), []))
+            yield pairs
+
+    @property
+    def tested(self):
+        return self.scan.tested
+
+    def add(self, cycle):
+        self.log[-1][2].append(cycle)
+        return self.scan.add(cycle)
+
+
 @pytest.fixture
 def cross_check(monkeypatch):
-    """is_pmh_line(lgm) against is_pmh(lgm.lg).  Every trail hit is turned
-    into its cycle by `_walk_from_trail` and re-checked by
+    """is_pmh_line(lgm) against is_pmh(lgm.lg).  The scan's trails are
+    rebuilt by the reference trail builder from the cycles added to it.
+    Every matching of L(G) is tested against the trails held when the scan
+    reached it: it must be yielded exactly when none fits, and each fit is
+    turned into its cycle by `_walk_from_trail` and re-checked by
     `_checked_extension`, so no hit goes uncertified."""
-    real_fits = pmh._fits
+    real_scan = _kernel.pm_scan
 
     def check(lgm):
-        def fits(trail, edges, centre):
-            ok = real_fits(trail, edges, centre)
-            if ok:
-                m = Matching(edges, lgm.lg.n)
-                _checked_extension(lgm, m, _walk_from_trail(lgm, trail, m))
-            return ok
-
-        monkeypatch.setattr(pmh, "_fits", fits)
-        fast, oracle = is_pmh_line(lgm), is_pmh(lgm.lg)
+        log = []
+        monkeypatch.setattr(_kernel, "pm_scan", lambda adj, centre:
+                            _RecordingScan(real_scan(adj, centre), log))
+        fast = is_pmh_line(lgm)
+        monkeypatch.setattr(_kernel, "pm_scan", real_scan)
+        oracle = is_pmh(lgm.lg)
         assert (fast.status, fast.witness, fast.matchings_tested,
                 fast.vacuous) == (oracle.status, oracle.witness,
                                   oracle.matchings_tested, oracle.vacuous)
         assert fast.nodes <= oracle.nodes
-        assert fast.searches <= oracle.searches == oracle.matchings_tested
+        assert fast.searches == len(log) <= oracle.searches
+        assert oracle.searches == oracle.matchings_tested
+
+        h = lgm.lg
+        edges = [(v, w) for v, a in enumerate(h.adjacency) for w in a if w > v]
+        eid = {e: k for k, e in enumerate(edges)}
+        centre = pmh._centres(lgm)
+        trails = []
+        for i, m in enumerate(enumerate_perfect_matchings(h), 1):
+            if i > fast.matchings_tested:
+                break
+            chosen = sum(1 << eid[e] for e in m.edges)
+            fits = [t for t in trails if purecore._fits(t, chosen, centre)]
+            for _refused, _off, pairs, segments in fits:
+                pairs = [edges[e] for e in purecore._bits(pairs)]
+                _checked_extension(lgm, m, _walk_from_trail(lgm, segments,
+                                                            pairs, m))
+            if log and log[0][0] == i:
+                _i, pairs, added = log.pop(0)
+                assert not fits and sorted(m.edges) == pairs
+                trails += [purecore._trail(c, eid, centre) for c in added]
+            else:
+                assert fits
+        assert not log
         return fast
 
     return check
@@ -147,6 +192,20 @@ def test_is_pmh_line_finds_the_criterion_07_counterexample(cross_check):
     out, _keep, _tmap = prop6_construct(make_named_graph("petersen", []), 0)
     v = cross_check(build_line_graph(out))
     assert v.status == "not_pmh" and v.matchings_tested == v.searches == 1
+
+
+@pytest.mark.parametrize("graph6, tested, searches",
+                         [("G?qaf_", 7, 2), ("G?ovf_", 46, 3)])
+def test_is_pmh_line_certifies_order_8_counterexamples(cross_check, graph6,
+                                                       tested, searches):
+    """Two hamiltonian graphs of order 8 and maximum degree 4 whose line
+    graphs are not PMH: the search after the last miss is exhausted."""
+    lgm = build_line_graph(parse_graph6(graph6))
+    v = cross_check(lgm)
+    assert (v.status, v.matchings_tested, v.searches) == ("not_pmh", tested,
+                                                          searches)
+    res = find_hamiltonian_cycle(lgm.lg, forced=sorted(v.witness.edges))
+    assert res.outcome == "absent"
 
 
 def test_is_pmh_line_on_coxeter():

@@ -1,6 +1,9 @@
 """Checks on the package source itself."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pmhgraph
@@ -34,3 +37,13 @@ def test_pure_kernel_does_not_recurse():
                           and isinstance(node.func, ast.Name)
                           and node.func.id == fn.name]
     assert found == []
+
+
+def test_cli_import_leaves_out_multiprocessing():
+    """Each CLI run imports pmhgraph.cli; only `survey --jobs` above 1
+    needs multiprocessing, so the import leaves it out."""
+    code = "import sys, pmhgraph.cli; print('multiprocessing' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, timeout=60,
+                         env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)})
+    assert out.stdout.strip() == "False"
