@@ -1,5 +1,5 @@
-"""Simple-graph substrate: construction, named generators, graph6 codec,
-isomorphism and bridge detection.
+"""Simple-graph substrate: construction, named generators, graph6 codec and
+canonical forms, which decide isomorphism.
 
 Vertices are dense ids 0..n-1.  Graphs are immutable after construction and
 every operation here is a pure function.
@@ -274,81 +274,86 @@ def write_graph6(g: Graph):
 
 
 # ---------------------------------------------------------------------------
-# Isomorphism (backtracking with degree / neighbor-degree pruning)
+# Canonical forms (individualisation-refinement, after McKay 1981)
 
 
-def _nbr_degree_profile(g, v):
-    return tuple(sorted(g.degree(w) for w in g.adjacency[v]))
+def _refine(adj, cells):
+    """Split every cell of the ordered partition `cells` by each vertex's
+    neighbour counts into every cell, parts ordered by that count, until no
+    cell splits.  The result depends on the labels only through the order of
+    `cells`."""
+    cell_of = [0] * len(adj)
+    while True:
+        for i, cell in enumerate(cells):
+            for v in cell:
+                cell_of[v] = i
+        split = []
+        for cell in cells:
+            if len(cell) == 1:
+                split.append(cell)
+                continue
+            parts = {}
+            for v in cell:
+                key = tuple(sorted([cell_of[w] for w in adj[v]]))
+                parts.setdefault(key, []).append(v)
+            split += [parts[key] for key in sorted(parts)]
+        if len(split) == len(cells):
+            return split
+        cells = split
+
+
+def canonical_form(g: Graph):
+    """(form, labelling): form = (n, sorted edges relabelled by labelling),
+    with labelling[v] the new label of v.  Two graphs are isomorphic exactly
+    when their forms are equal.
+
+    Depth first over the search tree of individualisation-refinement, where
+    each node individualises a vertex of the first non-singleton cell; the
+    form is the least over the leaves.  A vertex v is skipped when a vertex w
+    tried before it in the same cell has N(v) - w == N(w) - v: the swap of v
+    and w is then an automorphism that fixes the partition, so both subtrees
+    give the same forms.  Above ISO_SIZE_BOUND vertices: CapacityError.
+    """
+    if g.n > ISO_SIZE_BOUND:
+        raise CapacityError(f"isomorphism bound {ISO_SIZE_BOUND} vertices exceeded")
+    adj = g.adjacency
+    nbrs = [set(a) for a in adj]
+    best = None
+    stack = [_refine(adj, [list(range(g.n))])]
+    while stack:
+        cells = stack.pop()
+        i = next((i for i, cell in enumerate(cells) if len(cell) > 1), None)
+        if i is None:
+            lab = [0] * g.n
+            for pos, (v,) in enumerate(cells):
+                lab[v] = pos
+            form = (g.n, tuple(sorted((lab[u], lab[v]) if lab[u] < lab[v]
+                                      else (lab[v], lab[u]) for u, v in g.edges)))
+            if best is None or form < best[0]:
+                best = (form, tuple(lab))
+            continue
+        tried = []
+        for v in cells[i]:
+            if any(nbrs[v] - {w} == nbrs[w] - {v} for w in tried):
+                continue
+            tried.append(v)
+            rest = [w for w in cells[i] if w != v]
+            stack.append(_refine(adj, cells[:i] + [[v], rest] + cells[i + 1:]))
+    return best
 
 
 def are_isomorphic(g1: Graph, g2: Graph, witness=False):
-    """Edge-preserving vertex bijection test.
+    """Edge-preserving vertex bijection test: equal canonical forms.
 
     With witness=True returns (bool, mapping-or-None) where mapping[v1] = v2.
     """
-    if g1.n > ISO_SIZE_BOUND or g2.n > ISO_SIZE_BOUND:
-        raise CapacityError(f"isomorphism bound {ISO_SIZE_BOUND} vertices exceeded")
-
-    def answer(ok, m=None):
-        return (ok, m) if witness else ok
-
-    if g1.n != g2.n or len(g1.edges) != len(g2.edges):
-        return answer(False)
-    if g1.degree_sequence() != g2.degree_sequence():
-        return answer(False)
-    n = g1.n
-    prof1 = [(_nbr_degree_profile(g1, v), g1.degree(v)) for v in range(n)]
-    prof2 = [(_nbr_degree_profile(g2, v), g2.degree(v)) for v in range(n)]
-    if sorted(prof1) != sorted(prof2):
-        return answer(False)
-
-    # Order g1 vertices to keep partial mappings connected where possible.
-    order = []
-    seen = set()
-    for seed in sorted(range(n), key=lambda v: (-g1.degree(v), v)):
-        if seed in seen:
-            continue
-        stack = [seed]
-        seen.add(seed)
-        while stack:
-            u = stack.pop()
-            order.append(u)
-            for w in sorted(g1.adjacency[u], key=lambda x: (-g1.degree(x), x)):
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-
-    mapping = [-1] * n
-    used = [False] * n
-
-    def extend(i):
-        if i == n:
-            return True
-        v = order[i]
-        for c in range(n):
-            if used[c] or prof2[c] != prof1[v]:
-                continue
-            ok = True
-            for w in g1.adjacency[v]:
-                mw = mapping[w]
-                if mw >= 0 and not g2.has_edge(c, mw):
-                    ok = False
-                    break
-            if ok:
-                # mapped non-neighbors must stay non-neighbors
-                deg_mapped = sum(1 for w in g1.adjacency[v] if mapping[w] >= 0)
-                deg_c_mapped = sum(1 for w in g2.adjacency[c] if used[w])
-                if deg_mapped != deg_c_mapped:
-                    ok = False
-            if ok:
-                mapping[v] = c
-                used[c] = True
-                if extend(i + 1):
-                    return True
-                mapping[v] = -1
-                used[c] = False
-        return False
-
-    if extend(0):
-        return answer(True, list(mapping))
-    return answer(False)
+    form1, lab1 = canonical_form(g1)
+    form2, lab2 = canonical_form(g2)
+    if form1 != form2:
+        return (False, None) if witness else False
+    if not witness:
+        return True
+    at = [0] * g2.n
+    for v, pos in enumerate(lab2):
+        at[pos] = v
+    return True, [at[pos] for pos in lab1]

@@ -52,6 +52,20 @@ def naive_longest_cycle_length(g):
     return 0
 
 
+def naive_canonical_form(g):
+    """The least sorted edge tuple over all n! relabellings of g."""
+    return min(tuple(sorted((min(p[u], p[v]), max(p[u], p[v]))
+                            for u, v in g.edges))
+               for p in permutations(range(g.n)))
+
+
+def relabelled(g, rng):
+    """g with its vertices renamed by a random permutation."""
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges])
+
+
 def random_graph(rng, n, p):
     edges = [(u, v) for u, v in combinations(range(n), 2) if rng.random() < p]
     return Graph.from_edges(n, edges)

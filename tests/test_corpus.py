@@ -1,7 +1,9 @@
 from pmhgraph.corpus import (connected_graphs_upto, connected_subcubic_upto,
                              generate_all_graphs, generate_connected_graphs,
                              generate_subcubic_graphs)
-from pmhgraph.graph_core import are_isomorphic
+from pmhgraph.graph_core import canonical_form
+
+from conftest import naive_canonical_form, relabelled
 
 
 def test_counts_match_known_sequence():
@@ -19,11 +21,16 @@ def test_connected_counts():
     assert len(connected_graphs_upto(7)) == sum(want.values())
 
 
-def test_dedup_yields_pairwise_nonisomorphic():
-    graphs = generate_all_graphs(5)
-    for i in range(len(graphs)):
-        for j in range(i + 1, len(graphs)):
-            assert not are_isomorphic(graphs[i], graphs[j])
+def test_corpus_is_pairwise_nonisomorphic_by_naive_forms():
+    graphs = [g for n in range(1, 7) for g in generate_all_graphs(n)]
+    assert len(graphs) == 208
+    assert len({(g.n, naive_canonical_form(g)) for g in graphs}) == len(graphs)
+
+
+def test_canonical_form_ignores_labels(rng):
+    for n in range(1, 7):
+        for g in generate_all_graphs(n):
+            assert canonical_form(relabelled(g, rng))[0] == canonical_form(g)[0]
 
 
 def test_subcubic_agrees_with_filtering():

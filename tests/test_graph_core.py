@@ -2,11 +2,12 @@ import time
 
 import pytest
 
-from pmhgraph.errors import FormatError, ParameterError
-from pmhgraph.graph_core import (Graph, are_isomorphic, generator_tags,
+from pmhgraph.errors import CapacityError, FormatError, ParameterError
+from pmhgraph.graph_core import (ISO_SIZE_BOUND, Graph, are_isomorphic,
+                                 canonical_form, generator_tags,
                                  make_named_graph, parse_graph6, write_graph6)
 
-from conftest import random_graph
+from conftest import random_graph, relabelled
 
 
 def test_graph_basics():
@@ -96,16 +97,54 @@ def test_graph6_format_errors():
     assert err.offset == 1
 
 
+def _is_isomorphism(g, h, mapping):
+    return (sorted(mapping) == list(range(g.n)) and
+            {tuple(sorted((mapping[u], mapping[v]))) for u, v in g.edges} == h.edges)
+
+
 def test_isomorphism():
     c6 = make_named_graph("cycle", [6])
     shuffled = Graph.from_edges(6, [(3, 5), (5, 1), (1, 0), (0, 4), (4, 2),
                                     (2, 3)])
     assert are_isomorphic(c6, shuffled)
     ok, mapping = are_isomorphic(c6, shuffled, witness=True)
-    assert ok and sorted(mapping) == list(range(6))
-    # same degree sequence, different structure: C6 vs two triangles
-    two_tri = Graph.from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5),
-                                   (3, 5)])
-    assert not are_isomorphic(c6, two_tri)
-    assert not are_isomorphic(c6, make_named_graph("cycle", [5]))
+    assert ok and _is_isomorphism(c6, shuffled, mapping)
+    c5 = make_named_graph("cycle", [5])
+    assert not are_isomorphic(c6, c5)
+    assert are_isomorphic(c6, c5, witness=True) == (False, None)
+    big = make_named_graph("path", [ISO_SIZE_BOUND + 1])
+    with pytest.raises(CapacityError):
+        are_isomorphic(big, big)
 
+
+# Regular pairs of equal order and degree: refinement alone leaves each graph
+# one cell, so only individualisation tells the pair apart.
+REGULAR_PAIRS = {
+    "C6 vs 2K3": (make_named_graph("cycle", [6]),
+                  Graph.from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5),
+                                       (3, 5)])),
+    "cube vs Wagner": (make_named_graph("cube", []),
+                       Graph.from_edges(8, [(i, (i + 1) % 8) for i in range(8)]
+                                        + [(i, i + 4) for i in range(4)])),
+    "Petersen vs pentagonal prism": (
+        make_named_graph("petersen", []),
+        Graph.from_edges(10, [(i, (i + 1) % 5) for i in range(5)]
+                         + [(5 + i, 5 + (i + 1) % 5) for i in range(5)]
+                         + [(i, 5 + i) for i in range(5)])),
+}
+
+
+@pytest.mark.parametrize("pair", REGULAR_PAIRS.values(), ids=REGULAR_PAIRS)
+def test_canonical_form_beyond_refinement(pair, rng):
+    g, h = pair
+    assert canonical_form(g)[0] != canonical_form(h)[0]
+    assert not are_isomorphic(g, h)
+    for x in (g, h):
+        form, lab = canonical_form(x)
+        assert form == (x.n, tuple(sorted(tuple(sorted((lab[u], lab[v])))
+                                          for u, v in x.edges)))
+        for _ in range(5):
+            y = relabelled(x, rng)
+            assert canonical_form(y)[0] == form
+            ok, mapping = are_isomorphic(x, y, witness=True)
+            assert ok and _is_isomorphism(x, y, mapping)
