@@ -1,7 +1,8 @@
 """Search kernel selection: compiled extension if available, else pure python.
 
-Set PMHGRAPH_KERNEL=pure to force the fallback (used by the benchmark and
-the backend-parity tests).
+Set PMHGRAPH_KERNEL=pure to force the fallback: it runs the test suite on
+the pure backend where the extension is built (the backend-parity tests
+import `purecore` directly and need no setting).
 """
 
 import os

@@ -3,9 +3,11 @@
  *
  * Mirrors purecore.py exactly (same start vertex, same candidate order, same
  * node counting, hence the same status, witness and node count); see that
- * module for the contract.  The pruning tests decide what purecore's decide,
- * with less work (see prune_words).  Vertex sets are bitsets of nw =
- * ceil(n/64) uint64_t words, the same masks purecore builds from Python ints.
+ * module for the contract.  A search stops at the first node past its budget
+ * (max_nodes, 0 for none) and returns BUDGET with max_nodes + 1 nodes.  The
+ * pruning tests decide what purecore's decide, with less work (see
+ * prune_words).  Vertex sets are bitsets of nw = ceil(n/64) uint64_t words,
+ * the same masks purecore builds from Python ints.
  *
  * A search polls PyErr_CheckSignals() every 2^14 nodes, and the scan every
  * 2^14 matchings, so a signal handler that raises (a SIGALRM timeout, Ctrl-C)
@@ -188,9 +190,9 @@ static void mark_used(Search *s, int u, int w, int used)
     }
 }
 
-/* purecore's degree_ok and reachable_ok: every unvisited vertex keeps two
- * neighbours among the unvisited ones, the start and u, and all of those are
- * reachable from u through them.  A node's usable set is its parent's minus
+/* purecore's feasible: every unvisited vertex keeps two neighbours among the
+ * unvisited ones, the start and u, and all of those are reachable from u
+ * through them.  A node's usable set is its parent's minus
  * the parent, and the parent passed both tests (it was expanded).  So only the
  * parent's unvisited neighbours need the degree test again, and the set is
  * still connected iff the parent's neighbours in it are reachable from u: any
@@ -241,7 +243,7 @@ static int ham_dfs(Search *s, int u, int parent, int count, int used)
                                      : prune_words(s, u, parent, s->nw)))
         return ABSENT;
     const int *cands = pending ? &pend0 : s->nbr + s->off[u];
-    int ncands = pending ? 1 : s->off[u + 1] - s->off[u], saw_budget = 0;
+    int ncands = pending ? 1 : s->off[u + 1] - s->off[u];
     for (int i = 0; i < ncands; i++) {
         int w = cands[i];
         if (HAS(s->visited, w))
@@ -251,14 +253,13 @@ static int ham_dfs(Search *s, int u, int parent, int count, int used)
         ADD(s->visited, w);
         s->path[count] = w;
         r = ham_dfs(s, w, u, count + 1, used + pending);
-        if (r == FOUND || r == FAILED)
+        if (r != ABSENT)
             return r;
-        saw_budget |= r == BUDGET;
         DEL(s->visited, w);
         if (pending)
             mark_used(s, u, w, 0);
     }
-    return saw_budget ? BUDGET : ABSENT;
+    return ABSENT;
 }
 
 /* Read `forced` into the slots.  Returns 0, or -1 with an exception set. */

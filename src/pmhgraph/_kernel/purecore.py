@@ -38,13 +38,31 @@ def _flood(amask, u, allow):
     return reach
 
 
+def _advance(opens, tries, path):
+    """The next step of a depth-first search on an explicit stack, or None
+    once the stack is empty.  Each expanded path vertex has a frame: in
+    `opens` the bitmask of the vertices the path may still take, in `tries`
+    the iterator over its candidates not yet tried.  A frame with no
+    candidate left in its mask is popped with its path vertex."""
+    while tries:
+        for w in tries[-1]:
+            if opens[-1] >> w & 1:
+                return w
+        opens.pop()
+        tries.pop()
+        path.pop()
+    return None
+
+
 def ham_cycle(adj, forced=(), max_nodes=0):
     """Search for a hamiltonian cycle containing every edge in `forced`.
 
     adj: list of sorted neighbor lists (simple undirected graph).
     forced: iterable of (u, v) pairs, each an edge of the graph, with no
         vertex incident to more than two forced edges (caller-validated).
-    max_nodes: 0 = unlimited, else cap on visited search nodes.
+    max_nodes: 0 = unlimited, else cap on visited search nodes.  The search
+        stops at the first node past the cap and returns BUDGET with
+        max_nodes + 1 nodes.
 
     Returns (status, cycle_or_None, nodes_expanded).  The cycle is a list
     of n distinct vertices (closure edge implied).
@@ -70,162 +88,99 @@ def ham_cycle(adj, forced=(), max_nodes=0):
     else:
         start = min(range(n), key=lambda v: (len(adj[v]), v))
 
-    full = (1 << n) - 1
-    nodes = 0
-    path = [start]
-    used_edges = set()
-
     def edge_forced(a, b):
         return ((a, b) if a < b else (b, a)) in fset
 
-    def reachable_ok(visited, u):
-        # Every unvisited vertex and the start must be reachable from u
-        # through unvisited vertices (start allowed as endpoint).
-        allow = (~visited & full) | (1 << start) | (1 << u)
-        return (allow & ~_flood(amask, u, allow)) == 0
-
-    def degree_ok(visited, u):
-        allow = (~visited & full) | (1 << start) | (1 << u)
-        rest = ~visited & full
+    def feasible(free, u):
+        # Every unvisited vertex keeps two neighbours among the unvisited
+        # ones (`free`), the start and u, and all of those are reachable
+        # from u through them (start allowed as endpoint).
+        allow = free | (1 << start) | (1 << u)
+        rest = free
         while rest:
             b = rest & -rest
             rest ^= b
-            v = b.bit_length() - 1
-            if (amask[v] & allow & ~b).bit_count() < 2:
+            if (amask[b.bit_length() - 1] & allow & ~b).bit_count() < 2:
                 return False
-        return True
-
-    def visit(u, visited, used):
-        """Count the search node at path end u.  Returns its status when it
-        is a leaf, else None and the frame that walks its candidates:
-        [u, visited, used, candidates, next index, saw_budget]."""
-        nonlocal nodes
-        nodes += 1
-        if max_nodes and nodes > max_nodes:
-            return BUDGET, None
-        if len(path) == n:
-            closing = edge_forced(u, start)
-            if (amask[u] >> start) & 1 and used + (1 if closing else 0) == nforced:
-                return FOUND, None
-            return ABSENT, None
-        pending = [w for w in fnbr[u]
-                   if ((u, w) if u < w else (w, u)) not in used_edges]
-        if len(pending) >= 2:
-            return ABSENT, None
-        if not degree_ok(visited, u) or not reachable_ok(visited, u):
-            return ABSENT, None
-        return None, [u, visited, used, pending or adj[u], 0, False]
+        return (allow & ~_flood(amask, u, allow)) == 0
 
     # First move: with forced edges at the start, direction symmetry lets us
     # take the lowest forced neighbor as the first step.
-    visited0 = 1 << start
-    if fnbr[start]:
-        w = min(fnbr[start])
-        used_edges.add((start, w) if start < w else (w, start))
-        path.append(w)
-        status, frame = visit(w, visited0 | (1 << w), 1)
-    else:
-        status, frame = visit(start, visited0, 0)
-    # Depth-first with an explicit stack of frames, one per inner path
-    # vertex; `status` is the result of the node just left, for the frame
-    # below it.
-    stack = []
+    path = [start, min(fnbr[start])] if fnbr[start] else [start]
+    free = (1 << n) - 1 - sum(1 << v for v in path)
+    nodes = 0
+    # The node counted is path[-1], with unvisited set `free`; a frame of
+    # `_advance` keeps the free set of its vertex.
+    frees, tries = [], []
     while True:
-        if frame is not None:
-            stack.append(frame)
-        elif status == FOUND or not stack:
-            break
+        u = path[-1]
+        nodes += 1
+        if max_nodes and nodes > max_nodes:
+            return BUDGET, None, nodes
+        if len(path) == n:
+            # every forced edge must be a step of the cycle
+            if (amask[u] >> start & 1 and nforced ==
+                    sum(map(edge_forced, path, path[1:] + path[:1]))):
+                return FOUND, path, nodes
+            path.pop()
         else:
-            top = stack[-1]
-            if status == BUDGET:
-                top[5] = True
-            w = path.pop()
-            if edge_forced(top[0], w):
-                used_edges.discard((top[0], w) if top[0] < w else (w, top[0]))
-        top = stack[-1]
-        u, visited, used, cands, i, saw_budget = top
-        while i < len(cands) and visited >> cands[i] & 1:
-            i += 1
-        if i == len(cands):
-            stack.pop()
-            status, frame = (BUDGET if saw_budget else ABSENT), None
-            continue
-        top[4] = i + 1
-        w = cands[i]
-        f = edge_forced(u, w)
-        if f:
-            used_edges.add((u, w) if u < w else (w, u))
+            # the forced edges at u not on the path: all but the step into u
+            prev = path[-2] if len(path) > 1 else None
+            pending = [w for w in fnbr[u] if w != prev]
+            if len(pending) < 2 and feasible(free, u):
+                frees.append(free)
+                tries.append(iter(pending or adj[u]))
+            else:
+                path.pop()
+        w = _advance(frees, tries, path)
+        if w is None:
+            return ABSENT, None, nodes
         path.append(w)
-        status, frame = visit(w, visited | 1 << w, used + f)
-    if status == FOUND:
-        return FOUND, list(path), nodes
-    return status, None, nodes
+        free = frees[-1] ^ 1 << w
 
 
 def longest_cycle(adj, max_nodes=0):
     """Exact longest simple cycle by exhaustive branch and bound.
 
     Returns (status, best_cycle_or_None, nodes).  ABSENT means the graph is
-    acyclic.  On BUDGET the best cycle found so far (possibly None) is
-    returned and must be treated as a lower bound only.
+    acyclic.  On BUDGET, which `max_nodes` bounds as in `ham_cycle`, the
+    best cycle found so far (possibly None) is returned and must be treated
+    as a lower bound only.
     """
     n = len(adj)
     amask = _masks(adj)
 
     best = []
     nodes = 0
-    capped = False
-
+    above = (1 << n) - 1
     for root in range(n):
         if len(best) == n:
             break
-        # Cycles whose minimum vertex is `root`: path explores ids > root.
-        allow_root = 0
-        for v in range(root + 1, n):
-            allow_root |= 1 << v
-
-        path = [root]
-
-        def visit(u, visited):
-            """Count the search node at path end u; True when its
-            neighbours are to be tried."""
-            nonlocal nodes, capped, best
+        # Cycles whose minimum vertex is `root`: the path stays above it.
+        above ^= 1 << root
+        path, allow = [root], above
+        # The node counted is path[-1]; `allow` holds the vertices above
+        # root not on the path, and a frame of `_advance` keeps its vertex's.
+        allows, tries = [], []
+        while True:
+            u = path[-1]
             nodes += 1
             if max_nodes and nodes > max_nodes:
-                capped = True
-                return False
+                return BUDGET, (best if best else None), nodes
             if len(path) >= 3 and (amask[u] >> root) & 1 and len(path) > len(best):
                 best = list(path)
             # Bound: vertices reachable from u through the unvisited region.
-            allow = allow_root & ~visited
-            reach = _flood(amask, u, allow)
-            return len(path) + (reach & allow).bit_count() > len(best)
-
-        # Depth-first with an explicit stack of [u, visited, next index],
-        # one frame per path vertex whose neighbours are being tried.
-        stack = [[root, 1 << root, 0]] if visit(root, 1 << root) else []
-        while stack and not capped:
-            top = stack[-1]
-            u, visited, i = top
-            nbrs = adj[u]
-            while i < len(nbrs) and (nbrs[i] <= root or visited >> nbrs[i] & 1):
-                i += 1
-            if i == len(nbrs):
-                stack.pop()
-                path.pop()
-                continue
-            top[2] = i + 1
-            w = nbrs[i]
-            path.append(w)
-            if visit(w, visited | 1 << w):
-                stack.append([w, visited | 1 << w, 0])
+            if len(path) + (_flood(amask, u, allow) & allow).bit_count() > len(best):
+                allows.append(allow)
+                tries.append(iter(adj[u]))
             else:
                 path.pop()
-        if capped:
-            break
+            w = _advance(allows, tries, path)
+            if w is None:
+                break
+            path.append(w)
+            allow = allows[-1] ^ 1 << w
 
-    if capped:
-        return BUDGET, (best if best else None), nodes
     if not best:
         return ABSENT, None, nodes
     return FOUND, best, nodes

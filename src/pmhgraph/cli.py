@@ -527,6 +527,10 @@ def _load_journal(fh):
             continue
         try:
             entry = json.loads(line)
+            if (not isinstance(entry["graph6"], str)
+                    or entry["status"] not in ("pmh", "not_pmh", INCONCLUSIVE)):
+                raise ValueError("an entry needs a graph6 string and a status "
+                                 "pmh, not_pmh or inconclusive")
             done[entry["graph6"]] = entry
         except (ValueError, KeyError, TypeError) as exc:
             click.echo(f"error: journal {fh.name} line {number}: {exc!r}",

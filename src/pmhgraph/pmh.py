@@ -41,12 +41,7 @@ class PmhVerdict:
     witness: Matching | None = None
     matchings_tested: int = 0
     nodes: int = 0
-    searches: int | None = None   # kernel searches run
-
-    def __post_init__(self):
-        # the oracle runs one search per matching it tests
-        if self.searches is None:
-            object.__setattr__(self, "searches", self.matchings_tested)
+    searches: int = 0             # kernel searches run
 
     @property
     def is_pmh(self):
@@ -71,14 +66,16 @@ def is_pmh(h: Graph, max_nodes=0) -> PmhVerdict:
         nodes += res.nodes
         if res.outcome == ABSENT:
             return PmhVerdict("not_pmh", witness=m, matchings_tested=tested,
-                              nodes=nodes)
+                              nodes=nodes, searches=tested)
         if res.outcome == INCONCLUSIVE:
             inconclusive = True
     if tested == 0:
         return PmhVerdict("pmh", vacuous=True)
     if inconclusive:
-        return PmhVerdict("inconclusive", matchings_tested=tested, nodes=nodes)
-    return PmhVerdict("pmh", matchings_tested=tested, nodes=nodes)
+        return PmhVerdict("inconclusive", matchings_tested=tested, nodes=nodes,
+                          searches=tested)
+    return PmhVerdict("pmh", matchings_tested=tested, nodes=nodes,
+                      searches=tested)
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,9 @@ no code or pruning ideas with the search kernels they validate.
 """
 
 import random
+from importlib.machinery import EXTENSION_SUFFIXES
 from itertools import combinations, permutations
+from pathlib import Path
 
 import pytest
 
@@ -15,6 +17,28 @@ from pmhgraph.graph_core import Graph, make_named_graph
 
 
 BACKEND_LINE = f"pmhgraph kernel backend: {pmhgraph.kernel_backend}"
+
+
+def pytest_sessionstart(session):
+    """Stop when the compiled kernel beside `_fastcore.c` was built from an
+    older source or does not load, so the tests never pass against a stale
+    binary."""
+    source = Path(_kernel.__file__).with_name("_fastcore.c")
+    try:
+        from pmhgraph._kernel import _fastcore
+    except ImportError as exc:
+        stale = (any(source.with_name("_fastcore" + suffix).exists()
+                     for suffix in EXTENSION_SUFFIXES)
+                 and f"the compiled kernel does not load: {exc}")
+    else:
+        so = Path(_fastcore.__file__)
+        # setuptools copies the binary with its mtime cut to whole seconds
+        stale = (so.parent == source.parent and source.exists()
+                 and so.stat().st_mtime < int(source.stat().st_mtime)
+                 and f"{so.name} is older than {source.name}")
+    if stale:
+        pytest.exit(f"{stale}; rebuild: python setup.py build_ext --inplace",
+                    returncode=1)
 
 
 def pytest_report_header(config):

@@ -102,6 +102,7 @@ def test_cycles_ham_budget_exit_code():
     assert res.exit_code == 2
     (rep,) = reports(res)
     assert rep["verdict"]["outcome"] == "inconclusive"
+    assert rep["stats"]["nodes"] == 4   # stops at the first node past 3
 
 
 def test_cycles_subcommands():
@@ -368,10 +369,14 @@ def test_survey_resumes_after_torn_journal_line(tmp_path):
     assert "torn" in res.stderr
     assert json.loads(res.stdout) == summary
     assert journal.read_text() == full
-    # a complete line that does not decode is not a torn write: refuse it
-    journal.write_text("not json\n" + full)
-    res = run(*args)
-    assert res.exit_code == 1 and "error: journal" in res.stderr
+    # a complete line that is not a survey entry is not a torn write:
+    # refuse it
+    for bad in ("not json", '{"graph6": "D~{"}', '{"graph6": 5, "status": "pmh"}',
+                '{"graph6": "D~{", "status": "maybe"}', "[1]"):
+        journal.write_text(bad + "\n" + full)
+        res = run(*args)
+        assert res.exit_code == 1, bad
+        assert "error: journal" in res.stderr and "line 1" in res.stderr, bad
 
 
 def test_bad_middle_line_keeps_the_other_reports():

@@ -76,6 +76,7 @@ def test_budget_reports_inconclusive():
     g = make_named_graph("petersen", [])
     res = find_hamiltonian_cycle(g, max_nodes=3)
     assert res.outcome == "inconclusive" and res.walk is None
+    assert res.nodes == 4   # the search stops at the first node past 3
 
 
 def test_dominating_cycle(petersen):

@@ -58,9 +58,12 @@ def _grid(rows, cols):
 
 
 def _assert_same(kind, adj, *args):
+    """Both backends agree, and a search stopped by its budget (the last
+    argument) reports one node past it."""
     p = getattr(purecore, kind)(adj, *args)
     c = getattr(_fastcore, kind)(adj, *args)
     assert p == c, (kind, args)
+    assert p[0] != purecore.BUDGET or p[2] == args[-1] + 1, (kind, args, p)
 
 
 def test_backend_reports_itself():

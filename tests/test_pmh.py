@@ -334,8 +334,10 @@ def test_pc_cycle_search():
     res = find_pc_hamiltonian_cycle(lgm.base, c)
     assert res and is_properly_coloured(res.walk, c)
     assert count_pc_hamiltonian_cycles(lgm.base, c, limit=2) >= 2
-    res = find_pc_hamiltonian_cycle(lgm.base, c, max_nodes=1)
-    assert res.outcome == "inconclusive" and res.walk is None
+    for cap in (1, 5):
+        res = find_pc_hamiltonian_cycle(lgm.base, c, max_nodes=cap)
+        assert res.outcome == "inconclusive" and res.walk is None
+        assert res.nodes == cap + 1
 
 
 def _directed_cycles(g):
