@@ -3,8 +3,7 @@
 from ._kernel import BACKEND as kernel_backend
 from .graph_core import (Graph, are_isomorphic, make_named_graph, parse_graph6,
                          write_graph6)
-from .line_graph import (CliquePartition, LineGraphMap, build_line_graph,
-                         canonical_partition)
+from .line_graph import LineGraphMap, build_line_graph
 from .matching import (Matching, P3Decomposition, enumerate_perfect_matchings,
                        find_p3_decomposition, make_matching, matching_to_p3,
                        one_extendability_check, p3_to_matching)
@@ -17,8 +16,7 @@ from .pmh import (EdgeColouring, PmhVerdict, colouring_from_matching,
                   extend_matching_complete, extend_matching_subcubic,
                   extend_via_dominating_cycle, find_pc_hamiltonian_cycle,
                   haggkvist_condition, is_pmh, is_pmh_line,
-                  kotzig_partition,
-                  lasvergnas_condition, stitch_clique_path)
+                  kotzig_partition, lasvergnas_condition)
 from .constructions import (prop6_construct, remark1_reduction, y_extension,
                             y_reduction)
 

@@ -39,8 +39,8 @@ typedef struct {
     int n, nw;
     int *off, *nbr;         /* adjacency in the caller's order (CSR) */
     int *path, *best;       /* current path; longest cycle found so far */
-    int *fn, *fused;        /* two forced-neighbour slots per vertex (-1 when
-                               empty), and whether the slot's edge is used */
+    int *fn;                /* two forced-neighbour slots per vertex (-1 when
+                               empty) */
     int start, nforced, root, plen, blen;
     word *amask;            /* bitset row per vertex; self-loops cleared
                                (no purecore check reads a vertex's own bit) */
@@ -79,7 +79,7 @@ static int search_init(Search *s, PyObject *adj, long long max_nodes)
     int nw = (int)((n + 63) / 64);
     s->n = (int)n;
     s->nw = nw;
-    s->off = PyMem_Calloc(7 * n + m + 1, sizeof(int));
+    s->off = PyMem_Calloc(5 * n + m + 1, sizeof(int));
     s->amask = PyMem_Calloc(((size_t)n + 8) * nw + 1, sizeof(word));
     if (!s->off || !s->amask) {
         PyErr_NoMemory();
@@ -89,7 +89,6 @@ static int search_init(Search *s, PyObject *adj, long long max_nodes)
     s->path = s->nbr + m;
     s->best = s->path + n;
     s->fn = s->best + n;
-    s->fused = s->fn + 2 * n;
     word *w0 = s->amask + (size_t)n * nw;
     word **scratch[] = {&s->full, &s->visited, &s->allow, &s->target,
                         &s->reach, &s->frontier, &s->next, &s->above};
@@ -180,16 +179,6 @@ static int forced_to(const Search *s, int u, int w)
     return s->fn[2 * u] == w || s->fn[2 * u + 1] == w;
 }
 
-static void mark_used(Search *s, int u, int w, int used)
-{
-    for (int i = 0; i < 2; i++) {
-        if (s->fn[2 * u + i] == w)
-            s->fused[2 * u + i] = used;
-        if (s->fn[2 * w + i] == u)
-            s->fused[2 * w + i] = used;
-    }
-}
-
 /* purecore's feasible: every unvisited vertex keeps two neighbours among the
  * unvisited ones, the start and u, and all of those are reachable from u
  * through them.  A node's usable set is its parent's minus
@@ -233,9 +222,10 @@ static int ham_dfs(Search *s, int u, int parent, int count, int used)
     if (count == s->n)
         return HAS(ROW(s, u), s->start) &&
                used + forced_to(s, u, s->start) == s->nforced ? FOUND : ABSENT;
-    int pending = 0, pend0 = -1;
+    /* The forced edges at u not on the path: all but the step into u. */
+    int prev = count > 1 ? s->path[count - 2] : -1, pending = 0, pend0 = -1;
     for (int i = 0; i < 2; i++)
-        if (s->fn[2 * u + i] >= 0 && !s->fused[2 * u + i]) {
+        if (s->fn[2 * u + i] >= 0 && s->fn[2 * u + i] != prev) {
             pending++;
             pend0 = s->fn[2 * u + i];
         }
@@ -248,16 +238,12 @@ static int ham_dfs(Search *s, int u, int parent, int count, int used)
         int w = cands[i];
         if (HAS(s->visited, w))
             continue;
-        if (pending)
-            mark_used(s, u, w, 1);
         ADD(s->visited, w);
         s->path[count] = w;
         r = ham_dfs(s, w, u, count + 1, used + pending);
         if (r != ABSENT)
             return r;
         DEL(s->visited, w);
-        if (pending)
-            mark_used(s, u, w, 0);
     }
     return ABSENT;
 }
@@ -342,7 +328,6 @@ static PyObject *ham_cycle(PyObject *Py_UNUSED(self), PyObject *args, PyObject *
             /* By direction symmetry the lowest forced neighbour goes first. */
             if (s.fn[2 * start + 1] >= 0 && s.fn[2 * start + 1] < first)
                 first = s.fn[2 * start + 1];
-            mark_used(&s, start, first, 1);
             ADD(s.visited, first);
             s.path[1] = first;
             status = ham_dfs(&s, first, -1, 2, 1);

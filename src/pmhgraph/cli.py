@@ -226,7 +226,7 @@ def _domcycle(g, o):
 
 
 def _euler(g, o):
-    """Euler tour, or absence when some degree is odd."""
+    """Euler tour, or absence when some degree is odd or the graph is null."""
     walk = euler_tour(g)
     if walk is None:
         return _Line({"outcome": ABSENT}, outcome=ABSENT)

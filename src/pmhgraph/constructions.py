@@ -1,6 +1,7 @@
 """Graph surgeries: triangle expansion/contraction of degree-3 vertices, the
 circumference-(n-1) counterexample builder, and the reconstruction check that
-contracting matching-free canonical triangles of L(G) - M recovers G.
+contracting the triangles of L(G) - M at the vertices where no edge of M
+is centred recovers G.
 """
 
 from __future__ import annotations
@@ -10,8 +11,8 @@ from dataclasses import dataclass
 from .cycles import is_hypohamiltonian
 from .errors import ParityError, PreconditionError, StructureError
 from .graph_core import Graph, are_isomorphic
-from .line_graph import build_line_graph, canonical_partition
-from .matching import Matching
+from .line_graph import build_line_graph
+from .matching import Matching, matching_to_p3
 
 
 @dataclass(frozen=True)
@@ -111,21 +112,20 @@ def prop6_construct(g: Graph, keep, max_nodes=0):
 
 
 def remark1_reduction(g: Graph, m: Matching):
-    """Compute L(g) - m for cubic g, contract every canonical triangle not
-    met by m, and report whether the result is isomorphic to g."""
+    """Compute L(g) - m for cubic g, contract the triangle of every base
+    vertex at which no matching edge is centred, and report whether the
+    result is isomorphic to g."""
     if any(g.degree(v) != 3 for v in range(g.n)):
         raise PreconditionError("base must be cubic")
     if len(g.edges) % 2:
         raise ParityError("even base size required (L(g) needs a perfect matching)")
     lgm = build_line_graph(g)
-    if m.host_n != lgm.lg.n or not m.is_perfect():
-        raise PreconditionError("m must be a perfect matching of the line graph")
-    cp = canonical_partition(lgm)
+    centres = {c for c, _pair in matching_to_p3(lgm, m).paths}
     residual = Graph.from_edges(lgm.lg.n, set(lgm.lg.edges) - set(m.edges))
-    # matching-free canonical triangles are pairwise disjoint, so contract in
-    # any order; track relabeling as we go
-    free = [sorted(members) for _v, members in cp.cliques
-            if not any(set(e) <= members for e in m.edges)]
+    # matching-free triangles are pairwise disjoint, so contract in any
+    # order; track relabeling as we go
+    free = [[lgm.lg_vertex(v, w) for w in g.adjacency[v]]
+            for v in range(g.n) if v not in centres]
     cur = residual
     ids = list(range(residual.n))   # current id of each original lg vertex
     for tri in free:

@@ -68,7 +68,7 @@ def closed(vertices, kinds=()):
 def validate_walk(g: Graph, walk: CycleWalk):
     """Independent re-check of a walk's claimed kind flags."""
     vs = walk.vertices
-    if not vs:
+    if not vs or not 0 <= vs[0] < g.n:
         return False
     edges = walk.edge_seq
     if len(vs) > 1 and (vs[0] != vs[-1] or not g.edges.issuperset(edges)):
@@ -340,10 +340,11 @@ def has_dominating_tour(g: Graph):
 
 def euler_tour(g: Graph):
     """Euler tour by Hierholzer's algorithm (smallest-neighbor-first, so the
-    output is deterministic), or None when some degree is odd."""
+    output is deterministic), or None when some degree is odd or the graph
+    is the null graph, which has no closed walk."""
     if not g.is_connected():
         raise StructureError("euler tour requires a connected graph")
-    if any(g.degree(v) % 2 for v in range(g.n)):
+    if g.n == 0 or any(g.degree(v) % 2 for v in range(g.n)):
         return None
     if not g.edges:
         return closed([0], kinds={"tour", "euler"})

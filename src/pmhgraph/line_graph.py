@@ -1,10 +1,11 @@
-"""Line graph construction with a stable edge-to-vertex bijection, plus the
-canonical clique partition (one clique per base vertex of degree >= 2).
+"""Line graph construction with a stable edge-to-vertex bijection, and the
+centre of each line-graph edge: the base vertex its two ends share, so each
+edge of L(G) is a 2-path of G.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 from .errors import PreconditionError
@@ -16,11 +17,14 @@ class LineGraphMap:
     """A graph, its line graph, and the bijection between base edges and
     line-graph vertices.  Line-graph vertex ids equal the dense lexicographic
     edge ids of the base graph, so downstream witnesses are reproducible.
+    `centre[(a, b)]`, a < b, is the base vertex shared by the ends of the
+    line-graph edge ab; it follows from the base, so eq and hash skip it.
     """
 
     base: Graph
     lg: Graph
     from_lg: tuple    # lg vertex id -> base edge (u, v)
+    centre: dict = field(compare=False, repr=False)
 
     def lg_vertex(self, u, v):
         e = (u, v) if u < v else (v, u)
@@ -31,22 +35,6 @@ class LineGraphMap:
         return {e: i for i, e in enumerate(self.from_lg)}
 
 
-@dataclass(frozen=True)
-class CliquePartition:
-    """Canonical clique partition of E(L(G)): for each base vertex v with
-    deg(v) >= 2, the clique Q_v on the lg vertices of edges incident to v.
-    """
-
-    lgm: LineGraphMap
-    cliques: tuple    # sequence of (base vertex id, frozenset of lg vertices)
-
-    def clique_of(self, v):
-        for center, members in self.cliques:
-            if center == v:
-                return members
-        raise KeyError(v)
-
-
 def build_line_graph(g: Graph) -> LineGraphMap:
     """Construct L(g); vertices of L(g) are the dense edge ids of g."""
     if g.n <= 2:
@@ -55,28 +43,15 @@ def build_line_graph(g: Graph) -> LineGraphMap:
         raise PreconditionError("line graph requires a connected base")
     edge_list = g.edge_list()
     idx = {e: i for i, e in enumerate(edge_list)}
-    lg_edges = set()
+    centre = {}
     for v in range(g.n):
         inc = sorted(idx[(min(v, w), max(v, w))] for w in g.adjacency[v])
         for i in range(len(inc)):
             for j in range(i + 1, len(inc)):
-                lg_edges.add((inc[i], inc[j]))
-    lg = Graph.from_edges(len(edge_list), lg_edges)
+                centre[(inc[i], inc[j])] = v
     return LineGraphMap(
         base=g,
-        lg=lg,
+        lg=Graph(len(edge_list), frozenset(centre)),
         from_lg=tuple(edge_list),
+        centre=centre,
     )
-
-
-def canonical_partition(lgm: LineGraphMap) -> CliquePartition:
-    g = lgm.base
-    idx = lgm._edge_idx
-    cliques = []
-    for v in range(g.n):
-        if g.degree(v) < 2:
-            continue
-        members = frozenset(idx[(min(v, w), max(v, w))] for w in g.adjacency[v])
-        cliques.append((v, members))
-    return CliquePartition(lgm=lgm, cliques=tuple(cliques))
-

@@ -94,9 +94,11 @@ def matching_to_p3(lgm: LineGraphMap, m: Matching) -> P3Decomposition:
             f"{uncovered[0] if uncovered else '?'})")
     paths = []
     for a, b in sorted(m.edges):
-        ea, eb = lgm.from_lg[a], lgm.from_lg[b]
-        (center,) = set(ea) & set(eb)
-        paths.append((center, (ea, eb)))
+        center = lgm.centre.get((a, b) if a < b else (b, a))
+        if center is None:
+            raise PreconditionError(f"matching pair ({a},{b}) is not an edge "
+                                    f"of the line graph")
+        paths.append((center, (lgm.from_lg[a], lgm.from_lg[b])))
     return P3Decomposition(paths=tuple(paths))
 
 

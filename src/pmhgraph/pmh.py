@@ -83,10 +83,9 @@ def is_pmh(h: Graph, max_nodes=0) -> PmhVerdict:
 
 
 def _centres(lgm: LineGraphMap):
-    """The base vertex that the two ends of each edge of L(G) share, by the
-    edge ids of `_kernel.pm_scan` on L(G)'s adjacency."""
-    ends = lgm.from_lg
-    return [ends[v][0] if ends[v][0] in ends[w] else ends[v][1]
+    """The centre of each edge of L(G), by the edge ids of `_kernel.pm_scan`
+    on L(G)'s adjacency."""
+    return [lgm.centre[(v, w)]
             for v, nbrs in enumerate(lgm.lg.adjacency) for w in nbrs if w > v]
 
 
@@ -130,14 +129,10 @@ def is_pmh_line(lgm: LineGraphMap, max_nodes=0) -> PmhVerdict:
 
 
 def _matching_centers(lgm: LineGraphMap, m: Matching):
-    """Map base vertex -> list of lg matching edges whose base 3-path is
-    centered there.  Raises PreconditionError (via matching_to_p3) unless m
-    is a perfect matching of the line graph."""
-    idx = lgm._edge_idx
-    centers = {}
-    for c, (ea, eb) in matching_to_p3(lgm, m).paths:
-        centers.setdefault(c, []).append((idx[ea], idx[eb]))
-    return centers
+    """The base vertices at which some 2-path of m is centred.  Raises
+    PreconditionError (via matching_to_p3) unless m is a perfect matching of
+    the line graph."""
+    return {c for c, _pair in matching_to_p3(lgm, m).paths}
 
 
 def _checked_extension(lgm: LineGraphMap, m: Matching, walk: CycleWalk):
@@ -147,65 +142,46 @@ def _checked_extension(lgm: LineGraphMap, m: Matching, walk: CycleWalk):
     return walk
 
 
-def stitch_clique_path(members, entry, exit_, inside_edges):
-    """Alternating path through one canonical clique, from entry to exit,
-    containing every matching edge inside the clique.
-
-    Matching edges are laid out in ascending order; an edge touching the
-    entry (exit) is pinned first (last) to keep the alternation.  A lone
-    matching edge joining entry and exit is the whole path; with other
-    matching edges beside it no such path exists.
-    """
-    if entry == exit_:
-        raise PreconditionError("clique entry and exit must differ")
-    inside = [(a, b) if a < b else (b, a) for a, b in sorted(inside_edges)]
-    if not set(members).issuperset(x for e in inside for x in e):
-        raise PreconditionError("matching edge leaves the clique")
-    if ((entry, exit_) if entry < exit_ else (exit_, entry)) in inside:
-        if len(inside) > 1:
-            raise PreconditionError("entry-exit edge beside other matching edges")
-        return [entry, exit_]
-    first = last = None
-    mids = []
-    for e in inside:
-        if entry in e:
-            first = e
-        elif exit_ in e:
-            last = e
-        else:
-            mids.append(e)
-    path = [entry]
-    if first is not None:
-        path.append(first[0] if first[1] == entry else first[1])
-    for a, b in mids:
-        path.extend((a, b))
-    if last is not None:
-        path.append(last[0] if last[1] == exit_ else last[1])
-    path.append(exit_)
-    if len(set(path)) != len(path):
-        raise WitnessError(f"clique path {path} revisits a vertex")
-    return path
-
-
-def _stitch_along(lgm: LineGraphMap, m: Matching, centers,
-                  cycle: CycleWalk) -> CycleWalk:
-    """Hamiltonian cycle of the line graph through m along a cycle of the
-    base: at each cycle vertex v, walk the clique Q_v from the edge entering v
-    to the edge leaving it through the matching edges `centers[v]` at v."""
-    cyc = cycle.vertices[:-1]
-    s = len(cyc)
-    verts = []
-    for i, v in enumerate(cyc):
-        entry = lgm.lg_vertex(cyc[i - 1], v)
-        exit_ = lgm.lg_vertex(v, cyc[(i + 1) % s])
-        if v not in centers:
-            verts.append(entry)
+def _lay_out(lgm: LineGraphMap, m: Matching, trail) -> CycleWalk:
+    """The hamiltonian cycle of L(G) through the perfect matching m that a
+    closed trail of G gives, by README's layout rule.  `trail` lists the
+    trail's edges (L(G) vertices) in order; consecutive edges, the last and
+    the first included, are the entry and exit of a segment at the vertex c
+    they share.  Each segment walks its entry; the entry's partner in m, if
+    centred at c; the 2-paths of m with both edges off the trail centred at
+    c, in the first segment at c that the entry's 2-path does not fill; the
+    exit's partner, if centred at c.  With no trail edges (G is a star) the
+    one segment holds every 2-path.  Raises WitnessError unless the walk is
+    a hamiltonian cycle of L(G) through m."""
+    centre = lgm.centre
+    on = set(trail)
+    partner, at, off = {}, {}, {}
+    for e in sorted(m.edges):
+        a, b = sorted(e)
+        partner[a], partner[b] = b, a
+        at[a] = at[b] = centre[(a, b)]
+        if a not in on and b not in on:
+            off.setdefault(at[a], []).extend((a, b))
+    verts = [] if trail else [x for seg in off.values() for x in seg]
+    for entry, exit_ in zip(trail, trail[1:] + trail[:1]):
+        c = centre[(entry, exit_) if entry < exit_ else (exit_, entry)]
+        verts.append(entry)
+        if partner[entry] == exit_:
             continue
-        members = [lgm.lg_vertex(v, w) for w in lgm.base.adjacency[v]]
-        verts.extend(stitch_clique_path(members, entry, exit_,
-                                        centers[v])[:-1])
+        if at[entry] == c:
+            verts.append(partner[entry])
+        verts.extend(off.pop(c, ()))
+        if at[exit_] == c:
+            verts.append(partner[exit_])
     walk = closed(verts, kinds={"cycle", "tour", "hamiltonian"})
     return _checked_extension(lgm, m, walk)
+
+
+def _cycle_trail(lgm: LineGraphMap, cycle: CycleWalk):
+    """The edges of a cycle of the base, as L(G) vertices, each entering the
+    cycle vertex of the same position."""
+    c = cycle.vertices[:-1]
+    return [lgm.lg_vertex(c[i - 1], c[i]) for i in range(len(c))]
 
 
 # ---------------------------------------------------------------------------
@@ -229,27 +205,24 @@ def _extend_via_dominating_cycle(lgm: LineGraphMap, m: Matching, centers,
                                  d: CycleWalk) -> CycleWalk:
     """`extend_via_dominating_cycle` for a base of max degree 3 and a `d`
     already checked as a dominating cycle of it."""
-    g = lgm.base
-    adj = g.adjacency
-    for v in set(range(g.n)) - d.touched:
-        if len(adj[v]) >= 2 and v in centers:
-            raise PreconditionError(
-                f"untouched vertex {v} has a matching-intersected clique")
-    return _stitch_along(lgm, m, centers, d)
+    stray = centers - d.touched
+    if stray:
+        raise PreconditionError(f"a 2-path of the matching is centred at "
+                                f"the untouched vertex {min(stray)}")
+    return _lay_out(lgm, m, _cycle_trail(lgm, d))
 
 
 def extend_matching_subcubic(lgm: LineGraphMap, m: Matching,
                              max_nodes=0) -> SearchResult:
-    """Find a dominating cycle whose untouched vertices all have
-    matching-free cliques, then extend; absence certifies (by the converse
+    """Find a dominating cycle whose untouched vertices are the centre of no
+    2-path of the matching, then extend; absence certifies (by the converse
     direction of the correspondence) that the matching is non-extendable."""
     g = lgm.base
     if g.max_degree() > 3:
         raise PreconditionError("subcubic extension requires max degree 3")
     centers = _matching_centers(lgm, m)
-    allowed = {v for v, a in enumerate(g.adjacency)
-               if len(a) == 1 or (len(a) >= 2 and v not in centers)}
-    res = find_dominating_cycle(g, allowed_untouched=allowed, max_nodes=max_nodes)
+    res = find_dominating_cycle(g, allowed_untouched=set(range(g.n)) - centers,
+                                max_nodes=max_nodes)
     if res.outcome != FOUND:
         return res
     walk = _extend_via_dominating_cycle(lgm, m, centers, res.walk)
@@ -416,7 +389,7 @@ def _extend_via_pc_search(lgm: LineGraphMap, m: Matching,
     pc = find_pc_hamiltonian_cycle(lgm.base, colouring, max_nodes=max_nodes)
     if pc.outcome != FOUND:
         return pc
-    walk = _stitch_along(lgm, m, _matching_centers(lgm, m), pc.walk)
+    walk = _lay_out(lgm, m, _cycle_trail(lgm, pc.walk))
     return SearchResult(FOUND, walk, pc.nodes)
 
 

@@ -18,7 +18,7 @@ from pmhgraph.cycles import (circumference, find_hamiltonian_cycle,
                              is_hypohamiltonian, validate_walk)
 from pmhgraph.errors import StructureError
 from pmhgraph.graph_core import Graph, are_isomorphic, make_named_graph
-from pmhgraph.line_graph import build_line_graph, canonical_partition
+from pmhgraph.line_graph import build_line_graph
 from pmhgraph.matching import (count_perfect_matchings,
                                enumerate_perfect_matchings)
 from pmhgraph.pmh import (colouring_from_matching, count_pc_hamiltonian_cycles,
@@ -128,9 +128,8 @@ def test_criterion_07_circumference_counterexample():
     assert out.n == 28 and len(out.edges) == 42
     assert circumference(out) == 27
     lgm = build_line_graph(out)
-    q_keep = canonical_partition(lgm).clique_of(keep)
     matching = next(m for m in enumerate_perfect_matchings(lgm.lg)
-                    if any(set(e) <= q_keep for e in m.edges))
+                    if any(lgm.centre[e] == keep for e in m.edges))
     res = find_hamiltonian_cycle(lgm.lg, forced=sorted(matching.edges))
     assert res.outcome == "absent"        # certified by exhaustion
     assert not is_pmh(lgm.lg).is_pmh

@@ -109,6 +109,10 @@ def test_cycles_subcommands():
     res = run("cycles", "euler", "-", input=g6("octahedron") + "\n")
     (rep,) = reports(res)
     assert rep["verdict"]["outcome"] == "found"
+    # the null graph has no closed walk
+    res = run("cycles", "euler", "-", input="?\n")
+    (rep,) = reports(res)
+    assert rep["verdict"]["outcome"] == "absent" and rep["witness"] is None
     res = run("cycles", "circ", "-", input=g6("petersen") + "\n")
     (rep,) = reports(res)
     assert rep["verdict"]["circumference"] == 9

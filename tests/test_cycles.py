@@ -212,6 +212,9 @@ def test_euler_tour():
     assert euler_tour(make_named_graph("cube", [])) is None
     with pytest.raises(StructureError):
         euler_tour(Graph.from_edges(4, [(0, 1), (2, 3)]))
+    # one vertex is a closed walk of length 0; the null graph has no walk
+    assert euler_tour(Graph(1)).vertices == (0,)
+    assert euler_tour(Graph(0)) is None
 
 
 def test_arbitrarily_traceable():
@@ -266,6 +269,11 @@ def test_validate_walk_rejects_defects():
     assert not validate_walk(c4, open_walk)
     k4 = make_named_graph("complete", [4])
     assert not validate_walk(k4, closed([0, 1, 2, 3], kinds={"euler"}))
+    # a one-vertex walk must be at a vertex of the graph
+    assert validate_walk(k4, CycleWalk((3,), frozenset({"tour"})))
+    for v in (4, 7, -1):
+        assert not validate_walk(k4, CycleWalk((v,), frozenset({"tour"})))
+    assert not validate_walk(Graph(0), CycleWalk((0,), frozenset({"tour"})))
 
 
 def test_validate_walk_each_check():

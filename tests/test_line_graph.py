@@ -2,16 +2,13 @@ import pytest
 
 from pmhgraph.errors import PreconditionError
 from pmhgraph.graph_core import Graph, are_isomorphic, make_named_graph
-from pmhgraph.line_graph import build_line_graph, canonical_partition
+from pmhgraph.line_graph import build_line_graph
 
 
 def test_line_graph_of_path3_is_single_edge():
     lgm = build_line_graph(make_named_graph("path", [3]))
     assert lgm.lg.n == 2 and lgm.lg.edges == frozenset({(0, 1)})
-    cp = canonical_partition(lgm)
-    assert len(cp.cliques) == 1
-    (center, members), = cp.cliques
-    assert center == 1 and members == frozenset({0, 1})
+    assert lgm.centre == {(0, 1): 1}
 
 
 def test_line_graph_vertex_ids_are_dense_edge_ids():
@@ -32,8 +29,10 @@ def test_line_graph_adjacency_is_edge_incidence():
     lgm = build_line_graph(g)
     for a in range(lgm.lg.n):
         for b in range(a + 1, lgm.lg.n):
-            shares = bool(set(lgm.from_lg[a]) & set(lgm.from_lg[b]))
-            assert lgm.lg.has_edge(a, b) == shares
+            shared = set(lgm.from_lg[a]) & set(lgm.from_lg[b])
+            assert lgm.lg.has_edge(a, b) == bool(shared)
+            if shared:
+                assert {lgm.centre[(a, b)]} == shared
 
 
 def test_preconditions():
@@ -44,31 +43,34 @@ def test_preconditions():
 
 
 def test_canonical_partition_partitions_lg_edges():
-    for name, params in [("complete", [4]), ("cube", []), ("bowtie", []),
-                         ("cycle", [4])]:
+    """The clique partition of E(L(G)): each edge of L(G) has one centre,
+    and the d(d-1)/2 edges centred at a base vertex of degree d join the
+    lg vertices of its edges pairwise."""
+    for name, params in [("complete", [4]), ("complete", [5]), ("cube", []),
+                         ("bowtie", []), ("path", [4])]:
         g = make_named_graph(name, params)
         lgm = build_line_graph(g)
-        cp = canonical_partition(lgm)
-        assert [c for c, _m in cp.cliques] == [v for v in range(g.n)
-                                               if g.degree(v) >= 2]
-        covered = []
-        for _center, members in cp.cliques:
-            ms = sorted(members)
-            for i in range(len(ms)):
-                for j in range(i + 1, len(ms)):
-                    assert lgm.lg.has_edge(ms[i], ms[j])  # members form a clique
-                    covered.append((ms[i], ms[j]))
-        assert len(covered) == len(set(covered)) == len(lgm.lg.edges)
-        assert set(covered) == set(lgm.lg.edges)
+        assert set(lgm.centre) == lgm.lg.edges   # keys (a, b), a < b
+        for v in range(g.n):
+            star = sorted(lgm.lg_vertex(v, w) for w in g.adjacency[v])
+            assert {e for e, c in lgm.centre.items() if c == v} == {
+                (a, b) for i, a in enumerate(star) for b in star[i + 1:]}
+
+
+def _centred_at(lgm):
+    """The number of L(G) edges centred at each base vertex."""
+    at = [0] * lgm.base.n
+    for c in lgm.centre.values():
+        at[c] += 1
+    return at
 
 
 def test_subcubic_partition_has_small_cliques():
-    g = make_named_graph("petersen", [])
-    cp = canonical_partition(build_line_graph(g))
-    assert all(len(members) in (2, 3) for _v, members in cp.cliques)
+    # a triangle of 3 edges at every vertex of the cubic Petersen graph
+    at = _centred_at(build_line_graph(make_named_graph("petersen", [])))
+    assert at == [3] * 10
 
 
 def test_c4_partition_contributes_one_edge_per_clique():
-    cp = canonical_partition(build_line_graph(make_named_graph("cycle", [4])))
-    assert len(cp.cliques) == 4
-    assert all(len(members) == 2 for _v, members in cp.cliques)
+    at = _centred_at(build_line_graph(make_named_graph("cycle", [4])))
+    assert at == [1] * 4

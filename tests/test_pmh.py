@@ -9,11 +9,13 @@ from pmhgraph.constructions import prop6_construct
 from pmhgraph.corpus import connected_graphs_upto, connected_subcubic_upto
 from pmhgraph.cycles import (FOUND, closed, find_hamiltonian_cycle,
                              is_arbitrarily_traceable, validate_walk)
-from pmhgraph.errors import ParityError, PreconditionError, StructureError
+from pmhgraph.errors import (ParityError, PreconditionError, StructureError,
+                             WitnessError)
 from pmhgraph.graph_core import Graph, make_named_graph, parse_graph6
-from pmhgraph.line_graph import build_line_graph, canonical_partition
-from pmhgraph.matching import enumerate_perfect_matchings, make_matching
-from pmhgraph.pmh import (EdgeColouring, _checked_extension,
+from pmhgraph.line_graph import build_line_graph
+from pmhgraph.matching import (Matching, enumerate_perfect_matchings,
+                               make_matching, matching_to_p3)
+from pmhgraph.pmh import (EdgeColouring, _cycle_trail, _lay_out,
                           colouring_from_matching,
                           count_pc_hamiltonian_cycles,
                           daykin_hypothesis_holds,
@@ -24,8 +26,7 @@ from pmhgraph.pmh import (EdgeColouring, _checked_extension,
                           extend_via_dominating_cycle,
                           find_pc_hamiltonian_cycle, haggkvist_condition,
                           is_pmh, is_pmh_line, is_properly_coloured,
-                          kotzig_partition, lasvergnas_condition,
-                          stitch_clique_path)
+                          kotzig_partition, lasvergnas_condition)
 
 from conftest import two_squares
 
@@ -46,49 +47,20 @@ def test_is_pmh_verdicts(petersen):
     assert v.searches == v.matchings_tested > 0
 
 
-def _walk_from_trail(lgm, segments, pairs, m):
+def _walk_from_trail(lgm, pairs, m):
     """The hamiltonian cycle of L(G) through m that a trail hit promises,
-    laid out from the trail record alone: the record's (entry, exit) pairs
-    chain the trail's edges into one cycle, and each segment at c is its
-    entry, the entry's partner if centred at c, the off-trail 2-paths at c
-    (in the first segment at c that a 2-path of trail edges does not fill),
-    the exit's partner if centred at c, its exit.  `pairs` are line-graph
-    edges."""
-    def shared(a, b):
-        (c,) = set(lgm.from_lg[a]) & set(lgm.from_lg[b])
-        return c
-
-    on = {x for pair in pairs for x in pair}
-    partner, centre, off = {}, {}, {}
-    for a, b in sorted(m.edges):
-        partner[a], partner[b] = b, a
-        centre[a] = centre[b] = shared(a, b)
-        if a not in on and b not in on:
-            off.setdefault(centre[a], []).extend((a, b))
-    kinds = {"cycle", "tour", "hamiltonian"}
-    if not on:
-        (c,) = segments
-        return closed(off[c], kinds=kinds)
+    laid out from the trail record alone: the record's (entry, exit) pairs,
+    which are line-graph edges, chain the trail's edges into one cycle, and
+    `_lay_out` walks its segments and re-checks the result."""
     nbrs = {}
     for a, b in pairs:
         nbrs.setdefault(a, []).append(b)
         nbrs.setdefault(b, []).append(a)
-    order = [min(on)]
-    while len(order) < len(on):
+    order = [min(nbrs)] if nbrs else []
+    while len(order) < len(nbrs):
         order.append(next(y for y in nbrs[order[-1]]
                           if len(order) < 2 or y != order[-2]))
-    verts = []
-    for entry, exit_ in zip(order, order[1:] + order[:1]):
-        c = shared(entry, exit_)
-        verts.append(entry)
-        if partner[entry] == exit_:
-            continue
-        if centre[entry] == c:
-            verts.append(partner[entry])
-        verts.extend(off.pop(c, ()))
-        if centre[exit_] == c:
-            verts.append(partner[exit_])
-    return closed(verts, kinds=kinds)
+    return _lay_out(lgm, m, order)
 
 
 class _RecordingScan:
@@ -118,8 +90,8 @@ def cross_check(monkeypatch):
     rebuilt by the reference trail builder from the cycles added to it.
     Every matching of L(G) is tested against the trails held when the scan
     reached it: it must be yielded exactly when none fits, and each fit is
-    turned into its cycle by `_walk_from_trail` and re-checked by
-    `_checked_extension`, so no hit goes uncertified."""
+    laid out into its cycle by `_walk_from_trail`, which `_lay_out` re-checks
+    with `_checked_extension`, so no hit goes uncertified."""
     real_scan = _kernel.pm_scan
 
     def check(lgm):
@@ -146,10 +118,9 @@ def cross_check(monkeypatch):
                 break
             chosen = sum(1 << eid[e] for e in m.edges)
             fits = [t for t in trails if purecore._fits(t, chosen, centre)]
-            for _refused, _off, pairs, segments in fits:
+            for _refused, _off, pairs, _segments in fits:
                 pairs = [edges[e] for e in purecore._bits(pairs)]
-                _checked_extension(lgm, m, _walk_from_trail(lgm, segments,
-                                                            pairs, m))
+                _walk_from_trail(lgm, pairs, m)
             if log and log[0][0] == i:
                 _i, pairs, added = log.pop(0)
                 assert not fits and sorted(m.edges) == pairs
@@ -406,23 +377,41 @@ def test_enumerate_hamiltonian_cycles_count():
     assert sum(1 for _ in enumerate_hamiltonian_cycles(c6)) == 1
 
 
-def test_stitch_clique_path():
-    members = frozenset({0, 1, 2, 3, 4, 5})
-    path = stitch_clique_path(members, 0, 5, [(1, 2), (3, 4)])
-    assert path[0] == 0 and path[-1] == 5
-    assert path == [0, 1, 2, 3, 4, 5]
-    # entry matched inside the clique: its edge must come first
-    path = stitch_clique_path(members, 1, 5, [(1, 2), (3, 4)])
-    assert path[:2] == [1, 2]
-    # a lone matching edge joining entry and exit is the whole path ...
-    assert stitch_clique_path(members, 0, 5, [(0, 5)]) == [0, 5]
-    # ... and no path holds it beside another matching edge of the clique
-    with pytest.raises(PreconditionError):
-        stitch_clique_path(members, 0, 5, [(0, 5), (1, 2)])
-    with pytest.raises(PreconditionError):
-        stitch_clique_path(members, 0, 5, [(1, 9)])  # leaves the clique
-    with pytest.raises(PreconditionError):
-        stitch_clique_path(members, 0, 0, [])
+def test_lay_out_along_a_cycle_of_k5():
+    """L(K5) vertex ids: (0,1)=0 (0,2)=1 (0,3)=2 (0,4)=3 (1,2)=4 (1,3)=5
+    (1,4)=6 (2,3)=7 (2,4)=8 (3,4)=9.  The cycle 0-1-2-3-4 enters 0 by 3,
+    1 by 0, 2 by 4, 3 by 7 and 4 by 9."""
+    lgm = build_line_graph(make_named_graph("complete", [5]))
+    trail = _cycle_trail(lgm, closed([0, 1, 2, 3, 4]))
+    assert trail == [3, 0, 4, 7, 9]
+    # at 0 the lone (entry, exit) pair (3, 0) is the whole segment; at 1
+    # the off-trail pair (5, 6) comes in ascending order; at 2 the entry's
+    # partner comes first (4, 1) and the exit's last (8, 7); at 3 the
+    # exit's partner comes before the exit (2, 9)
+    m = make_matching(lgm.lg, [(0, 3), (5, 6), (1, 4), (7, 8), (2, 9)])
+    walk = _lay_out(lgm, m, trail)
+    assert walk.vertices == (3, 0, 5, 6, 4, 1, 8, 7, 2, 9, 3)
+    # pairs written high end first are the same 2-paths
+    flipped = Matching(frozenset((b, a) for a, b in m.edges), m.host_n)
+    assert _lay_out(lgm, flipped, trail) == walk
+    assert extend_matching_complete(5, flipped, lgm).outcome == "found"
+    # the cycle's two edges at 0 paired beside the 2-path (0,2)-(0,3) at 0:
+    # the one segment at 0 is filled, so that 2-path has nowhere to go
+    misfit = make_matching(lgm.lg, [(0, 3), (1, 2), (4, 5), (6, 8), (7, 9)])
+    with pytest.raises(WitnessError):
+        _lay_out(lgm, misfit, trail)
+
+
+def test_matching_pair_that_is_no_line_graph_edge():
+    """On L(K4) the pair (0, 5) joins the base edges (0,1) and (2,3), which
+    share no vertex: every route refuses it before searching."""
+    k4 = make_named_graph("complete", [4])
+    lgm = build_line_graph(k4)
+    m = Matching(frozenset({(0, 5), (1, 4), (2, 3)}), 6)
+    for route in (matching_to_p3, extend_matching_subcubic,
+                  lambda lgm, m: kotzig_partition(k4, m, lgm)):
+        with pytest.raises(PreconditionError, match=r"\(0,5\)"):
+            route(lgm, m)
 
 
 def test_extend_complete():
