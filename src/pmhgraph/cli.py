@@ -38,13 +38,14 @@ from typing import NamedTuple
 
 import click
 
+from . import _kernel
 from .constructions import prop6_construct, y_extension, y_reduction
 from .cycles import (ABSENT, FOUND, INCONCLUSIVE, CycleWalk, euler_tour,
                      find_dominating_cycle, find_hamiltonian_cycle,
                      is_arbitrarily_traceable, is_hypohamiltonian,
                      longest_cycle_search, validate_walk)
-from .errors import (BudgetError, ParameterError, PmhError,
-                     PreconditionError, StructureError, WitnessError)
+from .errors import (BudgetError, CapacityError, FormatError,
+                     ParameterError, PmhError, StructureError, WitnessError)
 from .graph_core import (Graph, generator_tags, make_named_graph,
                          parse_graph6, write_graph6)
 from .line_graph import build_line_graph
@@ -110,22 +111,28 @@ class _Line(NamedTuple):
     """What a command body computed for one input graph."""
 
     verdict: dict
-    witness: object = None    # JSON data; a _Walk anywhere a walk goes
+    witness: object = None    # JSON data; a walk is a _Walk, as the
+                              # witness or as a value of a witness dict
     nodes: int = 0
     outcome: str | None = None
 
 
+def _walk_json(witness):
+    """A _Walk as JSON once it passes its re-check; other data as it is."""
+    if not isinstance(witness, _Walk):
+        return witness
+    walk = witness.walk
+    if not (validate_walk(witness.host, walk)
+            and walk.contains_edges(witness.required)):
+        raise WitnessError(f"witness walk {list(walk.vertices)} fails "
+                           f"its re-check")
+    return {"vertices": list(walk.vertices), "kinds": sorted(walk.kinds)}
+
+
 def _witness_json(witness):
-    if isinstance(witness, _Walk):
-        walk = witness.walk
-        if not (validate_walk(witness.host, walk)
-                and walk.contains_edges(witness.required)):
-            raise WitnessError(f"witness walk {list(walk.vertices)} fails "
-                               f"its re-check")
-        return {"vertices": list(walk.vertices), "kinds": sorted(walk.kinds)}
     if isinstance(witness, dict):
-        return {k: _witness_json(v) for k, v in witness.items()}
-    return witness
+        return {k: _walk_json(v) for k, v in witness.items()}
+    return _walk_json(witness)
 
 
 def _read_graphs(stream):
@@ -272,18 +279,12 @@ def _extend(g, o):
     """Extend a perfect matching of the line graph of the input base graph."""
     lgm = build_line_graph(g)
     m = make_matching(lgm.lg, o.matching)
-    if o.method == "subcubic":
-        res = extend_matching_subcubic(lgm, m, max_nodes=o.max_nodes)
-    elif o.method == "complete":
-        res = extend_matching_complete(g.n, m, lgm, max_nodes=o.max_nodes)
-    elif o.method == "bipartite":
-        res = extend_matching_bipartite(g.n // 2, m, lgm, max_nodes=o.max_nodes)
-    else:
-        if o.origin is None:
-            raise PreconditionError("arbtrace needs --from <vertex>")
-        res = extend_matching_arb_traceable(lgm, o.origin, m,
-                                            max_nodes=o.max_nodes)
-    return _search_line(res, lgm.lg, m.edges, method=o.method)
+    route = {"subcubic": extend_matching_subcubic,
+             "complete": extend_matching_complete,
+             "bipartite": extend_matching_bipartite,
+             "arbtrace": extend_matching_arb_traceable}[o.method]
+    return _search_line(route(lgm, m, max_nodes=o.max_nodes), lgm.lg, m.edges,
+                        method=o.method)
 
 
 def _kotzig(g, o):
@@ -291,7 +292,7 @@ def _kotzig(g, o):
     hamiltonian base, the first containing the matching."""
     lgm = build_line_graph(g)
     m = make_matching(lgm.lg, o.matching)
-    h1, h2, nodes = kotzig_partition(g, m, lgm, max_nodes=o.max_nodes)
+    h1, h2, nodes = kotzig_partition(lgm, m, max_nodes=o.max_nodes)
     return _Line({"outcome": FOUND},
                  {"containing": _Walk(h1, lgm.lg, m.edges),
                   "complement": _Walk(h2, lgm.lg)}, nodes)
@@ -397,10 +398,7 @@ _COMMANDS = {
         click.option("--method", required=True,
                      type=click.Choice(["subcubic", "complete", "bipartite",
                                         "arbtrace"])),
-        _MATCHING,
-        click.option("--from", "origin", type=int, default=None,
-                     help="traceable vertex (arbtrace method)"),
-        *_SEARCH)),
+        _MATCHING, *_SEARCH)),
     "kotzig": (_kotzig, (_MATCHING, *_SEARCH)),
     "construct.yext": (_yext, (
         click.option("--at", "vertex", type=int, required=True),)),
@@ -483,7 +481,9 @@ def gen(name, params):
 
 def _candidate(g, problem, max_nodes):
     """FOUND when g passes the problem's filter, ABSENT when it does not,
-    INCONCLUSIVE when the budget stopped its hamiltonicity search."""
+    INCONCLUSIVE when the budget stopped its hamiltonicity search.  Raises
+    CapacityError, before any search, when g or its line graph (one vertex
+    per edge of g) is above the search bound."""
     if len(g.edges) % 2 or g.n < 3 or not g.is_connected():
         return ABSENT
     degrees = {g.degree(v) for v in range(g.n)}
@@ -491,6 +491,9 @@ def _candidate(g, problem, max_nodes):
             or problem == "p2" and any(d % 2 for d in degrees)
             or problem == "maxdeg4" and max(degrees) != 4):
         return ABSENT
+    if max(g.n, len(g.edges)) > _kernel.MAX_VERTICES:
+        raise CapacityError(f"{g.n} vertices and {len(g.edges)} edges, above "
+                            f"the search bound {_kernel.MAX_VERTICES}")
     return find_hamiltonian_cycle(g, max_nodes=max_nodes).outcome
 
 
@@ -577,14 +580,14 @@ def survey(corpus, problem, journal_path, jobs, max_nodes, timeout_seconds):
                 continue
             try:
                 g = parse_graph6(raw)
-            except PmhError as exc:
+                if raw in seen:
+                    continue
+                seen.add(raw)
+                passes = _candidate(g, problem, max_nodes)
+            except (FormatError, CapacityError) as exc:
                 click.echo(f"warning: skipping corpus line: {exc}", err=True)
                 warnings += 1
                 continue
-            if raw in seen:
-                continue
-            seen.add(raw)
-            passes = _candidate(g, problem, max_nodes)
             if passes == ABSENT:
                 filtered_out += 1
             elif passes == INCONCLUSIVE:

@@ -11,8 +11,9 @@ from dataclasses import dataclass
 from .cycles import is_hypohamiltonian
 from .errors import ParityError, PreconditionError, StructureError
 from .graph_core import Graph, are_isomorphic
-from .line_graph import build_line_graph
-from .matching import Matching, matching_to_p3
+from .line_graph import LineGraphMap
+from .matching import Matching
+from .pmh import _matching_centers
 
 
 @dataclass(frozen=True)
@@ -111,16 +112,16 @@ def prop6_construct(g: Graph, keep, max_nodes=0):
     return cur, keep, triangle_map
 
 
-def remark1_reduction(g: Graph, m: Matching):
-    """Compute L(g) - m for cubic g, contract the triangle of every base
-    vertex at which no matching edge is centred, and report whether the
+def remark1_reduction(lgm: LineGraphMap, m: Matching):
+    """Compute L(g) - m for a cubic base g, contract the triangle of every
+    base vertex at which no matching edge is centred, and report whether the
     result is isomorphic to g."""
+    g = lgm.base
     if any(g.degree(v) != 3 for v in range(g.n)):
         raise PreconditionError("base must be cubic")
     if len(g.edges) % 2:
         raise ParityError("even base size required (L(g) needs a perfect matching)")
-    lgm = build_line_graph(g)
-    centres = {c for c, _pair in matching_to_p3(lgm, m).paths}
+    centres = _matching_centers(lgm, m)
     residual = Graph.from_edges(lgm.lg.n, set(lgm.lg.edges) - set(m.edges))
     # matching-free triangles are pairwise disjoint, so contract in any
     # order; track relabeling as we go

@@ -348,27 +348,21 @@ def euler_tour(g: Graph):
         return None
     if not g.edges:
         return closed([0], kinds={"tour", "euler"})
-    remaining = {v: list(g.adjacency[v]) for v in range(g.n)}
+    # nbrs[u] yields the neighbours of u not yet tried, smallest first
+    nbrs = [iter(a) for a in g.adjacency]
     used = set()
-    start = next(v for v in range(g.n) if g.degree(v) > 0)
-    stack = [start]
+    stack = [next(v for v in range(g.n) if g.degree(v) > 0)]
     out = []
     while stack:
         u = stack[-1]
-        found = None
-        while remaining[u]:
-            w = remaining[u][0]
-            e = (min(u, w), max(u, w), )
-            if e in used:
-                remaining[u].pop(0)
-                continue
-            found = w
-            break
-        if found is None:
-            out.append(stack.pop())
+        for w in nbrs[u]:
+            e = (u, w) if u < w else (w, u)
+            if e not in used:
+                used.add(e)
+                stack.append(w)
+                break
         else:
-            used.add((min(u, found), max(u, found)))
-            stack.append(found)
+            out.append(stack.pop())
     out.reverse()
     walk = closed(out, kinds={"tour", "euler"})
     if not validate_walk(g, walk):

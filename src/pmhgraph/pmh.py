@@ -6,6 +6,11 @@ properly-coloured-cycle pipeline for complete and balanced complete
 bipartite bases, the constrained-Euler-tour extension for arbitrarily
 traceable bases, the Ore-type sufficient-condition predicates, and the
 brute-force extendability oracle used to cross-validate everything.
+
+The four matching routes and `kotzig_partition` take `(lgm, m, max_nodes)`
+and read what they need off the base `lgm.base`.  Each finds a closed trail
+of the base that the perfect matching m of L(G) fits, and `_lay_out` turns
+that trail into a hamiltonian cycle of L(G) through m.
 """
 
 from __future__ import annotations
@@ -14,13 +19,13 @@ from dataclasses import dataclass
 
 from . import _kernel
 from .cycles import (ABSENT, FOUND, INCONCLUSIVE, CycleWalk, SearchResult,
-                     _hamiltonian_search, closed, euler_tour,
+                     _check_size, _hamiltonian_search, closed, euler_tour,
                      find_dominating_cycle, find_hamiltonian_cycle,
                      is_arbitrarily_traceable, validate_walk)
 from .errors import (BudgetError, ParityError, PreconditionError,
                      StructureError, WitnessError)
-from .graph_core import Graph, make_named_graph
-from .line_graph import LineGraphMap, build_line_graph
+from .graph_core import Graph
+from .line_graph import LineGraphMap
 from .matching import (Matching, enumerate_perfect_matchings, matching_to_p3)
 
 
@@ -37,7 +42,6 @@ class EdgeColouring:
 @dataclass(frozen=True)
 class PmhVerdict:
     status: str               # pmh / not_pmh / inconclusive
-    vacuous: bool = False
     witness: Matching | None = None
     matchings_tested: int = 0
     nodes: int = 0
@@ -46,6 +50,11 @@ class PmhVerdict:
     @property
     def is_pmh(self):
         return self.status == "pmh"
+
+    @property
+    def vacuous(self):
+        """PMH because the graph has no perfect matching to test."""
+        return self.status == "pmh" and self.matchings_tested == 0
 
 
 # ---------------------------------------------------------------------------
@@ -69,8 +78,6 @@ def is_pmh(h: Graph, max_nodes=0) -> PmhVerdict:
                               nodes=nodes, searches=tested)
         if res.outcome == INCONCLUSIVE:
             inconclusive = True
-    if tested == 0:
-        return PmhVerdict("pmh", vacuous=True)
     if inconclusive:
         return PmhVerdict("inconclusive", matchings_tested=tested, nodes=nodes,
                           searches=tested)
@@ -101,6 +108,7 @@ def is_pmh_line(lgm: LineGraphMap, max_nodes=0) -> PmhVerdict:
     one, a hit stays certified, so `is_pmh`'s "inconclusive" can be "pmh".
     """
     h = lgm.lg
+    _check_size(h)
     scan = _kernel.pm_scan(h.adjacency, _centres(lgm))
     searches = nodes = 0
     inconclusive = False
@@ -117,8 +125,6 @@ def is_pmh_line(lgm: LineGraphMap, max_nodes=0) -> PmhVerdict:
         elif not scan.add(res.walk.vertices):
             raise WitnessError(f"the trail of cycle {res.walk.vertices} "
                                f"does not fit its own matching")
-    if scan.tested == 0:
-        return PmhVerdict("pmh", vacuous=True)
     status = "inconclusive" if inconclusive else "pmh"
     return PmhVerdict(status, matchings_tested=scan.tested, nodes=nodes,
                       searches=searches)
@@ -133,13 +139,6 @@ def _matching_centers(lgm: LineGraphMap, m: Matching):
     PreconditionError (via matching_to_p3) unless m is a perfect matching of
     the line graph."""
     return {c for c, _pair in matching_to_p3(lgm, m).paths}
-
-
-def _checked_extension(lgm: LineGraphMap, m: Matching, walk: CycleWalk):
-    if not (validate_walk(lgm.lg, walk) and walk.contains_edges(m.edges)):
-        raise WitnessError(f"constructed walk {walk.vertices} is not a "
-                           f"hamiltonian cycle through the matching")
-    return walk
 
 
 def _lay_out(lgm: LineGraphMap, m: Matching, trail) -> CycleWalk:
@@ -174,7 +173,10 @@ def _lay_out(lgm: LineGraphMap, m: Matching, trail) -> CycleWalk:
         if at[exit_] == c:
             verts.append(partner[exit_])
     walk = closed(verts, kinds={"cycle", "tour", "hamiltonian"})
-    return _checked_extension(lgm, m, walk)
+    if not (validate_walk(lgm.lg, walk) and walk.contains_edges(m.edges)):
+        raise WitnessError(f"constructed walk {walk.vertices} is not a "
+                           f"hamiltonian cycle through the matching")
+    return walk
 
 
 def _cycle_trail(lgm: LineGraphMap, cycle: CycleWalk):
@@ -229,20 +231,16 @@ def extend_matching_subcubic(lgm: LineGraphMap, m: Matching,
     return SearchResult(FOUND, walk, res.nodes)
 
 
-def kotzig_partition(g: Graph, m: Matching, lgm: LineGraphMap | None = None,
-                     max_nodes=0):
-    """For cubic hamiltonian g: two edge-disjoint hamiltonian cycles of L(g)
-    covering E(L(g)), the first containing m, and the node count of the
-    search for a hamiltonian cycle of g, as (h1, h2, nodes).  Raises
+def kotzig_partition(lgm: LineGraphMap, m: Matching, max_nodes=0):
+    """For a cubic hamiltonian base g: two edge-disjoint hamiltonian cycles
+    of L(g) covering E(L(g)), the first containing m, and the node count of
+    the search for a hamiltonian cycle of g, as (h1, h2, nodes).  Raises
     BudgetError when `max_nodes` stops that search."""
+    g = lgm.base
     if any(g.degree(v) != 3 for v in range(g.n)):
         raise PreconditionError("kotzig partition requires a cubic base")
     if len(g.edges) % 2:
         raise ParityError("kotzig partition requires even base size")
-    if lgm is None:
-        lgm = build_line_graph(g)
-    elif lgm.base != g:
-        raise PreconditionError("lgm is not the line graph of the base graph")
     centers = _matching_centers(lgm, m)  # m must be perfect before any search
     res = find_hamiltonian_cycle(g, max_nodes=max_nodes)
     if res.outcome == INCONCLUSIVE:
@@ -393,16 +391,15 @@ def _extend_via_pc_search(lgm: LineGraphMap, m: Matching,
     return SearchResult(FOUND, walk, pc.nodes)
 
 
-def extend_matching_complete(n, m: Matching, lgm: LineGraphMap | None = None,
+def extend_matching_complete(lgm: LineGraphMap, m: Matching,
                              max_nodes=0) -> SearchResult:
     """Extend a perfect matching of L(K_n), n = 0 or 1 mod 4, to a
     hamiltonian cycle via a properly coloured hamiltonian cycle of K_n.
     A search stopped by `max_nodes` is inconclusive."""
+    n = lgm.base.n
     if n % 4 not in (0, 1):
         raise ParityError(f"K_{n} has an odd number of edges; no perfect matching")
-    if lgm is None:
-        lgm = build_line_graph(make_named_graph("complete", [n]))
-    elif lgm.base.n != n or len(lgm.base.edges) != n * (n - 1) // 2:
+    if len(lgm.base.edges) != n * (n - 1) // 2:
         raise PreconditionError(f"base graph is not K_{n}")
     if n == 4:
         return extend_matching_subcubic(lgm, m, max_nodes=max_nodes)
@@ -413,25 +410,23 @@ def extend_matching_complete(n, m: Matching, lgm: LineGraphMap | None = None,
     return res
 
 
-def extend_matching_bipartite(m_side, m: Matching,
-                              lgm: LineGraphMap | None = None,
+def extend_matching_bipartite(lgm: LineGraphMap, m: Matching,
                               max_nodes=0) -> SearchResult:
-    """Same pipeline on K_{m,m}.  The properly-coloured-cycle guarantee only
-    kicks in for m >= 50, so at desk scale a failed search is reported as
-    inconclusive, never as non-extendable."""
-    if m_side % 2:
-        raise ParityError(f"K_{{{m_side},{m_side}}} has an odd number of edges")
-    if lgm is None:
-        lgm = build_line_graph(make_named_graph("bipartite", [m_side, m_side]))
-    # A bipartite graph on 2m vertices has at most m * m edges, and only
-    # K_{m,m} reaches that.
-    elif (lgm.base.n != 2 * m_side or len(lgm.base.edges) != m_side * m_side
-          or _bipartition(lgm.base) is None):
-        raise PreconditionError(f"base graph is not K_{{{m_side},{m_side}}}")
-    if m_side <= 3:
+    """Same pipeline on K_{k,k}, k = n/2.  The properly-coloured-cycle
+    guarantee only kicks in for k >= 50, so at desk scale a failed search is
+    reported as inconclusive, never as non-extendable."""
+    g = lgm.base
+    k = g.n // 2
+    if k % 2:
+        raise ParityError(f"K_{{{k},{k}}} has an odd number of edges")
+    # A bipartite graph on 2k vertices has at most k * k edges, and only
+    # K_{k,k} reaches that.
+    if g.n != 2 * k or len(g.edges) != k * k or _bipartition(g) is None:
+        raise PreconditionError(f"base graph is not K_{{{k},{k}}}")
+    if k <= 3:
         return extend_matching_subcubic(lgm, m, max_nodes=max_nodes)
     res = _extend_via_pc_search(lgm, m, max_nodes)
-    # absence of a PC cycle below the m >= 50 regime proves nothing
+    # absence of a PC cycle below the k >= 50 regime proves nothing
     if res.outcome == ABSENT:
         return SearchResult(INCONCLUSIVE, None, res.nodes)
     return res
@@ -441,11 +436,13 @@ def extend_matching_bipartite(m_side, m: Matching,
 # Arbitrarily traceable bases: constrained Euler tour
 
 
-def extend_matching_arb_traceable(lgm: LineGraphMap, v, m: Matching,
+def extend_matching_arb_traceable(lgm: LineGraphMap, m: Matching,
                                   max_nodes=0) -> SearchResult:
-    """Euler tour of the base in which the two edges of every 3-path are
-    consecutive; read as a vertex sequence of the line graph it is a
-    hamiltonian cycle containing the matching.
+    """For a base arbitrarily traceable from some vertex: an Euler tour of
+    the base in which the two edges of every 3-path are consecutive.  It is
+    a closed trail of the base whose segments are single (entry, exit)
+    pairs, so `_lay_out` reads it edge by edge as a hamiltonian cycle of
+    the line graph containing the matching.
 
     Such tours are the Euler tours of the split graph: one vertex per 3-path
     of m's decomposition, one per base vertex that ends some 3-path, and for
@@ -459,8 +456,9 @@ def extend_matching_arb_traceable(lgm: LineGraphMap, v, m: Matching,
     non-extendable in the line graph.  The tour takes one node per base
     edge; a `max_nodes` below that is inconclusive."""
     g = lgm.base
-    if not is_arbitrarily_traceable(g, v):
-        raise PreconditionError(f"base is not arbitrarily traceable from {v}")
+    if not any(is_arbitrarily_traceable(g, v) for v in range(g.n)):
+        raise PreconditionError("base is not arbitrarily traceable from "
+                                "any vertex")
     if len(g.edges) % 2:
         raise ParityError("even base size required")
     paths = matching_to_p3(lgm, m).paths
@@ -476,9 +474,8 @@ def extend_matching_arb_traceable(lgm: LineGraphMap, v, m: Matching,
         return SearchResult(ABSENT, None, 0)
     if max_nodes and max_nodes < len(g.edges):
         return SearchResult(INCONCLUSIVE, None, 0)
-    walk = closed([step[e] for e in euler_tour(split).edge_seq],
-                  kinds={"cycle", "tour", "hamiltonian"})
-    return SearchResult(FOUND, _checked_extension(lgm, m, walk), len(g.edges))
+    trail = [step[e] for e in euler_tour(split).edge_seq]
+    return SearchResult(FOUND, _lay_out(lgm, m, trail), len(g.edges))
 
 
 # ---------------------------------------------------------------------------

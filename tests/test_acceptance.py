@@ -66,7 +66,7 @@ def test_criterion_03_k5_pipeline():
         count += 1
         c = colouring_from_matching(lgm, m)
         assert count_pc_hamiltonian_cycles(k5, c, limit=2) >= 2
-        walk = extend_matching_complete(5, m, lgm).walk
+        walk = extend_matching_complete(lgm, m).walk
         assert validate_walk(lgm.lg, walk) and walk.contains_edges(m.edges)
     assert count == 144
     assert is_pmh(lgm.lg).is_pmh
@@ -97,7 +97,7 @@ def test_criterion_05_two_cycle_partition_cubic_hamiltonian():
         lgm = build_line_graph(g)
         count = 0
         for m in enumerate_perfect_matchings(lgm.lg):
-            h1, h2, _nodes = kotzig_partition(g, m, lgm)
+            h1, h2, _nodes = kotzig_partition(lgm, m)
             assert h1.contains_edges(m.edges)
             e1, e2 = set(h1.edge_seq), set(h2.edge_seq)
             assert e1.isdisjoint(e2) and e1 | e2 == set(lgm.lg.edges)
@@ -155,7 +155,7 @@ def test_criterion_09_constrained_tour_matches_oracle():
     lgm = build_line_graph(bow)
     assert is_arbitrarily_traceable(bow, 2)
     for m in enumerate_perfect_matchings(lgm.lg):
-        res = extend_matching_arb_traceable(lgm, 2, m)
+        res = extend_matching_arb_traceable(lgm, m)
         oracle = find_hamiltonian_cycle(lgm.lg, forced=sorted(m.edges))
         assert res.outcome == oracle.outcome == "found"
         assert res.walk.contains_edges(m.edges)
@@ -165,7 +165,7 @@ def test_criterion_09_constrained_tour_matches_oracle():
     assert is_arbitrarily_traceable(sq, 0)
     outcomes = []
     for m in enumerate_perfect_matchings(lgm.lg):
-        res = extend_matching_arb_traceable(lgm, 0, m)
+        res = extend_matching_arb_traceable(lgm, m)
         oracle = find_hamiltonian_cycle(lgm.lg, forced=sorted(m.edges))
         assert res.outcome == oracle.outcome
         if res.walk is not None:
@@ -185,7 +185,7 @@ def test_criterion_09_two_squares_universal_extension_refuted():
     sq = two_squares()
     lgm = build_line_graph(sq)
     for m in enumerate_perfect_matchings(lgm.lg):
-        assert extend_matching_arb_traceable(lgm, 0, m).outcome == "found"
+        assert extend_matching_arb_traceable(lgm, m).outcome == "found"
 
 
 def test_criterion_10_reduction_reconstructs_base():
@@ -193,9 +193,10 @@ def test_criterion_10_reduction_reconstructs_base():
     for name, params in [("complete", [4]), ("prism", []), ("cube", [])]:
         g = make_named_graph(name, params)
         count = 0
+        lgm = build_line_graph(g)
         if len(g.edges) % 2 == 0:
-            for m in enumerate_perfect_matchings(build_line_graph(g).lg):
-                _reduced, same = remark1_reduction(g, m)
+            for m in enumerate_perfect_matchings(lgm.lg):
+                _reduced, same = remark1_reduction(lgm, m)
                 assert same
                 count += 1
         nonvacuous[name] = count
@@ -239,7 +240,7 @@ def test_criterion_12_bipartite_pipeline_at_desk_scale():
     lgm = build_line_graph(make_named_graph("bipartite", [2, 2]))
     count = 0
     for m in enumerate_perfect_matchings(lgm.lg):
-        res = extend_matching_bipartite(2, m, lgm)
+        res = extend_matching_bipartite(lgm, m)
         assert res.outcome == "found"
         assert validate_walk(lgm.lg, res.walk)
         assert res.walk.contains_edges(m.edges)
@@ -249,7 +250,7 @@ def test_criterion_12_bipartite_pipeline_at_desk_scale():
     lgm = build_line_graph(make_named_graph("bipartite", [4, 4]))
     sampled = 0
     for m in islice(enumerate_perfect_matchings(lgm.lg), 120):
-        res = extend_matching_bipartite(4, m, lgm)
+        res = extend_matching_bipartite(lgm, m)
         assert res.outcome in ("found", "inconclusive")  # never invalid
         if res.outcome == "found":
             assert validate_walk(lgm.lg, res.walk)

@@ -13,6 +13,7 @@ import pmhgraph
 from pmhgraph import cli
 from pmhgraph.cli import main
 from pmhgraph.cycles import closed, find_hamiltonian_cycle, validate_walk
+from pmhgraph.errors import CapacityError
 from pmhgraph._kernel import MAX_VERTICES
 from pmhgraph.graph_core import (Graph, make_named_graph, parse_graph6,
                                  write_graph6)
@@ -285,6 +286,42 @@ def test_survey_filters(tmp_path):
     assert summary["tested"] == 0 and summary["filtered_out"] == 3
 
 
+def _circulant(n, *steps):
+    return Graph.from_edges(n, [(min(i, (i + s) % n), max(i, (i + s) % n))
+                                for i in range(n) for s in steps])
+
+
+def test_candidate_refuses_a_graph_or_line_graph_above_the_bound():
+    """Before any search: a 16,385-vertex tree of maximum degree 4 has only
+    16,384 edges, and C_8200(1,2) has 16,400 edges on 8,200 vertices."""
+    n = MAX_VERTICES + 1
+    spider = Graph.from_edges(n, [(0, 1), (0, 2), (0, 3), (0, 4)]
+                              + [(i, i + 4) for i in range(1, n - 4)])
+    assert len(spider.edges) == MAX_VERTICES
+    with pytest.raises(CapacityError, match=f"{n} vertices"):
+        cli._candidate(spider, "maxdeg4", 0)
+    with pytest.raises(CapacityError, match="16400 edges"):
+        cli._candidate(_circulant(8200, 1, 2), "p2", 0)
+
+
+def test_survey_skips_a_graph_above_the_bound(tmp_path):
+    """C_16386 and C_8200(1,2) pass the p2 filter; each is one warning line,
+    and the other corpus lines still get their verdicts."""
+    corpus = tmp_path / "corpus.g6"
+    corpus.write_text("\n".join([write_graph6(_circulant(16386, 1)),
+                                 write_graph6(_circulant(8200, 1, 2)),
+                                 g6("octahedron")]) + "\n")
+    res = CliRunner().invoke(main, ["survey", str(corpus), "--problem", "p2",
+                                    "--journal", str(tmp_path / "j.jsonl")],
+                             catch_exceptions=False)
+    assert res.exit_code == 0 and "Traceback" not in res.output
+    assert [line.startswith("warning: skipping corpus line: ")
+            for line in res.stderr.splitlines()] == [True, True]
+    summary = json.loads(res.stdout)
+    assert (summary["warnings"], summary["tested"],
+            summary["filtered_out"]) == (2, 1, 0)
+
+
 def matching_file(tmp_path, name, params=(), index=0):
     lgm = build_line_graph(make_named_graph(name, list(params)))
     ms = list(enumerate_perfect_matchings(lgm.lg))
@@ -309,7 +346,7 @@ BUDGETED = {
                            ("complete", (5,)), True),
     "extend bipartite": (["extend", "--method", "bipartite"],
                          ("bipartite", (4, 4)), True),
-    "extend arbtrace": (["extend", "--method", "arbtrace", "--from", "2"],
+    "extend arbtrace": (["extend", "--method", "arbtrace"],
                         ("bowtie", ()), True),
     "kotzig": (["kotzig"], ("complete", (4,)), True),
     "construct prop6": (["construct", "prop6", "--keep", "0"],
@@ -446,6 +483,8 @@ BAD_INPUTS = {
                                     "--journal", "{tmp}/none/j.jsonl"], {}),
     "extend without --method": (["extend", "--matching",
                                  "{tmp}/complete.json"], {}),
+    "extend --from": (["extend", "--method", "arbtrace", "--matching",
+                       "{tmp}/complete.json", "--from", "2"], {}),
     "survey no jobs": (["survey", "{tmp}/c.g6", "--problem", "p2",
                         "--journal", "{tmp}/j.jsonl", "--jobs", "0"], {}),
     "survey negative jobs": (["survey", "{tmp}/c.g6", "--problem", "p2",

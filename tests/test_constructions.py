@@ -64,8 +64,9 @@ def test_prop6_preconditions():
 
 def test_remark1_reduction():
     g = make_named_graph("complete", [4])
-    for m in enumerate_perfect_matchings(build_line_graph(g).lg):
-        reduced, same = remark1_reduction(g, m)
+    lgm = build_line_graph(g)
+    for m in enumerate_perfect_matchings(lgm.lg):
+        reduced, same = remark1_reduction(lgm, m)
         assert same and are_isomorphic(reduced, g)
 
 
@@ -73,6 +74,8 @@ def test_remark1_preconditions():
     lgm = build_line_graph(make_named_graph("cube", []))
     m = next(enumerate_perfect_matchings(lgm.lg))
     with pytest.raises(PreconditionError):
-        remark1_reduction(make_named_graph("cycle", [6]), m)  # not cubic
+        remark1_reduction(build_line_graph(make_named_graph("cycle", [6])),
+                          m)  # not cubic
     with pytest.raises(ParityError):
-        remark1_reduction(make_named_graph("prism", []), m)   # odd size
+        remark1_reduction(build_line_graph(make_named_graph("prism", [])),
+                          m)  # odd size

@@ -5,12 +5,12 @@ import pytest
 from pmhgraph import _kernel, pmh
 from pmhgraph._kernel import purecore
 from pmhgraph.cli import _candidate
-from pmhgraph.constructions import prop6_construct
+from pmhgraph.constructions import prop6_construct, remark1_reduction
 from pmhgraph.corpus import connected_graphs_upto, connected_subcubic_upto
 from pmhgraph.cycles import (FOUND, closed, find_hamiltonian_cycle,
                              is_arbitrarily_traceable, validate_walk)
-from pmhgraph.errors import (ParityError, PreconditionError, StructureError,
-                             WitnessError)
+from pmhgraph.errors import (CapacityError, ParityError, PreconditionError,
+                             StructureError, WitnessError)
 from pmhgraph.graph_core import Graph, make_named_graph, parse_graph6
 from pmhgraph.line_graph import build_line_graph
 from pmhgraph.matching import (Matching, enumerate_perfect_matchings,
@@ -90,8 +90,8 @@ def cross_check(monkeypatch):
     rebuilt by the reference trail builder from the cycles added to it.
     Every matching of L(G) is tested against the trails held when the scan
     reached it: it must be yielded exactly when none fits, and each fit is
-    laid out into its cycle by `_walk_from_trail`, which `_lay_out` re-checks
-    with `_checked_extension`, so no hit goes uncertified."""
+    laid out into its cycle by `_walk_from_trail`, whose `_lay_out` re-checks
+    the cycle, so no hit goes uncertified."""
     real_scan = _kernel.pm_scan
 
     def check(lgm):
@@ -185,6 +185,15 @@ def test_is_pmh_line_on_coxeter():
     assert v.searches == 16 and v.nodes < 10_211_097
 
 
+def test_is_pmh_line_refuses_a_graph_above_the_kernel_bound():
+    """L(C_n) is C_n; above the bound the scan is refused like any search."""
+    n = _kernel.MAX_VERTICES + 1
+    lgm = build_line_graph(Graph.from_edges(n, [(i, (i + 1) % n)
+                                                for i in range(n)]))
+    with pytest.raises(CapacityError, match=f"{n} vertices"):
+        is_pmh_line(lgm)
+
+
 def test_is_pmh_line_caches_no_trail_under_a_spent_budget():
     lgm = build_line_graph(make_named_graph("complete", [4]))
     v = is_pmh_line(lgm, max_nodes=1)
@@ -267,7 +276,7 @@ def test_kotzig_partition_properties():
         g = make_named_graph(name, [4] if name == "complete" else [])
         lgm = build_line_graph(g)
         for m in enumerate_perfect_matchings(lgm.lg):
-            h1, h2, nodes = kotzig_partition(g, m, lgm)
+            h1, h2, nodes = kotzig_partition(lgm, m)
             assert nodes == find_hamiltonian_cycle(g).nodes > 0
             assert validate_walk(lgm.lg, h1) and validate_walk(lgm.lg, h2)
             assert h1.contains_edges(m.edges)
@@ -279,11 +288,11 @@ def test_kotzig_preconditions(petersen):
     lgm = build_line_graph(make_named_graph("cube", []))
     m = next(enumerate_perfect_matchings(lgm.lg))
     with pytest.raises(ParityError):
-        kotzig_partition(make_named_graph("prism", []), m)  # odd size
+        kotzig_partition(build_line_graph(make_named_graph("prism", [])),
+                         m)  # odd size
     with pytest.raises(PreconditionError):
-        kotzig_partition(make_named_graph("cycle", [6]), m)  # not cubic
-    with pytest.raises(PreconditionError, match="not the line graph"):
-        kotzig_partition(make_named_graph("complete", [4]), m, lgm)
+        kotzig_partition(build_line_graph(make_named_graph("cycle", [6])),
+                         m)  # not cubic
 
 
 def test_colouring_from_matching():
@@ -394,7 +403,7 @@ def test_lay_out_along_a_cycle_of_k5():
     # pairs written high end first are the same 2-paths
     flipped = Matching(frozenset((b, a) for a, b in m.edges), m.host_n)
     assert _lay_out(lgm, flipped, trail) == walk
-    assert extend_matching_complete(5, flipped, lgm).outcome == "found"
+    assert extend_matching_complete(lgm, flipped).outcome == "found"
     # the cycle's two edges at 0 paired beside the 2-path (0,2)-(0,3) at 0:
     # the one segment at 0 is filled, so that 2-path has nowhere to go
     misfit = make_matching(lgm.lg, [(0, 3), (1, 2), (4, 5), (6, 8), (7, 9)])
@@ -405,11 +414,11 @@ def test_lay_out_along_a_cycle_of_k5():
 def test_matching_pair_that_is_no_line_graph_edge():
     """On L(K4) the pair (0, 5) joins the base edges (0,1) and (2,3), which
     share no vertex: every route refuses it before searching."""
-    k4 = make_named_graph("complete", [4])
-    lgm = build_line_graph(k4)
+    lgm = build_line_graph(make_named_graph("complete", [4]))
     m = Matching(frozenset({(0, 5), (1, 4), (2, 3)}), 6)
     for route in (matching_to_p3, extend_matching_subcubic,
-                  lambda lgm, m: kotzig_partition(k4, m, lgm)):
+                  extend_matching_complete, kotzig_partition,
+                  remark1_reduction):
         with pytest.raises(PreconditionError, match=r"\(0,5\)"):
             route(lgm, m)
 
@@ -417,28 +426,30 @@ def test_matching_pair_that_is_no_line_graph_edge():
 def test_extend_complete():
     lgm = build_line_graph(make_named_graph("complete", [5]))
     for m in enumerate_perfect_matchings(lgm.lg):
-        walk = extend_matching_complete(5, m, lgm).walk
+        walk = extend_matching_complete(lgm, m).walk
         assert validate_walk(lgm.lg, walk) and walk.contains_edges(m.edges)
         break
     with pytest.raises(ParityError):
-        extend_matching_complete(6, m)
+        extend_matching_complete(
+            build_line_graph(make_named_graph("complete", [6])), m)
     # the base must be K_n itself: K_5 minus an edge is refused
     k5_minus = Graph.from_edges(5, set(lgm.base.edges) - {(0, 1)})
     with pytest.raises(PreconditionError):
-        extend_matching_complete(5, m, build_line_graph(k5_minus))
+        extend_matching_complete(build_line_graph(k5_minus), m)
 
 
 def test_extend_bipartite():
     lgm = build_line_graph(make_named_graph("bipartite", [2, 2]))
     for m in enumerate_perfect_matchings(lgm.lg):
-        res = extend_matching_bipartite(2, m, lgm)
+        res = extend_matching_bipartite(lgm, m)
         assert res and res.walk.contains_edges(m.edges)
     with pytest.raises(ParityError):
-        extend_matching_bipartite(3, m)
+        extend_matching_bipartite(
+            build_line_graph(make_named_graph("bipartite", [3, 3])), m)
     # 4 vertices and 4 edges like K_{2,2}, but a triangle with a pendant edge
     paw = Graph.from_edges(4, [(0, 1), (0, 2), (1, 2), (2, 3)])
     with pytest.raises(PreconditionError):
-        extend_matching_bipartite(2, m, build_line_graph(paw))
+        extend_matching_bipartite(build_line_graph(paw), m)
 
 
 def test_extend_arb_traceable_bowtie():
@@ -446,7 +457,7 @@ def test_extend_arb_traceable_bowtie():
     lgm = build_line_graph(g)
     outcomes = []
     for m in enumerate_perfect_matchings(lgm.lg):
-        res = extend_matching_arb_traceable(lgm, 2, m)
+        res = extend_matching_arb_traceable(lgm, m)
         outcomes.append(res.outcome)
         assert res.walk.contains_edges(m.edges)
     assert outcomes == ["found"] * 4
@@ -457,7 +468,7 @@ def test_extend_arb_traceable_matches_oracle_on_two_squares():
     lgm = build_line_graph(g)
     agree = []
     for m in enumerate_perfect_matchings(lgm.lg):
-        res = extend_matching_arb_traceable(lgm, 0, m)
+        res = extend_matching_arb_traceable(lgm, m)
         oracle = find_hamiltonian_cycle(lgm.lg, forced=sorted(m.edges))
         assert res.outcome == oracle.outcome
         agree.append(res.outcome)
@@ -468,7 +479,7 @@ def test_extend_arb_traceable_budget_on_two_squares():
     """A disconnected split graph is a certified absence under any budget;
     a tour the budget cannot lay is inconclusive."""
     lgm = build_line_graph(two_squares())
-    outcomes = [extend_matching_arb_traceable(lgm, 0, m, max_nodes=1).outcome
+    outcomes = [extend_matching_arb_traceable(lgm, m, max_nodes=1).outcome
                 for m in enumerate_perfect_matchings(lgm.lg)]
     assert sorted(outcomes) == ["absent"] * 3 + ["inconclusive"] * 3
 
@@ -484,33 +495,34 @@ def _base_tour(lgm, walk):
 
 
 def test_extend_arb_traceable_sweep_small_graphs():
-    """Every connected even-size graph up to 7 vertices, from every vertex
-    it is arbitrarily traceable from, with every perfect matching."""
+    """Every connected even-size graph up to 7 vertices that is arbitrarily
+    traceable from some vertex, with every perfect matching."""
     outcomes = []
+    graphs = 0
     for g in connected_graphs_upto(7):
-        if g.n < 3 or len(g.edges) % 2:
+        if g.n < 3 or len(g.edges) % 2 or not any(
+                is_arbitrarily_traceable(g, v) for v in range(g.n)):
             continue
-        vs = [v for v in range(g.n) if is_arbitrarily_traceable(g, v)]
-        lgm = build_line_graph(g) if vs else None
-        for v in vs:
-            for m in enumerate_perfect_matchings(lgm.lg):
-                res = extend_matching_arb_traceable(lgm, v, m)
-                outcomes.append(res.outcome)
-                if res.outcome == "found":
-                    assert res.walk.contains_edges(m.edges)
-                    assert validate_walk(g, _base_tour(lgm, res.walk))
-                    assert find_hamiltonian_cycle(
-                        lgm.lg, forced=sorted(m.edges)).outcome == "found"
-    assert len(outcomes) == 134
-    assert outcomes.count("found") == 97 and outcomes.count("absent") == 37
+        graphs += 1
+        lgm = build_line_graph(g)
+        for m in enumerate_perfect_matchings(lgm.lg):
+            res = extend_matching_arb_traceable(lgm, m)
+            outcomes.append(res.outcome)
+            if res.outcome == "found":
+                assert res.walk.contains_edges(m.edges)
+                assert validate_walk(g, _base_tour(lgm, res.walk))
+                assert find_hamiltonian_cycle(
+                    lgm.lg, forced=sorted(m.edges)).outcome == "found"
+    assert graphs == 8 and len(outcomes) == 90
+    assert outcomes.count("found") == 64 and outcomes.count("absent") == 26
 
 
 def test_extend_arb_traceable_preconditions():
-    g = make_named_graph("bowtie", [])
-    lgm = build_line_graph(g)
+    # K5 is eulerian, but K5 - v = K4 has cycles for every vertex v
+    lgm = build_line_graph(make_named_graph("complete", [5]))
     m = next(enumerate_perfect_matchings(lgm.lg))
-    with pytest.raises(PreconditionError):
-        extend_matching_arb_traceable(lgm, 0, m)  # not traceable from 0
+    with pytest.raises(PreconditionError, match="any vertex"):
+        extend_matching_arb_traceable(lgm, m)
 
 
 def test_sufficient_conditions():

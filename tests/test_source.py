@@ -23,17 +23,17 @@ def test_no_assert_in_package():
 
 
 def test_pure_kernel_does_not_recurse():
-    """The pure searches, the searches over a base graph's cycles, the
-    canonical-form search and the corpus generators keep explicit stacks or
-    loops: a function that calls itself would stop at Python's recursion
-    limit on a long path, far below the kernel's vertex bound."""
+    """No function of the package calls itself: the pure searches, the
+    searches over a base graph's cycles, the canonical-form search and the
+    corpus generators keep explicit stacks or loops, since recursion would
+    stop at Python's recursion limit on a long path, far below the kernel's
+    vertex bound."""
     found = []
-    for path in [PACKAGE / "_kernel" / "purecore.py", PACKAGE / "pmh.py",
-                 PACKAGE / "cycles.py", PACKAGE / "graph_core.py",
-                 PACKAGE / "corpus.py"]:
+    for path in sorted(PACKAGE.rglob("*.py")):
         for fn in ast.walk(ast.parse(path.read_text(), str(path))):
             if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                found += [f"{path.name}:{fn.name}:{node.lineno}"
+                found += [f"{path.relative_to(PACKAGE)}:{fn.name}:"
+                          f"{node.lineno}"
                           for node in ast.walk(fn)
                           if isinstance(node, ast.Call)
                           and isinstance(node.func, ast.Name)
