@@ -416,6 +416,9 @@ typedef struct {
     int *uoff, *unbr;       /* neighbours above each vertex in adj's order
                                (CSR); an edge's id is its index in unbr */
     int *ea, *eb, *centre;  /* ends (ea < eb) and centre of each edge */
+    int centred;            /* centres given: add() may hold trails */
+    PyObject **pair;        /* the tuple (ea, eb) of each edge, shared by
+                               every list the scan yields */
     int *lo, *next, *chosen;/* per depth: lowest uncovered vertex, next
                                candidate in unbr, edge chosen */
     int *filled;            /* n + 1 segment counts, zero between uses */
@@ -436,6 +439,10 @@ typedef struct {
 
 static void scan_release(PmScan *s)
 {
+    for (int e = 0; s->pair && e < s->m; e++)
+        Py_XDECREF(s->pair[e]);
+    PyMem_Free(s->pair);
+    s->pair = NULL;
     PyMem_Free(s->uoff);
     PyMem_Free(s->tbits);
     PyMem_Free(s->segs);
@@ -546,12 +553,9 @@ static PyObject *scan_iternext(PmScan *s)
         return NULL;
     PyObject *out = PyList_New(s->half);
     for (int i = 0; out && i < s->half; i++) {
-        PyObject *pair = Py_BuildValue("(ii)", s->ea[s->chosen[i]],
-                                       s->eb[s->chosen[i]]);
-        if (pair == NULL)
-            Py_CLEAR(out);
-        else
-            PyList_SET_ITEM(out, i, pair);
+        PyObject *pair = s->pair[s->chosen[i]];
+        Py_INCREF(pair);
+        PyList_SET_ITEM(out, i, pair);
     }
     return out;
 }
@@ -676,6 +680,10 @@ static int scan_commit(PmScan *s)
 
 static PyObject *scan_add(PmScan *s, PyObject *cycle)
 {
+    if (!s->centred) {
+        PyErr_SetString(PyExc_ValueError, "add needs the centre of each edge");
+        return NULL;
+    }
     if (s->state != SCAN_LEAF) {
         PyErr_SetString(PyExc_ValueError, "add follows a yielded matching");
         return NULL;
@@ -707,10 +715,10 @@ static PyObject *scan_add(PmScan *s, PyObject *cycle)
 static PyObject *scan_new(PyTypeObject *type, PyObject *args, PyObject *kwargs)
 {
     static char *kwlist[] = {"adj", "centre", NULL};
-    PyObject *adj, *centre, *cs = NULL;
+    PyObject *adj, *centre = Py_None, *cs = NULL;
     PmScan *s = NULL;
     Search g;
-    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "OO:pm_scan", kwlist,
+    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "O|O:pm_scan", kwlist,
                                      &adj, &centre) ||
         search_init(&g, adj, 0) < 0)
         return NULL;
@@ -751,14 +759,24 @@ static PyObject *scan_new(PyTypeObject *type, PyObject *args, PyObject *kwargs)
             }
     }
     s->uoff[n] = k;
-    cs = PySequence_Fast(centre, "centre must be a sequence");
-    if (cs == NULL)
+    s->pair = PyMem_Calloc((size_t)m + 1, sizeof(PyObject *));
+    if (s->pair == NULL) {
+        PyErr_NoMemory();
         goto fail;
-    if (PySequence_Fast_GET_SIZE(cs) != m) {
+    }
+    for (int e = 0; e < m; e++)
+        if ((s->pair[e] = Py_BuildValue("(ii)", s->ea[e], s->eb[e])) == NULL)
+            goto fail;
+    /* without centres the scan holds no trail and yields every matching */
+    s->centred = centre != Py_None;
+    if (s->centred &&
+        (cs = PySequence_Fast(centre, "centre must be a sequence")) == NULL)
+        goto fail;
+    if (cs && PySequence_Fast_GET_SIZE(cs) != m) {
         PyErr_SetString(PyExc_ValueError, "one centre per edge required");
         goto fail;
     }
-    for (int e = 0; e < m; e++) {
+    for (int e = 0; cs && e < m; e++) {
         long c = PyLong_AsLong(PySequence_Fast_GET_ITEM(cs, e));
         if (c < 0 || c > n) {
             if (!PyErr_Occurred())
@@ -770,7 +788,7 @@ static PyObject *scan_new(PyTypeObject *type, PyObject *args, PyObject *kwargs)
     }
     if (scan_grow(s) < 0)
         goto fail;
-    Py_DECREF(cs);
+    Py_XDECREF(cs);
     search_free(&g);
     return (PyObject *)s;
 fail:

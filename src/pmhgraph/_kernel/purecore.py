@@ -2,9 +2,11 @@
 
 Same contract as the compiled extension in ``_fastcore.c``: exhaustive
 backtracking for hamiltonian cycles with forced edges, exact longest cycle
-search, and the perfect-matching scan of line graphs, `pm_scan`, over the
-enumeration of `_completions`.  Both backends must produce identical
-verdicts and identical witnesses (candidate orderings match line for line).
+search, and `pm_scan`, the perfect-matching scan over the enumeration of
+`_completions`: it tests the matchings of a line graph against held trails
+or, without centres, yields every perfect matching of any graph.  Both
+backends must produce identical verdicts and identical witnesses (candidate
+orderings match line for line).
 
 Status codes: 0 = FOUND, 1 = ABSENT, 2 = BUDGET (node cap hit before the
 search tree was exhausted).
@@ -186,13 +188,11 @@ def longest_cycle(adj, max_nodes=0):
     return FOUND, best, nodes
 
 
-def _completions(adj, covered):
-    """Yield the pairs that complete a partial matching of the graph with
-    adjacency `adj` to a perfect one, once per completion, lexicographically
-    by the dense edge ids of the pairs.  `covered` marks the partial
-    matching's vertices and has one more entry than the graph has vertices,
-    False, which stops the scan for the lowest uncovered vertex.  The
-    yielded list is reused: copy it to keep it.
+def _completions(adj):
+    """Yield the pairs (v, w), v < w, of each perfect matching of the graph
+    with adjacency `adj`, once per matching, lexicographically by the dense
+    edge ids of the pairs; nothing for an odd order.  The yielded list is
+    sorted, and reused: copy it to keep it.
 
     The search is depth-first with an explicit stack, so its depth is not
     bounded by Python's recursion limit.  A frame is the lowest uncovered
@@ -202,13 +202,17 @@ def _completions(adj, covered):
     out in memory; with one, later forced searches over the 32,768
     matchings of L(Coxeter) ran about 5% slower."""
     n = len(adj)
+    if n % 2:
+        return
     up = [[w for w in a if w > v] for v, a in enumerate(adj)]
+    # one entry past the last vertex, never set, ends the scan for the
+    # lowest uncovered vertex
+    covered = [False] * (n + 1)
     chosen = []
-    lo = covered.index(False)
-    if lo == n:
+    if n == 0:
         yield chosen
         return
-    los, tries = [lo], [iter(up[lo])]
+    los, tries = [0], [iter(up[0])]
     while tries:
         for w in tries[-1]:
             # neighbours below lo are covered already (lo is lowest uncovered)
@@ -272,6 +276,10 @@ class pm_scan:
     matching just yielded.  A miss means that no held trail fits, so what
     the scan yields does not depend on the order the trails are tried in.
 
+    Without `centre` the scan takes any graph, holds no trail (`add` raises
+    ValueError) and yields every perfect matching.  The compiled scan makes
+    one tuple per edge and puts that same tuple in every list it yields.
+
     The trail T of a cycle C: each step of C joins two edges of G at their
     shared vertex; a maximal run of steps at one vertex v is a segment at v,
     from its entry edge to its exit edge, and the edges where C passes from
@@ -288,15 +296,15 @@ class pm_scan:
     each segment; `refused`, the 2-paths that break (a) or (b); `off`, the
     2-paths of two off-T edges centred on T, for (c)."""
 
-    def __init__(self, adj, centre):
+    def __init__(self, adj, centre=None):
         self._eid = {}
         for v, nbrs in enumerate(adj):
             for w in nbrs:
                 if w > v:
                     self._eid[v, w] = len(self._eid)
-        if len(centre) != len(self._eid):
+        if centre is not None and len(centre) != len(self._eid):
             raise ValueError("one centre per edge required")
-        self._centre = list(centre)
+        self._centre = None if centre is None else list(centre)
         self._trails = []
         self._leaf = None     # edge-id bitset of the matching just yielded
         self.tested = 0
@@ -306,17 +314,19 @@ class pm_scan:
         return self._walk
 
     def _scan(self, adj):
-        if len(adj) % 2:
-            return
-        for pairs in _completions(adj, [False] * (len(adj) + 1)):
+        for pairs in _completions(adj):
             self.tested += 1
-            chosen = sum(1 << self._eid[p] for p in pairs)
-            if not any(_fits(t, chosen, self._centre) for t in self._trails):
+            if self._centre is not None:
+                chosen = sum(1 << self._eid[p] for p in pairs)
+                if any(_fits(t, chosen, self._centre) for t in self._trails):
+                    continue
                 self._leaf = chosen
-                yield list(pairs)
-                self._leaf = None
+            yield list(pairs)
+            self._leaf = None
 
     def add(self, cycle):
+        if self._centre is None:
+            raise ValueError("add needs the centre of each edge")
         if self._leaf is None:
             raise ValueError("add follows a yielded matching")
         self._trails.append(_trail(cycle, self._eid, self._centre))

@@ -64,11 +64,12 @@ def connected_graphs_upto(n):
 def generate_subcubic_graphs(n):
     """All graphs with maximum degree <= 3 on n vertices, up to isomorphism.
 
-    For n <= 7 this filters the full corpus; for larger n it augments the
-    (n-1)-vertex subcubic corpus directly so the full corpus is never built.
+    Each order augments the (n-1)-vertex subcubic corpus, so the full corpus
+    is never built; the output equals the full corpus filtered by maximum
+    degree, graph for graph and in its order.
     """
-    graphs = tuple(g for g in generate_all_graphs(min(n, 7)) if g.max_degree() <= 3)
-    for _ in range(8, n + 1):
+    graphs = (Graph.from_edges(1, []),) if n >= 1 else ()
+    for _ in range(2, n + 1):
         graphs = _add_vertex(graphs, 3)
     return graphs
 

@@ -1,18 +1,21 @@
 """Perfect matchings, the matching <-> 3-path-decomposition bijection, and
 1-extendability.
 
-Enumeration is plain backtracking over the lowest-id uncovered vertex
-(`_kernel.purecore._completions`, which the kernel scan of `is_pmh_line`
-shares), exact and deterministic at the sizes this package targets; it
-keeps its own stack, so a graph of any order is enumerated without
-recursion.
+Enumeration, counting and the existence test run the kernel scan
+`_kernel.pm_scan` without centres: backtracking over the lowest-id uncovered
+vertex, in the order of `_kernel.purecore._completions` (the pure backend
+runs it; the compiled scan walks the same tree in C, on its own stack, and
+yields one shared tuple per edge).  Above `_kernel.MAX_VERTICES` vertices
+they raise CapacityError on either backend.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 
-from ._kernel.purecore import _completions
+from . import _kernel
+from .cycles import _check_size
 from .errors import ParityError, PreconditionError, StructureError, WitnessError
 from .graph_core import Graph
 from .line_graph import LineGraphMap
@@ -60,29 +63,35 @@ def make_matching(g: Graph, edges) -> Matching:
 def enumerate_perfect_matchings(g: Graph):
     """Yield every perfect matching exactly once, lexicographically by the
     dense edge ids of the chosen edges."""
-    if g.n % 2 == 1:
-        return
-    for chosen in _completions(g.adjacency, [False] * (g.n + 1)):
-        yield Matching(edges=frozenset(chosen), host_n=g.n)
+    _check_size(g)
+    for pairs in _kernel.pm_scan(g.adjacency):
+        yield Matching(edges=frozenset(pairs), host_n=g.n)
 
 
 def count_perfect_matchings(g: Graph):
-    if g.n % 2 == 1:
-        return 0
-    return sum(1 for _ in _completions(g.adjacency, [False] * (g.n + 1)))
+    _check_size(g)
+    scan = _kernel.pm_scan(g.adjacency)
+    deque(scan, maxlen=0)
+    return scan.tested
 
 
 def has_perfect_matching_with(g: Graph, required=()):
-    """Existence check for a perfect matching containing the given edges."""
-    req = [(min(u, v), max(u, v)) for u, v in required]
-    covered = [False] * (g.n + 1)
-    for u, v in req:
-        if (u, v) not in g.edges:
+    """Existence check for a perfect matching containing the given edges:
+    false unless they are disjoint edges of g, else a scan of g without
+    every edge at their ends but the required edges themselves."""
+    _check_size(g)
+    partner = {}
+    for u, v in required:
+        if not g.has_edge(u, v) or u in partner or v in partner:
             return False
-        if covered[u] or covered[v]:
-            return False
-        covered[u] = covered[v] = True
-    return next(_completions(g.adjacency, covered), None) is not None
+        partner[u], partner[v] = v, u
+    adj = list(g.adjacency)
+    for u, v in partner.items():
+        for w in g.adjacency[u]:
+            if w not in partner:
+                adj[w] = [x for x in adj[w] if x not in partner]
+        adj[u] = [v]
+    return next(iter(_kernel.pm_scan(adj)), None) is not None
 
 
 def matching_to_p3(lgm: LineGraphMap, m: Matching) -> P3Decomposition:

@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import _kernel
+from ._kernel.purecore import _completions
 from .cycles import (ABSENT, FOUND, INCONCLUSIVE, CycleWalk, SearchResult,
                      _check_size, _hamiltonian_search, closed, euler_tour,
                      find_dominating_cycle, find_hamiltonian_cycle,
@@ -26,7 +27,7 @@ from .errors import (BudgetError, ParityError, PreconditionError,
                      StructureError, WitnessError)
 from .graph_core import Graph
 from .line_graph import LineGraphMap
-from .matching import (Matching, enumerate_perfect_matchings, matching_to_p3)
+from .matching import Matching, matching_to_p3
 
 
 @dataclass(frozen=True)
@@ -64,18 +65,25 @@ class PmhVerdict:
 def is_pmh(h: Graph, max_nodes=0) -> PmhVerdict:
     """Exact extendability verdict: every perfect matching must lie in some
     hamiltonian cycle.  Graphs without perfect matchings are vacuously PMH.
+
+    The matchings come from `_kernel.purecore._completions`, the reference
+    enumeration, and not from the kernel scan behind
+    `enumerate_perfect_matchings` and `is_pmh_line`, so the oracle stays
+    independent of the fast path it cross-checks; the order is the same.
+    Each pair list is sorted by construction, a valid forced set of h that
+    goes straight to the search, and only a witness becomes a Matching.
     """
     tested = 0
     nodes = 0
     inconclusive = False
-    # an enumerated matching is a valid forced set of h: skip the wrapper's check
-    for m in enumerate_perfect_matchings(h):
+    for pairs in _completions(h.adjacency):
         tested += 1
-        res = _hamiltonian_search(h, sorted(m.edges), max_nodes)
+        res = _hamiltonian_search(h, pairs, max_nodes)
         nodes += res.nodes
         if res.outcome == ABSENT:
-            return PmhVerdict("not_pmh", witness=m, matchings_tested=tested,
-                              nodes=nodes, searches=tested)
+            return PmhVerdict("not_pmh", witness=Matching(frozenset(pairs), h.n),
+                              matchings_tested=tested, nodes=nodes,
+                              searches=tested)
         if res.outcome == INCONCLUSIVE:
             inconclusive = True
     if inconclusive:
@@ -397,10 +405,10 @@ def extend_matching_complete(lgm: LineGraphMap, m: Matching,
     hamiltonian cycle via a properly coloured hamiltonian cycle of K_n.
     A search stopped by `max_nodes` is inconclusive."""
     n = lgm.base.n
-    if n % 4 not in (0, 1):
-        raise ParityError(f"K_{n} has an odd number of edges; no perfect matching")
     if len(lgm.base.edges) != n * (n - 1) // 2:
         raise PreconditionError(f"base graph is not K_{n}")
+    if n % 4 not in (0, 1):
+        raise ParityError(f"K_{n} has an odd number of edges; no perfect matching")
     if n == 4:
         return extend_matching_subcubic(lgm, m, max_nodes=max_nodes)
     res = _extend_via_pc_search(lgm, m, max_nodes)
@@ -417,12 +425,12 @@ def extend_matching_bipartite(lgm: LineGraphMap, m: Matching,
     reported as inconclusive, never as non-extendable."""
     g = lgm.base
     k = g.n // 2
-    if k % 2:
-        raise ParityError(f"K_{{{k},{k}}} has an odd number of edges")
     # A bipartite graph on 2k vertices has at most k * k edges, and only
     # K_{k,k} reaches that.
     if g.n != 2 * k or len(g.edges) != k * k or _bipartition(g) is None:
         raise PreconditionError(f"base graph is not K_{{{k},{k}}}")
+    if k % 2:
+        raise ParityError(f"K_{{{k},{k}}} has an odd number of edges")
     if k <= 3:
         return extend_matching_subcubic(lgm, m, max_nodes=max_nodes)
     res = _extend_via_pc_search(lgm, m, max_nodes)

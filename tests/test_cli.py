@@ -188,6 +188,18 @@ def test_extend_parity_error(tmp_path):
     assert res.exit_code == 1
 
 
+def test_extend_complete_refuses_a_base_that_is_not_complete(tmp_path):
+    lgm = build_line_graph(make_named_graph("cycle", [6]))
+    m = next(enumerate_perfect_matchings(lgm.lg))
+    mfile = tmp_path / "m.json"
+    mfile.write_text(json.dumps({"edges": [list(e) for e in m.edges]}))
+    res = run("extend", "--method", "complete", "--matching", str(mfile),
+              "-", input=g6("cycle", [6]) + "\n")
+    assert res.exit_code == 1 and res.stdout == ""
+    (line,) = res.stderr.splitlines()
+    assert line == f"error: {g6('cycle', [6])}: base graph is not K_6"
+
+
 def test_construct_commands():
     res = run("construct", "yext", "--at", "0", "-", input=g6("petersen") + "\n")
     (rep,) = reports(res)
@@ -524,6 +536,19 @@ def test_graph_above_the_kernel_bound_is_one_error_line(command):
         f"{n} vertices, above the search bound {MAX_VERTICES}")
     assert f"({len(text)} chars)" in line
     assert len(res.stderr.encode()) < 1024
+    assert "Traceback" not in res.output
+
+
+@pytest.mark.parametrize("options", [[], ["--count-only"]])
+def test_pm_enum_above_the_kernel_bound_is_one_error_line(options):
+    n = MAX_VERTICES + 2
+    text = write_graph6(Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)]))
+    res = CliRunner().invoke(main, ["pm-enum", *options, "-"],
+                             input=text + "\n", catch_exceptions=False)
+    assert res.exit_code == 1 and res.stdout == ""
+    (line,) = res.stderr.splitlines()
+    assert line.startswith("error: ") and line.endswith(
+        f"{n} vertices, above the search bound {MAX_VERTICES}")
     assert "Traceback" not in res.output
 
 

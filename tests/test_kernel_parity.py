@@ -262,6 +262,53 @@ def test_pm_scan_edge_cases():
                 scan.add(walk)
 
 
+def _has_induced_claw(g):
+    """Does g have an induced K_{1,3}?  Then g is not a line graph."""
+    return any(not (g.has_edge(a, b) or g.has_edge(a, c) or g.has_edge(b, c))
+               for v in range(g.n) for a, b, c in combinations(g.adjacency[v], 3))
+
+
+@needs_compiled
+def test_pm_scan_without_centres_parity(rng):
+    """Without centres both scans yield every perfect matching: the same
+    lists in the same order, with the same `tested`, on random graphs that
+    are not line graphs.  The compiled scan puts one tuple per edge in
+    every list."""
+    counts = []
+    while len(counts) < 12:
+        g = random_graph(rng, rng.choice([7, 8, 10, 12]), 0.5)
+        if not _has_induced_claw(g):
+            continue
+        adj = _adj(g)
+        fast, ref = _fastcore.pm_scan(adj), purecore.pm_scan(adj)
+        got = list(fast)
+        assert got == list(ref) and fast.tested == ref.tested == len(got)
+        assert len({id(p) for pairs in got for p in pairs}) == \
+            len({p for pairs in got for p in pairs})
+        counts.append((g.n, len(got)))
+    assert [k for n, k in counts if n % 2] == [0] * 3
+    assert sum(k for _n, k in counts) == 813
+
+
+def test_pm_scan_without_centres_edge_cases():
+    """Each backend: the empty graph has one empty perfect matching and an
+    odd order none; `add` is refused before and after a yield."""
+    k4 = make_named_graph("complete", [4])
+    for impl in (purecore,) if _fastcore is None else (purecore, _fastcore):
+        scan = impl.pm_scan([])
+        assert (list(scan), scan.tested) == ([[]], 1)
+        scan = impl.pm_scan(_adj(make_named_graph("complete", [5])))
+        assert (list(scan), scan.tested) == ([], 0)
+        scan = impl.pm_scan(_adj(k4), None)
+        with pytest.raises(ValueError):
+            scan.add((0, 1, 2, 3, 0))
+        assert next(iter(scan)) == [(0, 1), (2, 3)]
+        with pytest.raises(ValueError):
+            scan.add((0, 1, 2, 3, 0))
+        assert (list(scan), scan.tested) == ([[(0, 2), (1, 3)],
+                                              [(0, 3), (1, 2)]], 3)
+
+
 class _Alarm(Exception):
     pass
 

@@ -1,6 +1,10 @@
+from itertools import combinations
+
 import pytest
 
-from pmhgraph.errors import ParityError, PreconditionError
+from pmhgraph._kernel import MAX_VERTICES
+from pmhgraph.corpus import generate_all_graphs
+from pmhgraph.errors import CapacityError, ParityError, PreconditionError
 from pmhgraph.graph_core import Graph, make_named_graph
 from pmhgraph.line_graph import build_line_graph
 from pmhgraph.matching import (P3Decomposition, count_perfect_matchings,
@@ -31,6 +35,14 @@ def test_known_matching_counts():
     assert count_perfect_matchings(make_named_graph("cycle", [5])) == 0
     # deeper than Python's recursion limit
     assert count_perfect_matchings(make_named_graph("cycle", [2000])) == 2
+    lgm = build_line_graph(make_named_graph("coxeter", []))
+    assert count_perfect_matchings(lgm.lg) == 32768
+    # K_{2k} has (2k - 1)!! (one, the empty matching, for k = 0)
+    odd_factorial = 1
+    for k in range(7):
+        odd_factorial *= max(2 * k - 1, 1)
+        k2k = Graph.from_edges(2 * k, combinations(range(2 * k), 2))
+        assert count_perfect_matchings(k2k) == odd_factorial
 
 
 def test_enumeration_is_deterministic_and_valid(rng):
@@ -55,6 +67,45 @@ def test_has_perfect_matching_with():
     c2000 = make_named_graph("cycle", [2000])
     assert has_perfect_matching_with(c2000, [(1, 2)])
     assert not has_perfect_matching_with(c2000, [(1, 2), (4, 5)])
+
+
+def _brute_perfect_matchings(g):
+    """Every set of n/2 pairwise disjoint edges of g."""
+    if g.n % 2:
+        return []
+    return [set(ms) for ms in combinations(sorted(g.edges), g.n // 2)
+            if len({v for e in ms for v in e}) == g.n]
+
+
+def test_has_perfect_matching_with_against_brute_force():
+    """Every graph on 1 to 6 vertices, with no required edge, each edge,
+    and each pair of disjoint edges, in either orientation."""
+    checked, found = 0, 0
+    for n in range(1, 7):
+        for g in generate_all_graphs(n):
+            brute = _brute_perfect_matchings(g)
+            es = sorted(g.edges)
+            asks = [[]] + [[e] for e in es] + [
+                [e, f[::-1]] for e, f in combinations(es, 2)
+                if not set(e) & set(f)]
+            for req in asks:
+                want = any({tuple(sorted(e)) for e in req} <= m for m in brute)
+                assert has_perfect_matching_with(g, req) == want, (g, req)
+                checked += 1
+                found += want
+    assert (checked, found) == (3559, 1790)
+
+
+def test_matching_functions_refuse_a_graph_above_the_kernel_bound():
+    n = MAX_VERTICES + 2
+    g = Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
+    bound = f"{n} vertices, above the search bound {MAX_VERTICES}"
+    with pytest.raises(CapacityError, match=bound):
+        next(enumerate_perfect_matchings(g))
+    with pytest.raises(CapacityError, match=bound):
+        count_perfect_matchings(g)
+    with pytest.raises(CapacityError, match=bound):
+        has_perfect_matching_with(g, [(0, 1)])
 
 
 def test_p3_bijection_roundtrip():

@@ -436,6 +436,10 @@ def test_extend_complete():
     k5_minus = Graph.from_edges(5, set(lgm.base.edges) - {(0, 1)})
     with pytest.raises(PreconditionError):
         extend_matching_complete(build_line_graph(k5_minus), m)
+    # the shape comes first: C6 is refused as no K_6, not for K_6's parity
+    c6 = build_line_graph(make_named_graph("cycle", [6]))
+    with pytest.raises(PreconditionError, match="base graph is not K_6$"):
+        extend_matching_complete(c6, next(enumerate_perfect_matchings(c6.lg)))
 
 
 def test_extend_bipartite():
@@ -450,6 +454,11 @@ def test_extend_bipartite():
     paw = Graph.from_edges(4, [(0, 1), (0, 2), (1, 2), (2, 3)])
     with pytest.raises(PreconditionError):
         extend_matching_bipartite(build_line_graph(paw), m)
+    # the shape comes first: C6 is refused as no K_{3,3}, not for its parity
+    c6 = build_line_graph(make_named_graph("cycle", [6]))
+    with pytest.raises(PreconditionError,
+                       match=r"base graph is not K_\{3,3\}$"):
+        extend_matching_bipartite(c6, next(enumerate_perfect_matchings(c6.lg)))
 
 
 def test_extend_arb_traceable_bowtie():
