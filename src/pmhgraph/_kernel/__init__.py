@@ -29,3 +29,4 @@ BACKEND = _impl.BACKEND
 ham_cycle = _impl.ham_cycle
 longest_cycle = _impl.longest_cycle
 pm_scan = _impl.pm_scan
+canonical_form = _impl.canonical_form

@@ -1,18 +1,22 @@
 /* Compiled search kernels: hamiltonian cycle with forced edges, longest cycle,
- * and the perfect-matching scan of a line graph against held trails.
+ * the perfect-matching scan of a line graph against held trails, and the
+ * canonical form that decides isomorphism.
  *
  * Mirrors purecore.py exactly (same start vertex, same candidate order, same
- * node counting, hence the same status, witness and node count); see that
- * module for the contract.  A search stops at the first node past its budget
- * (max_nodes, 0 for none) and returns BUDGET with max_nodes + 1 nodes.  The
- * pruning tests decide what purecore's decide, with less work (see
- * prune_words).  Vertex sets are bitsets of nw = ceil(n/64) uint64_t words,
- * the same masks purecore builds from Python ints.
+ * node counting, hence the same status, witness and node count; for the
+ * canonical form the same partitions, stack order and twin test, hence the
+ * same form and labelling); see that module for the contract.  A search
+ * stops at the first node past its budget (max_nodes, 0 for none) and returns
+ * BUDGET with max_nodes + 1 nodes.  The pruning tests decide what purecore's
+ * decide, with less work (see prune_words).  Vertex sets are bitsets of
+ * nw = ceil(n/64) uint64_t words, the same masks purecore builds from Python
+ * ints; the canonical form keeps one word per vertex, so it takes at most 64
+ * vertices.
  *
- * A search polls PyErr_CheckSignals() every 2^14 nodes, and the scan every
- * 2^14 matchings, so a signal handler that raises (a SIGALRM timeout, Ctrl-C)
- * interrupts it; the search or scan then frees its memory and the call
- * raises.
+ * A search polls PyErr_CheckSignals() every 2^14 nodes, the scan every 2^14
+ * matchings and the canonical form every 2^14 partitions, so a signal handler
+ * that raises (a SIGALRM timeout, Ctrl-C) interrupts it; the call then frees
+ * its memory and raises.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -54,12 +58,12 @@ static void search_free(Search *s)
     PyMem_Free(s->amask);
 }
 
-/* Copy `adj` (a sequence of neighbour sequences) into `s`.  Returns 0, or -1
+/* Copy `adj` (a sequence of neighbour sequences) into s->off and s->nbr
+ * (CSR), with room for the searches' per-vertex arrays.  Returns 0, or -1
  * with an exception set. */
-static int search_init(Search *s, PyObject *adj, long long max_nodes)
+static int load_adj(Search *s, PyObject *adj)
 {
     memset(s, 0, sizeof *s);
-    s->max_nodes = max_nodes;
     PyObject *rows = PySequence_Fast(adj, "adj must be a sequence");
     if (rows == NULL)
         return -1;
@@ -76,12 +80,9 @@ static int search_init(Search *s, PyObject *adj, long long max_nodes)
                      "(%zd vertices, at most %d)", n, MAX_VERTICES);
         goto fail;
     }
-    int nw = (int)((n + 63) / 64);
     s->n = (int)n;
-    s->nw = nw;
     s->off = PyMem_Calloc(5 * n + m + 1, sizeof(int));
-    s->amask = PyMem_Calloc(((size_t)n + 8) * nw + 1, sizeof(word));
-    if (!s->off || !s->amask) {
+    if (!s->off) {
         PyErr_NoMemory();
         goto fail;
     }
@@ -89,15 +90,8 @@ static int search_init(Search *s, PyObject *adj, long long max_nodes)
     s->path = s->nbr + m;
     s->best = s->path + n;
     s->fn = s->best + n;
-    word *w0 = s->amask + (size_t)n * nw;
-    word **scratch[] = {&s->full, &s->visited, &s->allow, &s->target,
-                        &s->reach, &s->frontier, &s->next, &s->above};
-    for (int i = 0; i < 8; i++)
-        *scratch[i] = w0 + i * nw;
     Py_ssize_t k = 0;
     for (Py_ssize_t v = 0; v < n; v++) {
-        ADD(s->full, v);
-        s->fn[2 * v] = s->fn[2 * v + 1] = -1;
         s->off[v] = (int)k;
         PyObject *row = PySequence_Fast(PySequence_Fast_GET_ITEM(rows, v),
                                         "adj rows must be sequences");
@@ -113,8 +107,6 @@ static int search_init(Search *s, PyObject *adj, long long max_nodes)
                 goto fail;
             }
             s->nbr[k++] = (int)w;
-            if (w != v)
-                ADD(ROW(s, v), w);
         }
         Py_DECREF(row);
     }
@@ -125,6 +117,36 @@ fail:
     Py_DECREF(rows);
     search_free(s);
     return -1;
+}
+
+/* load_adj, then the searches' bitsets and empty forced-neighbour slots.
+ * Returns 0, or -1 with an exception set. */
+static int search_init(Search *s, PyObject *adj, long long max_nodes)
+{
+    if (load_adj(s, adj) < 0)
+        return -1;
+    int n = s->n, nw = (n + 63) / 64;
+    s->max_nodes = max_nodes;
+    s->nw = nw;
+    s->amask = PyMem_Calloc(((size_t)n + 8) * nw + 1, sizeof(word));
+    if (!s->amask) {
+        search_free(s);
+        PyErr_NoMemory();
+        return -1;
+    }
+    word *w0 = s->amask + (size_t)n * nw;
+    word **scratch[] = {&s->full, &s->visited, &s->allow, &s->target,
+                        &s->reach, &s->frontier, &s->next, &s->above};
+    for (int i = 0; i < 8; i++)
+        *scratch[i] = w0 + i * nw;
+    for (int v = 0; v < n; v++) {
+        ADD(s->full, v);
+        s->fn[2 * v] = s->fn[2 * v + 1] = -1;
+        for (int i = s->off[v]; i < s->off[v + 1]; i++)
+            if (s->nbr[i] != v)
+                ADD(ROW(s, v), s->nbr[i]);
+    }
+    return 0;
 }
 
 /* Count a node; FAILED on a pending exception, BUDGET past the cap. */
@@ -720,7 +742,7 @@ static PyObject *scan_new(PyTypeObject *type, PyObject *args, PyObject *kwargs)
     Search g;
     if (!PyArg_ParseTupleAndKeywords(args, kwargs, "O|O:pm_scan", kwlist,
                                      &adj, &centre) ||
-        search_init(&g, adj, 0) < 0)
+        load_adj(&g, adj) < 0)
         return NULL;
     int n = g.n, m = 0;
     for (int v = 0; v < n; v++)
@@ -823,11 +845,233 @@ static PyTypeObject ScanType = {
     .tp_members = scan_members,
 };
 
+/* ------------------------------------------------------------------------ */
+/* Canonical form by individualisation-refinement (see
+ * purecore.canonical_form) */
+
+#define CANON_MAX 64
+
+/* An ordered partition: the vertices cell by cell in v, and end[i] one past
+ * the last slot of cell i. */
+typedef struct {
+    unsigned char v[CANON_MAX], end[CANON_MAX];
+    int k;
+} Partition;
+
+/* purecore._refine on p.  A vertex's key is its neighbours' cell indices in
+ * ascending order, stored as index + 1 and padded with zeros to n bytes, so
+ * memcmp orders keys as Python orders the tuples (a proper prefix first).  A
+ * stable insertion sort by key splits each cell into parts in key order,
+ * each part keeping the cell's order. */
+static void canon_refine(const word *nb, int n, Partition *p)
+{
+    unsigned char key[CANON_MAX][CANON_MAX];
+    word in[CANON_MAX];
+    for (;;) {
+        Partition q;
+        int k = p->k, start = 0;
+        for (int i = 0; i < k; i++) {
+            in[i] = 0;
+            for (int j = start; j < p->end[i]; j++)
+                in[i] |= BIT(p->v[j]);
+            start = p->end[i];
+        }
+        q.k = start = 0;
+        for (int i = 0; i < k; start = p->end[i++]) {
+            int size = p->end[i] - start;
+            unsigned char *part = q.v + start;
+            if (size == 1) {
+                part[0] = p->v[start];
+                q.end[q.k++] = (unsigned char)(start + 1);
+                continue;
+            }
+            for (int j = 0; j < size; j++) {
+                int v = p->v[start + j], len = 0, pos = j;
+                unsigned char *kv = key[v];
+                for (int c = 0; c < k; c++)
+                    for (int x = __builtin_popcountll(nb[v] & in[c]); x; x--)
+                        kv[len++] = (unsigned char)(c + 1);
+                memset(kv + len, 0, n - len);
+                while (pos > 0 && memcmp(key[part[pos - 1]], kv, n) > 0) {
+                    part[pos] = part[pos - 1];
+                    pos--;
+                }
+                part[pos] = (unsigned char)v;
+            }
+            for (int j = 1; j <= size; j++)
+                if (j == size || memcmp(key[part[j - 1]], key[part[j]], n))
+                    q.end[q.k++] = (unsigned char)(start + j);
+        }
+        int split = q.k != k;
+        *p = q;
+        if (!split)
+            return;
+    }
+}
+
+/* Is the relabelled graph `a` (row i: its neighbours above i) less than `b`,
+ * comparing sorted edge lists?  In the first row where they differ, the list
+ * holding the lowest differing neighbour has the lesser edge there. */
+static int canon_less(const word *a, const word *b, int n)
+{
+    for (int i = 0; i < n; i++)
+        if (a[i] != b[i]) {
+            word x = a[i] ^ b[i];
+            return (a[i] & x & -x) != 0;
+        }
+    return 0;
+}
+
+/* Read `edges` into neighbour masks.  Returns 0, or -1 with an exception. */
+static int canon_load(PyObject *edges, int n, word *nb)
+{
+    PyObject *it = PyObject_GetIter(edges), *item;
+    if (it == NULL)
+        return -1;
+    while ((item = PyIter_Next(it)) != NULL) {
+        PyObject *pair = PySequence_Fast(item, "edges are pairs");
+        Py_DECREF(item);
+        if (pair == NULL)
+            break;
+        long u = -1, v = -1;
+        if (PySequence_Fast_GET_SIZE(pair) == 2) {
+            u = PyLong_AsLong(PySequence_Fast_GET_ITEM(pair, 0));
+            v = PyLong_AsLong(PySequence_Fast_GET_ITEM(pair, 1));
+        }
+        Py_DECREF(pair);
+        if (PyErr_Occurred())
+            break;
+        if (!(0 <= u && u < v && v < n) || (nb[u] >> v & 1)) {
+            PyErr_Format(PyExc_ValueError, "edge (%ld,%ld) is repeated or not "
+                         "a pair u < v of vertices below %d", u, v, n);
+            break;
+        }
+        nb[u] |= BIT(v);
+        nb[v] |= BIT(u);
+    }
+    Py_DECREF(it);
+    return PyErr_Occurred() ? -1 : 0;
+}
+
+/* ((n, edges), labelling) as purecore builds them, or NULL. */
+static PyObject *canon_result(int n, const word *form, const unsigned char *lab)
+{
+    int m = 0;
+    for (int i = 0; i < n; i++)
+        m += __builtin_popcountll(form[i]);
+    PyObject *edges = PyTuple_New(m), *labs = PyTuple_New(n);
+    int e = 0, ok = edges && labs;
+    for (int i = 0; i < n && ok; i++)
+        for (word x = form[i]; x && ok; x &= x - 1) {
+            PyObject *pair = Py_BuildValue("(ii)", i, __builtin_ctzll(x));
+            ok = pair != NULL;
+            if (ok)
+                PyTuple_SET_ITEM(edges, e++, pair);
+        }
+    for (int v = 0; v < n && ok; v++) {
+        PyObject *x = PyLong_FromLong(lab[v]);
+        ok = x != NULL;
+        if (ok)
+            PyTuple_SET_ITEM(labs, v, x);
+    }
+    if (!ok) {
+        Py_XDECREF(edges);
+        Py_XDECREF(labs);
+        return NULL;
+    }
+    return Py_BuildValue("((iN)N)", n, edges, labs);
+}
+
+static PyObject *canonical_form(PyObject *Py_UNUSED(self), PyObject *args)
+{
+    int n;
+    PyObject *edges;
+    word nb[CANON_MAX] = {0}, form[CANON_MAX], best[CANON_MAX];
+    unsigned char lab[CANON_MAX], blab[CANON_MAX];
+    if (!PyArg_ParseTuple(args, "iO:canonical_form", &n, &edges))
+        return NULL;
+    if (n < 0 || n > CANON_MAX) {
+        PyErr_Format(PyExc_ValueError,
+                     "canonical form takes 0..%d vertices, not %d", CANON_MAX, n);
+        return NULL;
+    }
+    if (canon_load(edges, n, nb) < 0)
+        return NULL;
+    /* purecore's stack.  A node at depth j has j singletons at least, so
+     * it pushes at most n - j children: n(n + 1) / 2 + 1 slots hold it. */
+    Partition *stack = PyMem_Malloc(((size_t)n * (n + 1) / 2 + 1) * sizeof *stack);
+    if (stack == NULL)
+        return PyErr_NoMemory();
+    for (int v = 0; v < n; v++)
+        stack[0].v[v] = (unsigned char)v;
+    stack[0].end[0] = (unsigned char)n;
+    stack[0].k = n > 0;
+    canon_refine(nb, n, &stack[0]);
+    int top = 1, found = 0;
+    long long popped = 0;
+    while (top) {
+        if ((++popped & SIGNAL_EVERY) == 0 && PyErr_CheckSignals() < 0) {
+            PyMem_Free(stack);
+            return NULL;
+        }
+        Partition p = stack[--top];
+        int i = 0, start = 0;
+        while (i < p.k && p.end[i] - start == 1)
+            start = p.end[i++];
+        if (i == p.k) {
+            for (int pos = 0; pos < n; pos++)
+                lab[p.v[pos]] = (unsigned char)pos;
+            memset(form, 0, sizeof form);
+            for (int u = 0; u < n; u++)
+                for (word x = nb[u] >> u >> 1 << u << 1; x; x &= x - 1) {
+                    int a = lab[u], b = lab[__builtin_ctzll(x)];
+                    if (a < b)
+                        form[a] |= BIT(b);
+                    else
+                        form[b] |= BIT(a);
+                }
+            if (!found || canon_less(form, best, n)) {
+                memcpy(best, form, sizeof form);
+                memcpy(blab, lab, sizeof lab);
+                found = 1;
+            }
+            continue;
+        }
+        /* each vertex of cell i but the twins of one tried before it */
+        word tried = 0;
+        for (int j = start; j < p.end[i]; j++) {
+            int v = p.v[j], twin = 0;
+            for (word x = tried; x && !twin; x &= x - 1) {
+                int w = __builtin_ctzll(x);
+                twin = (nb[v] & ~BIT(w)) == (nb[w] & ~BIT(v));
+            }
+            if (twin)
+                continue;
+            tried |= BIT(v);
+            Partition *c = &stack[top++];
+            memcpy(c->v, p.v, start);
+            c->v[start] = (unsigned char)v;
+            for (int t = start, r = start + 1; t < n; t++)
+                if (t != j)
+                    c->v[r++] = p.v[t];
+            memcpy(c->end, p.end, i);
+            c->end[i] = (unsigned char)(start + 1);
+            memcpy(c->end + i + 1, p.end + i, p.k - i);
+            c->k = p.k + 1;
+            canon_refine(nb, n, c);
+        }
+    }
+    PyMem_Free(stack);
+    return canon_result(n, best, blab);
+}
+
 static PyMethodDef methods[] = {
     {"ham_cycle", (PyCFunction)(void (*)(void))ham_cycle,
      METH_VARARGS | METH_KEYWORDS, "See purecore.ham_cycle."},
     {"longest_cycle", (PyCFunction)(void (*)(void))longest_cycle,
      METH_VARARGS | METH_KEYWORDS, "See purecore.longest_cycle."},
+    {"canonical_form", canonical_form, METH_VARARGS,
+     "See purecore.canonical_form."},
     {NULL, NULL, 0, NULL},
 };
 

@@ -2,11 +2,13 @@
 
 Same contract as the compiled extension in ``_fastcore.c``: exhaustive
 backtracking for hamiltonian cycles with forced edges, exact longest cycle
-search, and `pm_scan`, the perfect-matching scan over the enumeration of
-`_completions`: it tests the matchings of a line graph against held trails
-or, without centres, yields every perfect matching of any graph.  Both
-backends must produce identical verdicts and identical witnesses (candidate
-orderings match line for line).
+search, `pm_scan`, the perfect-matching scan over the enumeration of
+`_completions` (it tests the matchings of a line graph against held trails
+or, without centres, yields every perfect matching of any graph), and
+`canonical_form`, the individualisation-refinement search that decides
+isomorphism.  Both backends must produce identical verdicts and identical
+witnesses (candidate orderings match line for line), and the same form and
+labelling.
 
 Status codes: 0 = FOUND, 1 = ABSENT, 2 = BUDGET (node cap hit before the
 search tree was exhausted).
@@ -364,3 +366,82 @@ def _trail(cycle, eid, centre):
             else:
                 refused |= 1 << e
     return refused, off, pairs, segments
+
+
+# ---------------------------------------------------------------------------
+# Canonical form (individualisation-refinement, after McKay 1981)
+
+
+def _refine(adj, cells):
+    """Split every cell of the ordered partition `cells` by each vertex's
+    neighbour counts into every cell, parts ordered by that count, until no
+    cell splits.  The result depends on the labels only through the order of
+    `cells`."""
+    cell_of = [0] * len(adj)
+    while True:
+        for i, cell in enumerate(cells):
+            for v in cell:
+                cell_of[v] = i
+        split = []
+        for cell in cells:
+            if len(cell) == 1:
+                split.append(cell)
+                continue
+            parts = {}
+            for v in cell:
+                key = tuple(sorted([cell_of[w] for w in adj[v]]))
+                parts.setdefault(key, []).append(v)
+            split += [parts[key] for key in sorted(parts)]
+        if len(split) == len(cells):
+            return split
+        cells = split
+
+
+def canonical_form(n, edges):
+    """(form, labelling) of the graph on vertices 0..n-1 with `edges`, pairs
+    (u, v) with u < v: form = (n, sorted edges relabelled by labelling), with
+    labelling[v] the new label of v.  Two graphs are isomorphic exactly when
+    their forms are equal.  At most 64 vertices (the compiled kernel keeps
+    one 64-bit neighbour mask per vertex); more vertices, or an edge that is
+    repeated or not such a pair, raise ValueError.
+
+    Depth first over the search tree of individualisation-refinement, where
+    each node individualises a vertex of the first non-singleton cell; the
+    form is the least over the leaves, and the labelling that of the first
+    leaf with it.  A vertex v is skipped when a vertex w tried before it in
+    the same cell has N(v) - w == N(w) - v: the swap of v and w is then an
+    automorphism that fixes the partition, so both subtrees give the same
+    forms.  The search reads no neighbour order, only the neighbour sets.
+    """
+    if not 0 <= n <= 64:
+        raise ValueError(f"canonical form takes 0..64 vertices, not {n}")
+    edges = list(edges)
+    nbrs = [set() for _ in range(n)]
+    for u, v in edges:
+        if not 0 <= u < v < n or v in nbrs[u]:
+            raise ValueError(f"edge ({u},{v}) is repeated or not a pair "
+                             f"u < v of vertices below {n}")
+        nbrs[u].add(v)
+        nbrs[v].add(u)
+    best = None
+    stack = [_refine(nbrs, [list(range(n))])]
+    while stack:
+        cells = stack.pop()
+        i = next((i for i, cell in enumerate(cells) if len(cell) > 1), None)
+        if i is None:
+            lab = [0] * n
+            for pos, (v,) in enumerate(cells):
+                lab[v] = pos
+            form = (n, tuple(sorted((lab[u], lab[v]) if lab[u] < lab[v]
+                                    else (lab[v], lab[u]) for u, v in edges)))
+            if best is None or form < best[0]:
+                best = (form, tuple(lab))
+            continue
+        tried = []
+        for v in cells[i]:
+            if any(nbrs[v] - {w} == nbrs[w] - {v} for w in tried):
+                continue
+            tried.append(v)
+            rest = [w for w in cells[i] if w != v]
+            stack.append(_refine(nbrs, cells[:i] + [[v], rest] + cells[i + 1:]))
+    return best

@@ -3,7 +3,8 @@ deduplicated by canonical form.  Known counts (1, 2, 4, 11, 34, 156, 1044
 graphs on 1..7 vertices; 853 connected on <= 7) are asserted in the test
 suite as a correctness cross-check.  On 8 vertices the corpus holds the
 known 12,346 graphs, 11,117 of them connected (checked outside the test
-suite; 11-15 s with Python 3.11 on a 2-vCPU Xeon VM).
+suite; the build takes 1.0 s on the compiled kernel and 5.8 s on the pure
+one, with Python 3.11 on a 2-vCPU Xeon VM).
 """
 
 from __future__ import annotations
@@ -23,14 +24,46 @@ def _dedup(graphs):
 
 
 def _augmented(graphs, max_degree):
-    """Each graph of `graphs` with a new vertex joined to a set of its
-    vertices, keeping the maximum degree at most `max_degree`."""
+    """Each graph g of `graphs` with a new vertex joined to a set of its
+    vertices, keeping the maximum degree at most `max_degree`, in the order
+    of `combinations` over `room`, the vertices with room to spare; except
+    that only one subset per swap of twins is kept.
+
+    Vertices v and w of g are twins when N(v) - w == N(w) - v; twins form
+    classes, and any permutation within a class is an automorphism of g.
+    A subset is kept only if, in each twin class, its members form a prefix
+    of the class in `room` order.  Any other subset S has a twin-swapped
+    image S' with those prefixes, which gives an isomorphic child; S' has
+    the same size, its sorted elements are each no larger than S's, so
+    `combinations` yields it before S.  So the first child of each
+    isomorphism class is never skipped, and `_dedup` keeps the same graphs
+    in the same order as over every subset.
+    """
     for g in graphs:
-        room = [v for v in range(g.n) if g.degree(v) < max_degree]
+        n = g.n
+        room = [v for v in range(n) if g.degree(v) < max_degree]
+        # with twins of equal degree, each class lies in room or outside it
+        nbrs = [set(a) for a in g.adjacency]
+        classes = []
+        before = [0] * n    # the member of v's class just before v, as a bit
+        for v in room:
+            for cls in classes:
+                w = cls[0]
+                if nbrs[v] - {w} == nbrs[w] - {v}:
+                    before[v] = 1 << cls[-1]
+                    cls.append(v)
+                    break
+            else:
+                classes.append([v])
         for k in range(min(max_degree, len(room)) + 1):
             for subset in combinations(room, k):
-                edges = list(g.edges) + [(v, g.n) for v in subset]
-                yield Graph.from_edges(g.n + 1, edges)
+                bits = need = 0
+                for v in subset:
+                    bits |= 1 << v
+                    need |= before[v]
+                if need & ~bits:
+                    continue
+                yield Graph(n + 1, g.edges | {(v, n) for v in subset})
 
 
 @lru_cache(maxsize=None)

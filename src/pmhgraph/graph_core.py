@@ -12,13 +12,14 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from math import isqrt
 
-from ._kernel import MAX_VERTICES
+from . import _kernel
 from .errors import CapacityError, FormatError, ParameterError
 
+# the compiled canonical form keeps one 64-bit neighbour mask per vertex
 ISO_SIZE_BOUND = 64
 # Largest named instance, in edges: its line graph has one vertex per edge,
 # and the search kernels take at most MAX_VERTICES vertices.
-GEN_SIZE_BOUND = MAX_VERTICES
+GEN_SIZE_BOUND = _kernel.MAX_VERTICES
 
 
 def _norm_edge(u, v):
@@ -277,69 +278,17 @@ def write_graph6(g: Graph):
 # Canonical forms (individualisation-refinement, after McKay 1981)
 
 
-def _refine(adj, cells):
-    """Split every cell of the ordered partition `cells` by each vertex's
-    neighbour counts into every cell, parts ordered by that count, until no
-    cell splits.  The result depends on the labels only through the order of
-    `cells`."""
-    cell_of = [0] * len(adj)
-    while True:
-        for i, cell in enumerate(cells):
-            for v in cell:
-                cell_of[v] = i
-        split = []
-        for cell in cells:
-            if len(cell) == 1:
-                split.append(cell)
-                continue
-            parts = {}
-            for v in cell:
-                key = tuple(sorted([cell_of[w] for w in adj[v]]))
-                parts.setdefault(key, []).append(v)
-            split += [parts[key] for key in sorted(parts)]
-        if len(split) == len(cells):
-            return split
-        cells = split
-
-
 def canonical_form(g: Graph):
     """(form, labelling): form = (n, sorted edges relabelled by labelling),
     with labelling[v] the new label of v.  Two graphs are isomorphic exactly
-    when their forms are equal.
-
-    Depth first over the search tree of individualisation-refinement, where
-    each node individualises a vertex of the first non-singleton cell; the
-    form is the least over the leaves.  A vertex v is skipped when a vertex w
-    tried before it in the same cell has N(v) - w == N(w) - v: the swap of v
-    and w is then an automorphism that fixes the partition, so both subtrees
-    give the same forms.  Above ISO_SIZE_BOUND vertices: CapacityError.
+    when their forms are equal.  The search is a kernel
+    (`_kernel.purecore.canonical_form` is the reference, and its docstring
+    the method), so both backends give the same form and labelling.  Above
+    ISO_SIZE_BOUND vertices: CapacityError.
     """
     if g.n > ISO_SIZE_BOUND:
         raise CapacityError(f"isomorphism bound {ISO_SIZE_BOUND} vertices exceeded")
-    adj = g.adjacency
-    nbrs = [set(a) for a in adj]
-    best = None
-    stack = [_refine(adj, [list(range(g.n))])]
-    while stack:
-        cells = stack.pop()
-        i = next((i for i, cell in enumerate(cells) if len(cell) > 1), None)
-        if i is None:
-            lab = [0] * g.n
-            for pos, (v,) in enumerate(cells):
-                lab[v] = pos
-            form = (g.n, tuple(sorted((lab[u], lab[v]) if lab[u] < lab[v]
-                                      else (lab[v], lab[u]) for u, v in g.edges)))
-            if best is None or form < best[0]:
-                best = (form, tuple(lab))
-            continue
-        tried = []
-        for v in cells[i]:
-            if any(nbrs[v] - {w} == nbrs[w] - {v} for w in tried):
-                continue
-            tried.append(v)
-            rest = [w for w in cells[i] if w != v]
-            stack.append(_refine(adj, cells[:i] + [[v], rest] + cells[i + 1:]))
-    return best
+    return _kernel.canonical_form(g.n, g.edges)
 
 
 def are_isomorphic(g1: Graph, g2: Graph, witness=False):

@@ -1,7 +1,9 @@
+from itertools import combinations
+
 from pmhgraph.corpus import (connected_graphs_upto, connected_subcubic_upto,
                              generate_all_graphs, generate_connected_graphs,
                              generate_subcubic_graphs)
-from pmhgraph.graph_core import canonical_form
+from pmhgraph.graph_core import Graph, canonical_form
 
 from conftest import naive_canonical_form, relabelled
 
@@ -56,3 +58,32 @@ def test_connected_subcubic_upto_filters():
     assert all(g.is_connected() for g in graphs)
     assert all(len(g.edges) % 2 == 0 for g in graphs)
     assert all(g.max_degree() <= 3 for g in graphs)
+
+
+def _grown_over_every_subset(n, max_degree=None):
+    """The corpus of order n as the augmentation over every subset of the
+    vertices with room (degree below `max_degree`, or below the new
+    vertex's largest possible degree), keeping the first graph of each
+    form: the reference for skipping twin-swapped subsets."""
+    graphs = [Graph(1)] if n >= 1 else []
+    for order in range(2, n + 1):
+        cap = order - 1 if max_degree is None else max_degree
+        reps = {}
+        for g in graphs:
+            room = [v for v in range(g.n) if g.degree(v) < cap]
+            for k in range(min(cap, len(room)) + 1):
+                for subset in combinations(room, k):
+                    child = Graph.from_edges(
+                        g.n + 1, list(g.edges) + [(v, g.n) for v in subset])
+                    reps.setdefault(canonical_form(child)[0], child)
+        graphs = list(reps.values())
+    return graphs
+
+
+def test_twin_pruned_augmentation_keeps_every_graph_in_order():
+    for n in range(0, 7):
+        assert [(g.n, g.edges) for g in generate_all_graphs(n)] == \
+            [(g.n, g.edges) for g in _grown_over_every_subset(n)]
+    for n in range(0, 9):
+        assert [(g.n, g.edges) for g in generate_subcubic_graphs(n)] == \
+            [(g.n, g.edges) for g in _grown_over_every_subset(n, 3)]

@@ -12,14 +12,17 @@ import pytest
 from pmhgraph import _kernel
 from pmhgraph._kernel import BACKEND, purecore
 from pmhgraph.cli import _candidate
-from pmhgraph.corpus import connected_graphs_upto
+from pmhgraph.corpus import connected_graphs_upto, generate_all_graphs
 from pmhgraph.cycles import FOUND, _hamiltonian_search
-from pmhgraph.graph_core import Graph, make_named_graph, parse_graph6
+from pmhgraph.errors import CapacityError
+from pmhgraph.graph_core import (ISO_SIZE_BOUND, Graph, canonical_form,
+                                 make_named_graph, parse_graph6)
 from pmhgraph.matching import enumerate_perfect_matchings
 from pmhgraph.line_graph import build_line_graph
 from pmhgraph.pmh import _centres, enumerate_hamiltonian_cycles
 
-from conftest import naive_ham_cycle, naive_longest_cycle_length, random_graph
+from conftest import (naive_ham_cycle, naive_longest_cycle_length, random_graph,
+                      relabelled)
 
 try:
     from pmhgraph._kernel import _fastcore
@@ -307,6 +310,51 @@ def test_pm_scan_without_centres_edge_cases():
             scan.add((0, 1, 2, 3, 0))
         assert (list(scan), scan.tested) == ([[(0, 2), (1, 3)],
                                               [(0, 3), (1, 2)]], 3)
+
+
+def _flower(petals, length):
+    """`petals` copies of the cycle C_length sharing vertex 0."""
+    edges = []
+    for p in range(petals):
+        ring = [0] + [1 + p * (length - 1) + i for i in range(length - 1)]
+        edges += zip(ring, ring[1:] + ring[:1])
+    return Graph.from_edges(1 + petals * (length - 1), edges)
+
+
+@needs_compiled
+def test_canonical_form_parity(rng):
+    """Both backends give the same form and labelling on every graph on 0-7
+    vertices; on vertex-transitive and twin-rich graphs, where the search
+    tree is widest, each also under 5 seeded relabellings; and on a path of
+    ISO_SIZE_BOUND vertices."""
+    cox = make_named_graph("coxeter", [])
+    named = [cox, build_line_graph(cox).lg, make_named_graph("petersen", []),
+             make_named_graph("cube", []), make_named_graph("complete", [8]),
+             make_named_graph("bipartite", [4, 4]),
+             make_named_graph("cycle", [40]), _flower(3, 4)]
+    graphs = [Graph(0)] + [g for n in range(1, 8) for g in generate_all_graphs(n)]
+    graphs += named + [relabelled(g, rng) for g in named for _ in range(5)]
+    graphs.append(make_named_graph("path", [ISO_SIZE_BOUND]))
+    assert len(graphs) == 1253 + 6 * len(named) + 1
+    for g in graphs:
+        assert _fastcore.canonical_form(g.n, g.edges) == \
+            purecore.canonical_form(g.n, g.edges), g
+
+
+def test_canonical_form_refuses_malformed_input(monkeypatch):
+    """Each kernel refuses an edge out of range, not ordered u < v, or
+    repeated, and more than 64 vertices; through graph_core a graph above
+    ISO_SIZE_BOUND gets CapacityError before the kernel runs."""
+    big = make_named_graph("path", [ISO_SIZE_BOUND + 1])
+    for impl in (purecore,) if _fastcore is None else (purecore, _fastcore):
+        for n, edges in [(3, [(0, 3)]), (3, [(-1, 2)]), (3, [(1, 0)]),
+                         (3, [(1, 1)]), (3, [(0, 1), (0, 2), (0, 1)]),
+                         (3, [(0, 1, 2)]), (65, []), (-1, [])]:
+            with pytest.raises(ValueError):
+                impl.canonical_form(n, edges)
+        monkeypatch.setattr(_kernel, "canonical_form", impl.canonical_form)
+        with pytest.raises(CapacityError):
+            canonical_form(big)
 
 
 class _Alarm(Exception):

@@ -6,7 +6,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import pmhgraph
+from pmhgraph._kernel import purecore
 
 PACKAGE = Path(pmhgraph.__file__).resolve().parent
 
@@ -49,3 +52,14 @@ def test_cli_import_leaves_out_multiprocessing():
                          text=True, check=True, timeout=60,
                          env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)})
     assert out.stdout.strip() == "False"
+
+
+def test_compiled_kernel_exports_every_pure_kernel_name():
+    """Each public name of the pure kernel has a compiled twin, so a kernel
+    written only in Python fails here instead of running as pure code on
+    the compiled backend."""
+    fastcore = pytest.importorskip("pmhgraph._kernel._fastcore")
+    names = {name for name in vars(purecore) if not name.startswith("_")}
+    assert names == {"ham_cycle", "longest_cycle", "pm_scan", "canonical_form",
+                     "FOUND", "ABSENT", "BUDGET", "BACKEND"}
+    assert sorted(names - set(dir(fastcore))) == []
