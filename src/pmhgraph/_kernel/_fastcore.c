@@ -8,10 +8,10 @@
  * same form and labelling); see that module for the contract.  A search
  * stops at the first node past its budget (max_nodes, 0 for none) and returns
  * BUDGET with max_nodes + 1 nodes.  The pruning tests decide what purecore's
- * decide, with less work (see prune_words).  Vertex sets are bitsets of
- * nw = ceil(n/64) uint64_t words, the same masks purecore builds from Python
- * ints; the canonical form keeps one word per vertex, so it takes at most 64
- * vertices.
+ * decide, with less work (see prune_words and lc_core).  Vertex sets are
+ * bitsets of nw = ceil(n/64) uint64_t words, the same masks purecore builds
+ * from Python ints; the canonical form keeps one word per vertex, so it takes
+ * at most 64 vertices.
  *
  * A search polls PyErr_CheckSignals() every 2^14 nodes, the scan every 2^14
  * matchings and the canonical form every 2^14 partitions, so a signal handler
@@ -49,6 +49,7 @@ typedef struct {
     word *amask;            /* bitset row per vertex; self-loops cleared
                                (no purecore check reads a vertex's own bit) */
     word *full, *visited, *allow, *target, *reach, *frontier, *next, *above;
+    word *cores;            /* longest cycle: a closable core per path vertex */
     long long nodes, max_nodes;
 } Search;
 
@@ -56,6 +57,7 @@ static void search_free(Search *s)
 {
     PyMem_Free(s->off);
     PyMem_Free(s->amask);
+    PyMem_Free(s->cores);
 }
 
 /* Copy `adj` (a sequence of neighbour sequences) into s->off and s->nbr
@@ -160,11 +162,12 @@ INLINE int count_node(Search *s)
     return 0;
 }
 
-/* reach := the vertices reachable from u through s->allow (u included), or
+/* reach := the vertices reachable from u through `allow` (u included), or
  * at least all of `target` (a subset of allow) among them; returns whether
  * every target vertex was reached.  The callers pass nw == 1 as a constant so
  * the one-word case compiles flat. */
-INLINE int flood(Search *s, int u, const word *target, int nw)
+INLINE int flood(Search *s, int u, const word *allow, const word *target,
+                 int nw)
 {
     word *reach = s->reach, *frontier = s->frontier, *next = s->next;
     word more = 1, left = 1;
@@ -184,7 +187,7 @@ INLINE int flood(Search *s, int u, const word *target, int nw)
             }
         more = left = 0;
         for (int i = 0; i < nw; i++) {
-            frontier[i] = next[i] & s->allow[i] & ~reach[i];
+            frontier[i] = next[i] & allow[i] & ~reach[i];
             reach[i] |= frontier[i];
             more |= frontier[i];
             left |= target[i] & ~reach[i];
@@ -230,10 +233,10 @@ INLINE int prune_words(Search *s, int u, int parent, int nw)
         }
     }
     if (parent < 0)
-        return flood(s, u, s->allow, nw);
+        return flood(s, u, s->allow, s->allow, nw);
     for (int i = 0; i < nw; i++)
         s->target[i] = s->amask[(size_t)parent * nw + i] & s->allow[i];
-    return flood(s, u, s->target, nw);
+    return flood(s, u, s->allow, s->target, nw);
 }
 
 static int ham_dfs(Search *s, int u, int parent, int count, int used)
@@ -366,32 +369,92 @@ static PyObject *ham_cycle(PyObject *Py_UNUSED(self), PyObject *args, PyObject *
 /* ------------------------------------------------------------------------ */
 /* Longest cycle by branch and bound */
 
-static int lc_dfs(Search *s, int u)
+/* purecore._closable_core with less work, as prune_words is purecore's
+ * feasible: shrink `core`, the `size` vertices the path may still take, to
+ * the greatest subset reachable from u inside itself in which every vertex
+ * has two neighbours among the subset, u and root; returns its new size.
+ * Below the root, `core` is the parent's core minus u.  That core was
+ * reachable from the parent inside itself, so (as in prune_words) the flood
+ * from u stops once the parent's neighbours in `core` are reached.  And when
+ * the flood cuts nothing, only the parent left the set a vertex counts
+ * neighbours in, so the peel starts from the parent's neighbours and goes on
+ * to the neighbours of what it drops.  A peel in any order ends at the same
+ * set, so the result is purecore's. */
+INLINE int lc_core(Search *s, int u, int parent, word *core, int size, int nw)
 {
-    int nw = s->nw, r = count_node(s), cnt = 0;
+    word *keep = s->target, *cand = s->allow, *reach = s->reach;
+    for (int i = 0; i < nw; i++)
+        cand[i] = parent < 0 ? core[i] : ROW(s, parent)[i] & core[i];
+    if (!flood(s, u, core, cand, nw))
+        for (int i = 0; i < nw; i++) {
+            for (word x = core[i] & ~reach[i]; x; x &= x - 1)
+                size--;
+            cand[i] = core[i] &= reach[i];
+        }
+    for (int i = 0; i < nw; i++)
+        keep[i] = core[i];
+    ADD(keep, u);
+    ADD(keep, s->root);
+    for (int more = 1; more;) {
+        more = 0;
+        for (int j = 0; j < nw; j++) {
+            word x = cand[j];
+            cand[j] = 0;
+            for (; x; x &= x - 1) {
+                int v = j * 64 + __builtin_ctzll(x), cnt = 0;
+                const word *row = ROW(s, v);
+                if (!HAS(core, v))
+                    continue;
+                for (int i = 0; i < nw && cnt < 2; i++) {
+                    word y = row[i] & keep[i];
+                    cnt += y ? ((y & (y - 1)) ? 2 : 1) : 0;
+                }
+                if (cnt >= 2)
+                    continue;
+                DEL(core, v);
+                DEL(keep, v);
+                size--;
+                for (int i = 0; i < nw; i++)
+                    cand[i] |= row[i] & core[i];
+                more = 1;
+            }
+        }
+    }
+    return size;
+}
+
+/* A node of purecore.longest_cycle: the path s->path[0..plen) ends at u, and
+ * its level's slot of s->cores holds the `size` vertices the path may still
+ * take (see lc_core for `parent`).  Bound: the node is a leaf when the path
+ * plus its closable core is no longer than the best cycle, or when u is not
+ * root and root has no neighbour in the core; a child w takes the core minus
+ * w. */
+static int lc_dfs(Search *s, int u, int parent, int size)
+{
+    int nw = s->nw, r = count_node(s), meets = u == s->root;
     if (r)
         return r;
     if (s->plen >= 3 && HAS(ROW(s, u), s->root) && s->plen > s->blen) {
         memcpy(s->best, s->path, s->plen * sizeof(int));
         s->blen = s->plen;
     }
-    /* Bound: vertices reachable from u through the unvisited region. */
-    for (int i = 0; i < nw; i++)
-        s->allow[i] = s->above[i] & ~s->visited[i];
-    (void)(nw == 1 ? flood(s, u, s->allow, 1) : flood(s, u, s->allow, nw));
-    for (int i = 0; i < nw; i++)
-        cnt += __builtin_popcountll(s->reach[i] & s->allow[i]);
-    if (s->plen + cnt <= s->blen)
+    word *core = s->cores + (size_t)(s->plen - 1) * nw, *sub = core + nw;
+    size = nw == 1 ? lc_core(s, u, parent, core, size, 1)
+                   : lc_core(s, u, parent, core, size, nw);
+    for (int i = 0; i < nw && !meets; i++)
+        meets = (ROW(s, s->root)[i] & core[i]) != 0;
+    if (s->plen + size <= s->blen || !meets)
         return 0;
     for (int i = s->off[u]; i < s->off[u + 1]; i++) {
         int w = s->nbr[i];
-        if (w <= s->root || HAS(s->visited, w))
+        if (!HAS(core, w))
             continue;
-        ADD(s->visited, w);
+        for (int j = 0; j < nw; j++)
+            sub[j] = core[j];
+        DEL(sub, w);
         s->path[s->plen++] = w;
-        r = lc_dfs(s, w);
+        r = lc_dfs(s, w, u, size - 1);
         s->plen--;
-        DEL(s->visited, w);
         if (r)
             return r;
     }
@@ -409,16 +472,21 @@ static PyObject *longest_cycle(PyObject *Py_UNUSED(self), PyObject *args,
                                      &adj, &max_nodes) ||
         search_init(&s, adj, max_nodes) < 0)
         return NULL;
+    /* a path of plen vertices uses the slots of levels 0 .. plen - 1 */
+    s.cores = PyMem_Calloc((size_t)s.n * s.nw + 1, sizeof(word));
+    if (!s.cores) {
+        search_free(&s);
+        return PyErr_NoMemory();
+    }
     int r = 0;
     memcpy(s.above, s.full, s.nw * sizeof(word));
-    for (int root = 0; root < s.n && !r && s.blen != s.n; root++) {
+    for (int root = 0; !r && s.n - root > s.blen; root++) {
         /* Cycles whose minimum vertex is `root`: the path stays above it. */
         DEL(s.above, root);
         s.root = s.path[0] = root;
         s.plen = 1;
-        ADD(s.visited, root);
-        r = lc_dfs(&s, root);
-        DEL(s.visited, root);
+        memcpy(s.cores, s.above, s.nw * sizeof(word));
+        r = lc_dfs(&s, root, -1, s.n - 1 - root);
     }
     PyObject *out = r == FAILED ? NULL :
         result(r == BUDGET ? BUDGET : s.blen ? FOUND : ABSENT,

@@ -143,6 +143,29 @@ def ham_cycle(adj, forced=(), max_nodes=0):
         free = frees[-1] ^ 1 << w
 
 
+def _closable_core(amask, u, root, region):
+    """The vertices of `region` that a path from u may still take on its way
+    to close a cycle at root, as a bitmask: the greatest subset reachable
+    from u inside itself in which every vertex has two neighbours among the
+    subset, u and root.  It is what is left of the vertices reachable from u
+    once the vertices with fewer than two are peeled, in any order.  The
+    peel keeps it reachable: a path of reachable vertices from u to a kept
+    vertex gives each of its vertices two neighbours on itself, so it is
+    kept too."""
+    core = _flood(amask, u, region) & region
+    anchors = 1 << u | 1 << root
+    drop = True
+    while drop:
+        drop = 0
+        keep = core | anchors
+        for x in _bits(core):
+            y = amask[x] & keep & ~(1 << x)
+            if not y & (y - 1):
+                drop |= 1 << x
+        core ^= drop
+    return core
+
+
 def longest_cycle(adj, max_nodes=0):
     """Exact longest simple cycle by exhaustive branch and bound.
 
@@ -150,6 +173,20 @@ def longest_cycle(adj, max_nodes=0):
     acyclic.  On BUDGET, which `max_nodes` bounds as in `ham_cycle`, the
     best cycle found so far (possibly None) is returned and must be treated
     as a lower bound only.
+
+    The cycles with least vertex `root` are searched as paths (root, ..., u)
+    from root, in increasing root order, and `best` changes only on a
+    strictly longer cycle.  A node's subtree holds the cycles that extend
+    its path by some u -> x1 -> ... -> xk -> root.  Every xi has two
+    neighbours among the xs, u and root, and the xs are reachable from u
+    through themselves, so they lie in the closable core of the vertices
+    the path may still take (`_closable_core`).  The node records its own
+    cycle, then is a leaf when plen + |core| <= len(best), or when u is not
+    root and root has no neighbour in the core (no xk is left).  Its
+    children are the neighbours of u in the core, and a child w may take
+    the core minus w.  The root loop stops once n - root <= len(best).  A
+    subtree cut this way holds no cycle longer than `best`, so the cuts
+    change no status or witness, only the node count.
     """
     n = len(adj)
     amask = _masks(adj)
@@ -158,14 +195,14 @@ def longest_cycle(adj, max_nodes=0):
     nodes = 0
     above = (1 << n) - 1
     for root in range(n):
-        if len(best) == n:
+        if n - root <= len(best):
             break
         # Cycles whose minimum vertex is `root`: the path stays above it.
         above ^= 1 << root
         path, allow = [root], above
-        # The node counted is path[-1]; `allow` holds the vertices above
-        # root not on the path, and a frame of `_advance` keeps its vertex's.
-        allows, tries = [], []
+        # The node counted is path[-1], which may take the vertices in
+        # `allow`; a frame of `_advance` keeps its vertex's closable core.
+        cores, tries = [], []
         while True:
             u = path[-1]
             nodes += 1
@@ -173,17 +210,18 @@ def longest_cycle(adj, max_nodes=0):
                 return BUDGET, (best if best else None), nodes
             if len(path) >= 3 and (amask[u] >> root) & 1 and len(path) > len(best):
                 best = list(path)
-            # Bound: vertices reachable from u through the unvisited region.
-            if len(path) + (_flood(amask, u, allow) & allow).bit_count() > len(best):
-                allows.append(allow)
+            core = _closable_core(amask, u, root, allow)
+            if (len(path) + core.bit_count() > len(best)
+                    and (u == root or amask[root] & core)):
+                cores.append(core)
                 tries.append(iter(adj[u]))
             else:
                 path.pop()
-            w = _advance(allows, tries, path)
+            w = _advance(cores, tries, path)
             if w is None:
                 break
             path.append(w)
-            allow = allows[-1] ^ 1 << w
+            allow = cores[-1] ^ 1 << w
 
     if not best:
         return ABSENT, None, nodes

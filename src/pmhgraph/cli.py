@@ -18,7 +18,8 @@ outcome).  One runner, `_run`, does the rest for all of them:
   keeps it.
 - It passes the node budget (`--max-nodes`, else $PMHGRAPH_MAX_NODES, else
   unbounded; click reads both) to every search the body runs.  A spent
-  budget or timeout is reported as "inconclusive", never as absence.
+  budget or timeout is reported as "inconclusive" with its reason, never as
+  absence or as `"is_pmh": false`.
 
 Exit codes, worst line first: 1 a usage error, or some line had a format or
 precondition error, 2 some search was inconclusive (budget or timeout
@@ -192,10 +193,18 @@ def _run(command, body, source, opts):
 # Command bodies: (graph, options) -> _Line
 
 
+def _spent(verdict, outcome):
+    """The verdict, with the reason a spent budget gives when `outcome` is
+    inconclusive."""
+    if outcome == INCONCLUSIVE:
+        verdict["reason"] = "budget"
+    return verdict
+
+
 def _search_line(res, host, required=frozenset(), **verdict):
     walk = None if res.walk is None else _Walk(res.walk, host, required)
-    return _Line({"outcome": res.outcome, **verdict}, walk, res.nodes,
-                 res.outcome)
+    return _Line(_spent({"outcome": res.outcome, **verdict}, res.outcome),
+                 walk, res.nodes, res.outcome)
 
 
 def _surgery_line(out, s):
@@ -246,7 +255,10 @@ def _circ(g, o):
     if res.outcome == ABSENT:
         raise StructureError("graph is acyclic: circumference undefined")
     if res.outcome == INCONCLUSIVE:
-        return _Line({"outcome": INCONCLUSIVE}, None, res.nodes, INCONCLUSIVE)
+        # the longest cycle found before the budget ran out, if any
+        bound = None if res.walk is None else res.walk.length()
+        return _Line({"outcome": INCONCLUSIVE, "reason": "budget",
+                      "lower_bound": bound}, None, res.nodes, INCONCLUSIVE)
     return _Line({"circumference": res.walk.length()}, None, res.nodes)
 
 
@@ -269,9 +281,10 @@ def _pmh_check(g, o):
     witness = None
     if v.witness is not None:
         witness = {"matching": sorted(list(e) for e in v.witness.edges)}
-    return _Line({"status": v.status, "is_pmh": v.is_pmh,
-                  "vacuous": v.vacuous, "matchings_tested": v.matchings_tested,
-                  "searches": v.searches},
+    return _Line(_spent({"status": v.status, "is_pmh": v.is_pmh,
+                         "vacuous": v.vacuous,
+                         "matchings_tested": v.matchings_tested,
+                         "searches": v.searches}, v.status),
                  witness, v.nodes, v.status)
 
 
@@ -507,9 +520,9 @@ def _survey_one(args):
         return {"graph6": g6, "status": INCONCLUSIVE, "reason": "timeout",
                 "vacuous": False, "matchings_tested": 0, "nodes": 0,
                 "searches": 0}
-    entry = {"graph6": g6, "status": v.status, "vacuous": v.vacuous,
-             "matchings_tested": v.matchings_tested, "nodes": v.nodes,
-             "searches": v.searches}
+    entry = _spent({"graph6": g6, "status": v.status, "vacuous": v.vacuous,
+                    "matchings_tested": v.matchings_tested, "nodes": v.nodes,
+                    "searches": v.searches}, v.status)
     if v.witness is not None:
         entry["witness_matching"] = sorted(list(e) for e in v.witness.edges)
     return entry

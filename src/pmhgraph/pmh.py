@@ -50,7 +50,9 @@ class PmhVerdict:
 
     @property
     def is_pmh(self):
-        return self.status == "pmh"
+        """True or False, or None when inconclusive: a spent budget refutes
+        nothing."""
+        return None if self.status == "inconclusive" else self.status == "pmh"
 
     @property
     def vacuous(self):

@@ -334,6 +334,36 @@ def test_survey_skips_a_graph_above_the_bound(tmp_path):
             summary["filtered_out"]) == (2, 1, 0)
 
 
+def test_pmh_check_inconclusive_is_not_a_refutation():
+    """A spent budget leaves `is_pmh` null, not false."""
+    res = run("pmh-check", "--max-nodes", "3", "-", input=g6("coxeter") + "\n")
+    assert res.exit_code == 2
+    (rep,) = reports(res)
+    verdict = rep["verdict"]
+    assert verdict["status"] == "inconclusive" and verdict["is_pmh"] is None
+    assert verdict["reason"] == "budget" and rep["witness"] is None
+
+
+def test_search_commands_share_the_inconclusive_shape():
+    """Under a spent budget each search command gives the outcome and its
+    reason; `cycles circ` adds the length of the longest cycle it found
+    before the budget ran out."""
+    for args in (["cycles", "circ"], ["cycles", "ham"], ["cycles", "domcycle"],
+                 ["cycles", "hypoham"]):
+        res = run(*args, "--max-nodes", "50", "-", input=g6("coxeter") + "\n")
+        assert res.exit_code == 2, args
+        (rep,) = reports(res)
+        verdict = rep["verdict"]
+        assert (verdict.pop("outcome"), verdict.pop("reason")) == \
+            ("inconclusive", "budget"), args
+        assert verdict == ({"lower_bound": 25} if args[1] == "circ" else {})
+        assert rep["witness"] is None
+    # no cycle closes within the first node
+    res = run("cycles", "circ", "--max-nodes", "1", "-",
+              input=g6("coxeter") + "\n")
+    assert reports(res)[0]["verdict"]["lower_bound"] is None
+
+
 def matching_file(tmp_path, name, params=(), index=0):
     lgm = build_line_graph(make_named_graph(name, list(params)))
     ms = list(enumerate_perfect_matchings(lgm.lg))
@@ -376,6 +406,7 @@ def test_every_budget_is_honoured(case, tmp_path):
     (rep,) = reports(res)
     verdict = rep["verdict"]
     assert "inconclusive" in (verdict.get("outcome"), verdict.get("status"))
+    assert verdict["reason"] == "budget"
     assert rep["witness"] is None
 
 
@@ -387,6 +418,14 @@ def test_survey_budget_is_honoured(tmp_path):
     assert res.exit_code == 2
     summary = json.loads(res.stdout)
     assert summary["inconclusive"] == 1 and summary["filtered_out"] == 0
+    # enough for the filter's search, not for every matching: the journal
+    # entry gives the reason, as a timeout's does
+    journal = tmp_path / "journal20.jsonl"
+    res = run("survey", str(corpus), "--problem", "p2", "--max-nodes", "20",
+              "--journal", str(journal))
+    assert res.exit_code == 2
+    (entry,) = map(json.loads, journal.read_text().splitlines())
+    assert (entry["status"], entry["reason"]) == ("inconclusive", "budget")
 
 
 def test_survey_timeout_is_honoured(tmp_path, monkeypatch):

@@ -12,6 +12,7 @@ import pytest
 from pmhgraph import _kernel
 from pmhgraph._kernel import BACKEND, purecore
 from pmhgraph.cli import _candidate
+from pmhgraph.constructions import prop6_construct
 from pmhgraph.corpus import connected_graphs_upto, generate_all_graphs
 from pmhgraph.cycles import FOUND, _hamiltonian_search
 from pmhgraph.errors import CapacityError
@@ -139,17 +140,37 @@ def _seeded_perfect_matching(rng, g):
     return sorted((back[u], back[v]) for u, v in m.edges)
 
 
+def _bridged(g, k):
+    """k copies of g in a row, vertex 1 of each copy joined to vertex 0 of
+    the next by a bridge."""
+    edges = [(u + i * g.n, v + i * g.n) for i in range(k) for u, v in g.edges]
+    edges += [(i * g.n + 1, (i + 1) * g.n) for i in range(k - 1)]
+    return Graph.from_edges(k * g.n, edges)
+
+
 @needs_compiled
 def test_parity_beyond_one_word(rng):
-    """L(K_{10,10}) has 100 vertices and the 5x14 grid 70, so their vertex
-    sets take two words."""
+    """L(K_{10,10}) has 100 vertices, the 5x14 grid 70 and seven bridged
+    Petersen graphs 70, so their vertex sets take two words.  The longest
+    cycle searches also run to the end: on L(K_{10,10}) to a hamiltonian
+    cycle, and on the Petersen row through every root, where each search
+    that crosses a bridge is cut at once (the seventh copy straddles the
+    word boundary)."""
     lg = build_line_graph(make_named_graph("bipartite", [10, 10])).lg
     assert lg.n > 64
     for _ in range(20):
         _assert_same("ham_cycle", _adj(lg), _seeded_perfect_matching(rng, lg), 0)
     _assert_same("ham_cycle", _adj(lg), [], 0)
-    for cap in (1, 100, 3000):
+    # a cap above the finished search's nodes first, so that a kernel
+    # that strays fails here rather than searching on without end
+    for cap in (1, 100, 5000, 0):
         _assert_same("longest_cycle", _adj(lg), cap)
+    assert _fastcore.longest_cycle(_adj(lg), 0)[::2] == (purecore.FOUND, 901)
+    row = _bridged(make_named_graph("petersen", []), 7)
+    for cap in (50, 5000, 0):
+        _assert_same("longest_cycle", _adj(row), cap)
+    status, cycle, nodes = _fastcore.longest_cycle(_adj(row), 0)
+    assert (status, len(cycle), nodes) == (purecore.FOUND, 9, 1314)
     grid = _grid(5, 14)
     _assert_same("ham_cycle", _adj(grid), [], 5000)
     for _ in range(20):
@@ -410,6 +431,53 @@ def test_pure_ham_forced_against_naive(rng):
                    max(cyc[i], cyc[(i + 1) % len(cyc)]))
                   for i in range(len(cyc))}
             assert set(forced) <= es
+
+
+def _backends():
+    return (purecore,) if _fastcore is None else (purecore, _fastcore)
+
+
+def test_longest_cycle_against_naive_on_every_small_graph():
+    """Each backend finds the circumference of every graph on 3 to 7
+    vertices (0 for a forest), and the two agree on status, witness and
+    nodes."""
+    graphs = [g for n in range(3, 8) for g in generate_all_graphs(n)]
+    assert len(graphs) == 1249
+    for g in graphs:
+        want = naive_longest_cycle_length(g)
+        results = [impl.longest_cycle(_adj(g), 0) for impl in _backends()]
+        for status, cyc, _nodes in results:
+            assert (status == purecore.FOUND) == (want > 0), g
+            assert (len(cyc) if cyc else 0) == want, g
+            assert cyc is None or all(g.has_edge(a, b)
+                                      for a, b in zip(cyc, cyc[1:] + cyc[:1]))
+        assert results[0] == results[-1], g
+
+
+# The longest cycle each search finds, as it found it before its bound took
+# in the closable core, and the node counts with that bound
+LONGEST = {
+    "coxeter": ([0, 1, 2, 3, 4, 5, 6, 27, 13, 8, 22, 15, 19, 26, 12, 10, 24,
+                 17, 20, 16, 23, 9, 11, 25, 18, 14, 21], 10582),
+    "petersen": ([0, 1, 2, 3, 4, 9, 6, 8, 5], 144),
+    "K5,6": ([0, 5, 1, 6, 2, 7, 3, 8, 4, 9], 39391),
+    "prop6": ([1, 10, 13, 2, 12, 22, 7, 23, 18, 5, 19, 25, 8, 24, 15, 3, 14,
+               17, 4, 16, 26, 9, 27, 20, 6, 21, 11], 13383),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LONGEST))
+def test_longest_cycle_pinned(name):
+    """The witness of the longest cycle search and its node count, on both
+    backends.  K_{5,6} is where the bound does not bite: of its 39,401
+    nodes before the core bound, only the root loop's early stop saves 10."""
+    pet = make_named_graph("petersen", [])
+    g = {"coxeter": make_named_graph("coxeter", []), "petersen": pet,
+         "K5,6": make_named_graph("bipartite", [5, 6]),
+         "prop6": prop6_construct(pet, 0)[0]}[name]
+    witness, nodes = LONGEST[name]
+    for impl in _backends():
+        assert impl.longest_cycle(_adj(g), 0) == (purecore.FOUND, witness, nodes)
 
 
 def test_pure_longest_against_naive(rng):
