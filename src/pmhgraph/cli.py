@@ -1,8 +1,9 @@
 """Command line front end: JSON reports for line-graph construction, matching
 enumeration, cycle searches, matching extension, and a counterexample survey.
 
-Reports are schema-versioned JSON, one object per input graph.  Walks are
-serialized as closed vertex-id lists (first vertex repeated last).
+Reports are schema-versioned JSON, one sort_keys line per input graph,
+written and flushed as soon as that line is done.  Walks are serialized as
+closed vertex-id lists (first vertex repeated last).
 
 Every per-graph command is one row of `_COMMANDS`: a body that maps a parsed
 graph and the command's options to a `_Line` (verdict, witness, nodes,
@@ -41,9 +42,9 @@ import click
 
 from . import _kernel
 from .constructions import prop6_construct, y_extension, y_reduction
-from .cycles import (ABSENT, FOUND, INCONCLUSIVE, CycleWalk, euler_tour,
-                     find_dominating_cycle, find_hamiltonian_cycle,
-                     is_arbitrarily_traceable, is_hypohamiltonian,
+from .cycles import (ABSENT, FOUND, INCONCLUSIVE, CycleWalk,
+                     _hypohamiltonian, euler_tour, find_dominating_cycle,
+                     find_hamiltonian_cycle, is_arbitrarily_traceable,
                      longest_cycle_search, validate_walk)
 from .errors import (BudgetError, CapacityError, FormatError,
                      ParameterError, PmhError, StructureError, WitnessError)
@@ -92,8 +93,14 @@ def _exit(errors, inconclusive=False):
              EXIT_INCONCLUSIVE if inconclusive else EXIT_OK)
 
 
+_JSON = json.JSONEncoder(sort_keys=True)
+
+
 def _emit(report):
-    click.echo(json.dumps(report, sort_keys=True))
+    """Write one report line and flush it."""
+    out = sys.stdout
+    out.write(_JSON.encode(report) + "\n")
+    out.flush()
 
 
 # ---------------------------------------------------------------------------
@@ -169,7 +176,10 @@ def _run(command, body, source, opts):
         try:
             if not isinstance(g, Graph):
                 raise g
-            with _deadline(timeout):
+            if timeout:
+                with _deadline(timeout):
+                    line = body(g, options)
+            else:    # no alarm to arm: skip the context manager's cost
                 line = body(g, options)
             witness = _witness_json(line.witness)
         except (_Timeout, BudgetError) as exc:
@@ -264,8 +274,11 @@ def _circ(g, o):
 
 def _hypoham(g, o):
     """Hypohamiltonicity test."""
-    return _Line({"hypohamiltonian":
-                  is_hypohamiltonian(g, max_nodes=o.max_nodes)})
+    verdict, nodes = _hypohamiltonian(g, o.max_nodes)
+    if verdict is None:
+        return _Line({"outcome": INCONCLUSIVE, "reason": "budget"}, None,
+                     nodes, INCONCLUSIVE)
+    return _Line({"hypohamiltonian": verdict}, None, nodes)
 
 
 def _arbtrace(g, o):
@@ -510,6 +523,13 @@ def _candidate(g, problem, max_nodes):
     return find_hamiltonian_cycle(g, max_nodes=max_nodes).outcome
 
 
+def _untested(g6, reason, **more):
+    """The journal entry of a graph whose PMH test gave no verdict."""
+    return {"graph6": g6, "status": INCONCLUSIVE, "reason": reason,
+            "vacuous": False, "matchings_tested": 0, "nodes": 0,
+            "searches": 0, **more}
+
+
 def _survey_one(args):
     g6, max_nodes, timeout = args
     try:
@@ -517,15 +537,18 @@ def _survey_one(args):
             v = is_pmh_line(build_line_graph(parse_graph6(g6)),
                             max_nodes=max_nodes)
     except _Timeout:
-        return {"graph6": g6, "status": INCONCLUSIVE, "reason": "timeout",
-                "vacuous": False, "matchings_tested": 0, "nodes": 0,
-                "searches": 0}
+        return _untested(g6, "timeout")
     entry = _spent({"graph6": g6, "status": v.status, "vacuous": v.vacuous,
                     "matchings_tested": v.matchings_tested, "nodes": v.nodes,
                     "searches": v.searches}, v.status)
     if v.witness is not None:
         entry["witness_matching"] = sorted(list(e) for e in v.witness.edges)
     return entry
+
+
+def _append(journal, entry):
+    journal.write(_JSON.encode(entry).encode() + b"\n")
+    journal.flush()
 
 
 def _load_journal(fh):
@@ -605,7 +628,9 @@ def survey(corpus, problem, journal_path, jobs, max_nodes, timeout_seconds):
                 filtered_out += 1
             elif passes == INCONCLUSIVE:
                 undecided += 1
-            elif raw in done:
+                if raw not in done:
+                    _append(journal, _untested(raw, "budget", stage="filter"))
+            elif raw in done and done[raw].get("stage") != "filter":
                 entries.append(done[raw])
             else:
                 todo.append((raw, max_nodes, timeout_seconds))
@@ -615,8 +640,7 @@ def survey(corpus, problem, journal_path, jobs, max_nodes, timeout_seconds):
             pool = stack.enter_context(Pool(jobs))
             fresh = pool.imap_unordered(_survey_one, todo)
         for entry in fresh:
-            journal.write(json.dumps(entry, sort_keys=True).encode() + b"\n")
-            journal.flush()
+            _append(journal, entry)
             entries.append(entry)
 
     candidates = sorted(e["graph6"] for e in entries if e["status"] == "not_pmh")

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import cached_property
 from itertools import chain, combinations
 
 from . import _kernel
@@ -27,6 +26,7 @@ _STATUS = {_kernel.FOUND: FOUND, _kernel.ABSENT: ABSENT, _kernel.BUDGET: INCONCL
 CYCLE_SPACE_DIM_CAP = 24
 
 _HAMILTONIAN = frozenset({"cycle", "tour", "hamiltonian", "dominating"})
+_CYCLE = frozenset({"cycle", "tour"})
 
 
 @dataclass(frozen=True)
@@ -37,18 +37,36 @@ class CycleWalk:
     vertices: tuple
     kinds: frozenset = field(default_factory=frozenset)
 
-    @cached_property
+    # Cached by hand, as Graph.adjacency is: on CPython 3.11 a
+    # cached_property takes a lock on each first read.
+
+    @property
     def touched(self):
-        return frozenset(self.vertices)
+        try:
+            return self._touched
+        except AttributeError:
+            touched = frozenset(self.vertices)
+            object.__setattr__(self, "_touched", touched)
+            return touched
 
-    @cached_property
+    @property
     def edge_seq(self):
-        vs = self.vertices
-        return tuple((a, b) if a < b else (b, a) for a, b in zip(vs, vs[1:]))
+        try:
+            return self._edge_seq
+        except AttributeError:
+            vs = self.vertices
+            seq = tuple((a, b) if a < b else (b, a) for a, b in zip(vs, vs[1:]))
+            object.__setattr__(self, "_edge_seq", seq)
+            return seq
 
-    @cached_property
+    @property
     def _edge_set(self):
-        return frozenset(self.edge_seq)
+        try:
+            return self._edge_set_cache
+        except AttributeError:
+            have = frozenset(self.edge_seq)
+            object.__setattr__(self, "_edge_set_cache", have)
+            return have
 
     def length(self):
         return len(self.vertices) - 1 if len(self.vertices) > 1 else 0
@@ -407,21 +425,30 @@ def is_hypohamiltonian(g: Graph, max_nodes=0):
 
     `max_nodes` caps each search.  A capped search decides nothing, so when
     no other search settles the answer this raises BudgetError."""
-    outcome = find_hamiltonian_cycle(g, max_nodes=max_nodes).outcome
-    if outcome == FOUND:
-        return False
-    capped = outcome == INCONCLUSIVE
+    verdict, _nodes = _hypohamiltonian(g, max_nodes)
+    if verdict is None:
+        raise BudgetError("a hamiltonicity search ran out of nodes")
+    return verdict
+
+
+def _hypohamiltonian(g: Graph, max_nodes):
+    """(verdict, nodes): the answer of `is_hypohamiltonian`, or None when a
+    capped search left it open, and the summed nodes of every search run."""
+    res = find_hamiltonian_cycle(g, max_nodes=max_nodes)
+    nodes = res.nodes
+    if res.outcome == FOUND:
+        return False, nodes
+    capped = res.outcome == INCONCLUSIVE
     for v in range(g.n):
         sub, _ = _induced(g, set(range(g.n)) - {v})
         if not sub.is_connected():
-            return False
-        outcome = find_hamiltonian_cycle(sub, max_nodes=max_nodes).outcome
-        if outcome == ABSENT:
-            return False
-        capped = capped or outcome == INCONCLUSIVE
-    if capped:
-        raise BudgetError("a hamiltonicity search ran out of nodes")
-    return True
+            return False, nodes
+        res = find_hamiltonian_cycle(sub, max_nodes=max_nodes)
+        nodes += res.nodes
+        if res.outcome == ABSENT:
+            return False, nodes
+        capped = capped or res.outcome == INCONCLUSIVE
+    return (None if capped else True), nodes
 
 
 def longest_cycle_search(g: Graph, max_nodes=0) -> SearchResult:
@@ -430,7 +457,7 @@ def longest_cycle_search(g: Graph, max_nodes=0) -> SearchResult:
     _check_size(g)
     status, cyc, nodes = _kernel.longest_cycle(g.adjacency, max_nodes)
     if cyc is not None:
-        walk = closed(cyc, kinds={"cycle", "tour"})
+        walk = CycleWalk((*cyc, cyc[0]), _CYCLE)
         if not validate_walk(g, walk):
             raise WitnessError(f"kernel returned an invalid cycle {cyc}")
     else:

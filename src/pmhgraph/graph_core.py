@@ -44,6 +44,17 @@ class Graph:
     def from_edges(n, edges):
         return Graph(n, frozenset(_norm_edge(u, v) for u, v in edges))
 
+    @classmethod
+    def _trusted(cls, n, edges, adjacency):
+        """The graph with these fields, unchecked: only for a caller that
+        guarantees 0 <= u < v < n for every edge and `adjacency` as the
+        property builds it (the graph6 decoder)."""
+        g = object.__new__(cls)
+        object.__setattr__(g, "n", n)
+        object.__setattr__(g, "edges", edges)
+        object.__setattr__(g, "_adj_cache", adjacency)
+        return g
+
     @property
     def adjacency(self):
         # Not a cached_property: on CPython 3.11 its write through __dict__
@@ -204,10 +215,10 @@ _BITS = [tuple(b for b in range(6) if x & 32 >> b) for x in range(64)]
 def parse_graph6(text):
     """Decode one graph6 string into a Graph."""
     s = text.strip()
-    if not s:
-        raise FormatError("empty graph6 string", 0)
     if s.startswith(">>graph6<<"):
         s = s[len(">>graph6<<"):]
+    if not s:
+        raise FormatError("empty graph6 string", 0)
     # non-ASCII text encodes to bytes above 126, which the range check rejects
     data = s.encode("utf-8", errors="surrogatepass")
     bad = data.translate(None, _G6_BYTES)
@@ -242,18 +253,29 @@ def parse_graph6(text):
     # The inverse of write_graph6: bit k of the body (six bits a byte, high
     # bit first) is edge (u, v), u < v, with k = v * (v - 1) / 2 + u; the
     # padding bits past nbits are ignored.  Only runs of bytes other than
-    # "?" hold a bit.
+    # "?" hold a bit.  Column v (its u < v) follows column v - 1, so each
+    # adjacency row is built in ascending order: first the u < v of its own
+    # column, then the v of later columns.
     edges = []
+    adj = [[] for _ in range(n)]
     for run in _NONZERO.finditer(data, pos):
-        k0 = 6 * (run.start() - pos)
+        k = 6 * (run.start() - pos)
+        v = (isqrt(8 * k + 1) + 1) // 2    # the column of bit k
+        base = v * (v - 1) // 2            # its first bit
         for x in run.group():
             for b in _BITS[x - 63]:
-                k = k0 + b
-                if k < nbits:
-                    v = (isqrt(8 * k + 1) + 1) // 2
-                    edges.append((k - v * (v - 1) // 2, v))
-            k0 += 6
-    return Graph.from_edges(n, edges)
+                if k + b >= nbits:
+                    break
+                u = k + b - base
+                while u >= v:    # bit k + b lies in a later column
+                    u -= v
+                    base += v
+                    v += 1
+                edges.append((u, v))
+                adj[u].append(v)
+                adj[v].append(u)
+            k += 6
+    return Graph._trusted(n, frozenset(edges), tuple(map(tuple, adj)))
 
 
 def write_graph6(g: Graph):

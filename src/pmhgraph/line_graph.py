@@ -6,7 +6,6 @@ edge of L(G) is a 2-path of G.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 from .errors import PreconditionError
 from .graph_core import Graph
@@ -18,21 +17,19 @@ class LineGraphMap:
     line-graph vertices.  Line-graph vertex ids equal the dense lexicographic
     edge ids of the base graph, so downstream witnesses are reproducible.
     `centre[(a, b)]`, a < b, is the base vertex shared by the ends of the
-    line-graph edge ab; it follows from the base, so eq and hash skip it.
+    line-graph edge ab; `_edge_idx` inverts `from_lg`.  Both follow from
+    the base, so eq and hash skip them.
     """
 
     base: Graph
     lg: Graph
     from_lg: tuple    # lg vertex id -> base edge (u, v)
     centre: dict = field(compare=False, repr=False)
+    _edge_idx: dict = field(compare=False, repr=False)
 
     def lg_vertex(self, u, v):
         e = (u, v) if u < v else (v, u)
         return self._edge_idx[e]
-
-    @cached_property
-    def _edge_idx(self):
-        return {e: i for i, e in enumerate(self.from_lg)}
 
 
 def build_line_graph(g: Graph) -> LineGraphMap:
@@ -54,4 +51,5 @@ def build_line_graph(g: Graph) -> LineGraphMap:
         lg=Graph(len(edge_list), frozenset(centre)),
         from_lg=tuple(edge_list),
         centre=centre,
+        _edge_idx=idx,
     )

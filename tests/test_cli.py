@@ -364,6 +364,77 @@ def test_search_commands_share_the_inconclusive_shape():
     assert reports(res)[0]["verdict"]["lower_bound"] is None
 
 
+def test_hypoham_reports_the_nodes_of_every_search():
+    pet = make_named_graph("petersen", [])
+    res = run("cycles", "hypoham", "-", input=g6("petersen") + "\n")
+    (rep,) = reports(res)
+    assert rep["verdict"] == {"hypohamiltonian": True}
+    # G itself, then each G - v relabelled in vertex order
+    minus = [Graph.from_edges(pet.n - 1,
+                              [(a - (a > v), b - (b > v)) for a, b in pet.edges
+                               if v not in (a, b)])
+             for v in range(pet.n)]
+    assert rep["stats"]["nodes"] == sum(find_hamiltonian_cycle(h).nodes
+                                        for h in [pet, *minus])
+    # an inconclusive verdict keeps the nodes its searches spent
+    res = run("cycles", "hypoham", "--max-nodes", "50", "-",
+              input=g6("coxeter") + "\n")
+    assert res.exit_code == 2
+    (rep,) = reports(res)
+    assert rep["verdict"]["outcome"] == "inconclusive"
+    assert rep["stats"]["nodes"] > 0
+
+
+def test_each_report_is_written_and_flushed_when_its_line_is_done():
+    """The first report reaches a pipe while the child still searches line
+    2, a longest cycle of K_{8,9} (far beyond 0.5 s) that only the timeout
+    ends; every line is one sort_keys JSON object.  PYTHONUNBUFFERED is
+    dropped, so the flush is the program's own."""
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("PMHGRAPH_MAX_NODES", "PYTHONUNBUFFERED")}
+    env["PYTHONPATH"] = str(Path(pmhgraph.__file__).resolve().parents[1])
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "pmhgraph.cli", "cycles", "circ",
+         "--timeout-seconds", "0.5", "-"], env=env, text=True,
+        stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+        stderr=subprocess.DEVNULL)
+    try:
+        proc.stdin.write(g6("petersen") + "\n" + g6("bipartite", (8, 9))
+                         + "\n")
+        proc.stdin.close()
+        first = proc.stdout.readline()
+        t1 = time.perf_counter()
+        running = proc.poll() is None
+        second = proc.stdout.readline()
+        t2 = time.perf_counter()
+        assert proc.wait(timeout=60) == 2
+    finally:
+        proc.kill()
+        proc.stdout.close()
+    # line 1 came out before line 2's search began its half second
+    assert running and t2 - t1 > 0.25
+    lines = [json.loads(first), json.loads(second)]
+    assert [first, second] == [json.dumps(r, sort_keys=True) + "\n"
+                               for r in lines]
+    assert lines[0]["verdict"] == {"circumference": 9}
+    assert lines[1]["verdict"] == {"outcome": "inconclusive",
+                                   "reason": "timeout"}
+
+
+def test_report_lines_are_sort_keys_json(tmp_path):
+    outputs = [run("lg", "-", input=g6("complete", [4]) + "\n").stdout,
+               run("cycles", "ham", "-", input=g6("cube") + "\n").stdout]
+    corpus = tmp_path / "corpus.g6"
+    corpus.write_text(g6("octahedron") + "\n")
+    outputs.append(run("survey", str(corpus), "--problem", "p2", "--journal",
+                       str(tmp_path / "j.jsonl")).stdout)
+    lines = "".join(outputs).splitlines()
+    lines += (tmp_path / "j.jsonl").read_text().splitlines()
+    assert len(lines) == 4
+    for line in lines:
+        assert line == json.dumps(json.loads(line), sort_keys=True)
+
+
 def matching_file(tmp_path, name, params=(), index=0):
     lgm = build_line_graph(make_named_graph(name, list(params)))
     ms = list(enumerate_perfect_matchings(lgm.lg))
@@ -426,6 +497,34 @@ def test_survey_budget_is_honoured(tmp_path):
     assert res.exit_code == 2
     (entry,) = map(json.loads, journal.read_text().splitlines())
     assert (entry["status"], entry["reason"]) == ("inconclusive", "budget")
+
+
+def test_survey_journals_a_graph_its_filter_left_open(tmp_path):
+    corpus = tmp_path / "corpus.g6"
+    corpus.write_text(g6("octahedron") + "\n")
+    journal = tmp_path / "journal.jsonl"
+    args = ("survey", str(corpus), "--problem", "p2", "--journal",
+            str(journal))
+    for _ in range(2):     # the resumed run appends no second entry
+        res = run(*args, "--max-nodes", "1")
+        assert res.exit_code == 2
+        summary = json.loads(res.stdout)
+        assert (summary["inconclusive"], summary["tested"]) == (1, 0)
+        (entry,) = map(json.loads, journal.read_text().splitlines())
+        assert (entry["graph6"], entry["status"], entry["reason"],
+                entry["stage"]) == (g6("octahedron"), "inconclusive",
+                                    "budget", "filter")
+    # the entry does not stand in for the PMH test: the graph is filtered
+    # again and, now that it passes, tested
+    res = run(*args)
+    assert res.exit_code == 0
+    summary = json.loads(res.stdout)
+    assert (summary["inconclusive"], summary["tested"]) == (0, 1)
+    entries = [json.loads(line) for line in journal.read_text().splitlines()]
+    assert [e["status"] for e in entries] == ["inconclusive", "pmh"]
+    assert "stage" not in entries[1]
+    assert json.loads(run(*args).stdout) == summary
+    assert len(journal.read_text().splitlines()) == 2
 
 
 def test_survey_timeout_is_honoured(tmp_path, monkeypatch):

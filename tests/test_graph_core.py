@@ -83,6 +83,66 @@ def test_graph6_parse_is_linear():
     assert g.n == n and len(g.edges) == n and g.degree_sequence() == (2,) * n
 
 
+def _same_graph(got, want):
+    return (got == want and hash(got) == hash(want)
+            and got.adjacency == want.adjacency)
+
+
+def test_graph6_decodes_every_small_graph():
+    """Every graph6 body of every order up to 6, its padding bits cycling
+    through all their patterns, decodes to the graph from_edges builds:
+    equal, hashed alike and with the same adjacency rows."""
+    for n in range(7):
+        pairs = [(u, v) for v in range(n) for u in range(v)]    # bit order
+        nbytes = (len(pairs) + 5) // 6
+        pad = 6 * nbytes - len(pairs)
+        for mask in range(1 << len(pairs)):
+            # pair i is bit i from the top of the body; padding at the bottom
+            body = mask << pad | mask % (1 << pad)
+            text = chr(n + 63) + "".join(
+                chr((body >> 6 * (nbytes - 1 - i) & 63) + 63)
+                for i in range(nbytes))
+            want = Graph.from_edges(n, [e for i, e in enumerate(pairs)
+                                        if mask >> (len(pairs) - 1 - i) & 1])
+            assert _same_graph(parse_graph6(text), want), text
+
+
+def test_graph6_decodes_the_four_byte_order_field(rng):
+    for n in range(63, 71):
+        for p in (0.1, 0.5, 0.9):
+            want = random_graph(rng, n, p)
+            assert _same_graph(parse_graph6(write_graph6(want)), want)
+
+
+# malformed graph6 text -> (error message, byte offset); the offset counts
+# from after a ">>graph6<<" header
+MALFORMED = {
+    "": ("empty graph6 string", 0),
+    " \n": ("empty graph6 string", 0),
+    ">>graph6<<": ("empty graph6 string", 0),
+    "C~!": ("byte 33 outside graph6 range 63..126", 2),
+    ">>graph6<<C~!": ("byte 33 outside graph6 range 63..126", 2),
+    "C\x19": ("byte 25 outside graph6 range 63..126", 1),
+    "C\u00e9": ("byte 195 outside graph6 range 63..126", 1),
+    "\udcff": ("byte 237 outside graph6 range 63..126", 0),
+    "C": ("bit vector length 0 bytes, expected 1", 1),
+    "C~~": ("bit vector length 2 bytes, expected 1", 1),
+    "@?": ("bit vector length 1 bytes, expected 0", 1),
+    "~": ("truncated 4-byte order field", 1),
+    "~?": ("truncated 4-byte order field", 2),
+    "~??~": ("bit vector length 0 bytes, expected 326", 4),
+    "~~": ("truncated 8-byte order field", 2),
+    "~~?????": ("truncated 8-byte order field", 7),
+}
+
+
+@pytest.mark.parametrize("text", MALFORMED, ids=map(ascii, MALFORMED))
+def test_graph6_malformed_input_errors(text):
+    message, offset = MALFORMED[text]
+    err = pytest.raises(FormatError, parse_graph6, text).value
+    assert (str(err), err.offset) == (f"{message} (byte {offset})", offset)
+
+
 def test_graph6_format_errors():
     with pytest.raises(FormatError):
         parse_graph6("")

@@ -25,6 +25,22 @@ def test_no_assert_in_package():
     assert found == []
 
 
+def test_no_cached_property_in_package():
+    """functools.cached_property takes a lock on CPython 3.11 and writes
+    through the instance __dict__; the package caches by hand instead, as
+    Graph.adjacency does."""
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            names = ([a.name for a in node.names]
+                     if isinstance(node, (ast.Import, ast.ImportFrom)) else
+                     [node.attr] if isinstance(node, ast.Attribute) else
+                     [node.id] if isinstance(node, ast.Name) else [])
+            if "cached_property" in names:
+                found.append(f"{path.relative_to(PACKAGE)}:{node.lineno}")
+    assert found == []
+
+
 def test_pure_kernel_does_not_recurse():
     """No function of the package calls itself: the pure searches, the
     searches over a base graph's cycles, the canonical-form search and the
