@@ -27,6 +27,7 @@ else:
 
 BACKEND = _impl.BACKEND
 ham_cycle = _impl.ham_cycle
+is_cycle = _impl.is_cycle
 longest_cycle = _impl.longest_cycle
 pm_scan = _impl.pm_scan
 canonical_form = _impl.canonical_form

@@ -1,11 +1,15 @@
-/* Compiled search kernels: hamiltonian cycle with forced edges, longest cycle,
- * the perfect-matching scan of a line graph against held trails, and the
- * canonical form that decides isomorphism.
+/* Compiled search kernels: hamiltonian cycle with forced edges, is_cycle (the
+ * re-check of a returned cycle), longest cycle, the perfect-matching scan of
+ * a line graph against held trails, and the canonical form that decides
+ * isomorphism.
  *
  * Mirrors purecore.py exactly (same start vertex, same candidate order, same
  * node counting, hence the same status, witness and node count; for the
  * canonical form the same partitions, stack order and twin test, hence the
- * same form and labelling); see that module for the contract.  A search
+ * same form and labelling); see that module for the contract.  ham_cycle
+ * checks its forced set before it searches, for any n, and raises
+ * purecore's ValueError text for a bad one.  is_cycle reads only the edge
+ * set and the lists it is given, not a search's arrays.  A search
  * stops at the first node past its budget (max_nodes, 0 for none) and returns
  * BUDGET with max_nodes + 1 nodes.  The pruning tests decide what purecore's
  * decide, with less work (see prune_words and lc_core).  Vertex sets are
@@ -273,35 +277,120 @@ static int ham_dfs(Search *s, int u, int parent, int count, int used)
     return ABSENT;
 }
 
-/* Read `forced` into the slots.  Returns 0, or -1 with an exception set. */
+/* The two ints of a forced entry, a tuple or list of two ints, borrowed
+ * into e[0] and e[1] (purecore._pair).  Returns 0, or -1 with its
+ * ValueError set. */
+static int read_pair(PyObject *entry, PyObject **e)
+{
+    if ((PyTuple_Check(entry) && PyTuple_GET_SIZE(entry) == 2) ||
+        (PyList_Check(entry) && PyList_GET_SIZE(entry) == 2)) {
+        PyObject **items = PySequence_Fast_ITEMS(entry);
+        if (PyLong_Check(items[0]) && PyLong_Check(items[1])) {
+            e[0] = items[0];
+            e[1] = items[1];
+            return 0;
+        }
+    }
+    PyErr_Format(PyExc_ValueError, "forced edge %R is not a pair of ints", entry);
+    return -1;
+}
+
+/* The int v as a vertex below n, or -1 when it is not one. */
+static int vertex_of(PyObject *v, int n)
+{
+    int overflow;
+    long x = PyLong_AsLongAndOverflow(v, &overflow);
+    return !overflow && x >= 0 && x < n ? (int)x : -1;
+}
+
+/* purecore's error for a forced pair of ints that is not an edge. */
+static void raise_non_edge(PyObject **e)
+{
+    int swap = PyObject_RichCompareBool(e[0], e[1], Py_GT);
+    if (swap >= 0)
+        PyErr_Format(PyExc_ValueError, "forced edge (%S,%S) not in the graph",
+                     e[swap], e[1 - swap]);
+}
+
+/* Error path of load_forced, once every entry is an edge: purecore's error
+ * for a vertex on more than two distinct forced edges.  It names the first
+ * such vertex among the ends, lower end first, of the distinct edges in the
+ * order they first appear. */
+static void raise_overflow(int n, PyObject *pairs)
+{
+    Py_ssize_t k = PySequence_Fast_GET_SIZE(pairs), m = 0;
+    PyObject *seen = PySet_New(NULL);
+    int *count = PyMem_Calloc((size_t)n + 2 * k, sizeof(int)), *ends = count + n;
+    if (seen == NULL || count == NULL) {
+        if (count == NULL)
+            PyErr_NoMemory();
+        goto done;
+    }
+    for (Py_ssize_t j = 0; j < k; j++) {
+        PyObject **e = PySequence_Fast_ITEMS(PySequence_Fast_GET_ITEM(pairs, j));
+        int a = vertex_of(e[0], n), b = vertex_of(e[1], n);
+        if (a > b) {
+            int t = a;
+            a = b;
+            b = t;
+        }
+        PyObject *key = PyLong_FromLongLong((long long)a * n + b);
+        int known = key == NULL ? -1 : PySet_Contains(seen, key);
+        if (known == 0 && PySet_Add(seen, key) < 0)
+            known = -1;
+        Py_XDECREF(key);
+        if (known < 0)
+            goto done;
+        if (!known) {
+            count[a]++;
+            count[b]++;
+            ends[m++] = a;
+            ends[m++] = b;
+        }
+    }
+    for (Py_ssize_t i = 0; i < m; i++)
+        if (count[ends[i]] > 2) {
+            PyErr_Format(PyExc_ValueError,
+                         "vertex %d has %d forced incidences (max 2)",
+                         ends[i], count[ends[i]]);
+            break;
+        }
+done:
+    Py_XDECREF(seen);
+    PyMem_Free(count);
+}
+
+/* Check `forced` as purecore.ham_cycle does and read it into the slots: a
+ * repeated or reversed pair counts once.  Returns 0, or -1 with an exception
+ * set. */
 static int load_forced(Search *s, PyObject *forced)
 {
     PyObject *pairs = PySequence_Fast(forced, "forced must be iterable");
     if (pairs == NULL)
         return -1;
+    int over = 0;
     for (Py_ssize_t k = 0; k < PySequence_Fast_GET_SIZE(pairs); k++) {
-        int e[2];
-        PyObject *pair = PySequence_Tuple(PySequence_Fast_GET_ITEM(pairs, k));
-        int ok = pair && PyArg_ParseTuple(pair, "ii;forced edges are pairs",
-                                          &e[0], &e[1]);
-        Py_XDECREF(pair);
-        if (ok && (e[0] < 0 || e[0] >= s->n || e[1] < 0 || e[1] >= s->n)) {
-            PyErr_Format(PyExc_ValueError, "forced edge (%d,%d) out of range",
-                         e[0], e[1]);
-            ok = 0;
-        }
-        if (!ok)
+        PyObject *e[2];
+        if (read_pair(PySequence_Fast_GET_ITEM(pairs, k), e) < 0)
             goto fail;
-        s->nforced += !forced_to(s, e[0], e[1]);
-        for (int i = 0; i < 2; i++) {
-            int *slot = s->fn + 2 * e[i];
-            if (slot[1] >= 0) {
-                PyErr_Format(PyExc_ValueError,
-                             "vertex %d has more than two forced edges", e[i]);
-                goto fail;
-            }
-            slot[slot[0] >= 0] = e[1 - i];
+        int a = vertex_of(e[0], s->n), b = vertex_of(e[1], s->n);
+        if (a < 0 || b < 0 || a == b || !HAS(ROW(s, a), b)) {
+            raise_non_edge(e);
+            goto fail;
         }
+        if (forced_to(s, a, b))
+            continue;
+        if (s->fn[2 * a + 1] >= 0 || s->fn[2 * b + 1] >= 0) {
+            over = 1;     /* named once every entry is known to be an edge */
+            continue;
+        }
+        s->fn[2 * a + (s->fn[2 * a] >= 0)] = b;
+        s->fn[2 * b + (s->fn[2 * b] >= 0)] = a;
+        s->nforced++;
+    }
+    if (over) {
+        raise_overflow(s->n, pairs);
+        goto fail;
     }
     Py_DECREF(pairs);
     return 0;
@@ -335,7 +424,7 @@ static PyObject *ham_cycle(PyObject *Py_UNUSED(self), PyObject *args, PyObject *
         search_init(&s, adj, max_nodes) < 0)
         return NULL;
     int n = s.n, status = ABSENT;
-    if (n >= 3 && forced && load_forced(&s, forced) < 0)
+    if (forced && load_forced(&s, forced) < 0)
         status = FAILED;
     if (n >= 3 && status != FAILED) {
         /* Anchor at a forced vertex when there is one, min degree otherwise. */
@@ -364,6 +453,95 @@ static PyObject *ham_cycle(PyObject *Py_UNUSED(self), PyObject *args, PyObject *
         result(status, status == FOUND ? s.path : NULL, n, s.nodes);
     search_free(&s);
     return out;
+}
+
+/* Is the pair (a, b) a step of the cycle with pos[x] the index of vertex x
+ * (-1 off it) and len >= 3 vertices?  a or b may be -1, for no vertex. */
+INLINE int is_step(const int *pos, int a, int b, Py_ssize_t len)
+{
+    Py_ssize_t gap = a < 0 || b < 0 || pos[a] < 0 || pos[b] < 0 ? 0
+                     : pos[a] - pos[b];
+    return gap == 1 || gap == -1 || gap == len - 1 || gap == 1 - len;
+}
+
+/* purecore.is_cycle.  It reads `edges`, `cyc` and `forced` and nothing of a
+ * search (no CSR, no bitsets), so a bug in reading a graph or in a search
+ * cannot pass its own re-check. */
+static PyObject *is_cycle(PyObject *Py_UNUSED(self), PyObject *args, PyObject *kwargs)
+{
+    static char *kwlist[] = {"n", "edges", "cyc", "forced", NULL};
+    PyObject *edges, *cyc, *forced = NULL, *vs = NULL, *pairs = NULL, *it = NULL;
+    int n, *pos = NULL, ok = -1;
+    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "iOO|O:is_cycle", kwlist,
+                                     &n, &edges, &cyc, &forced))
+        return NULL;
+    if (!PyAnySet_Check(edges)) {
+        PyErr_SetString(PyExc_TypeError, "edges must be a set");
+        return NULL;
+    }
+    vs = PySequence_Fast(cyc, "cyc must be a sequence");
+    pairs = forced ? PySequence_Fast(forced, "forced must be iterable")
+                   : PyTuple_New(0);
+    pos = PyMem_Malloc(((size_t)(n > 0 ? n : 0) + 1) * sizeof(int));
+    if (vs == NULL || pairs == NULL || pos == NULL) {
+        if (pos == NULL)
+            PyErr_NoMemory();
+        goto done;
+    }
+    /* Every forced entry is read first, so a malformed one always raises. */
+    Py_ssize_t len = PySequence_Fast_GET_SIZE(vs), nf = PySequence_Fast_GET_SIZE(pairs);
+    for (Py_ssize_t k = 0; k < nf; k++) {
+        PyObject *e[2];
+        if (read_pair(PySequence_Fast_GET_ITEM(pairs, k), e) < 0)
+            goto done;
+    }
+    /* pos[x]: the last index of vertex x in cyc, -1 off it */
+    for (int x = 0; x < n; x++)
+        pos[x] = -1;
+    ok = len >= 3;
+    for (Py_ssize_t i = 0; i < len && ok; i++) {
+        long x = PyLong_AsLong(PySequence_Fast_GET_ITEM(vs, i));
+        if (x == -1 && PyErr_Occurred()) {
+            ok = -1;
+            goto done;
+        }
+        /* a vertex outside 0..n-1 is on no edge */
+        ok = x >= 0 && x < n;
+        if (ok)
+            pos[x] = (int)i;
+    }
+    /* A set holds a pair once, and a pair (u, v), u < v, is a step when u
+     * and v sit next to each other on the cycle of the len indices.  So
+     * when len of the pairs are steps, all len indices are taken, each by
+     * one vertex, and every step is in `edges`.  A repeated vertex takes
+     * one index only, which leaves at most len - 2 next-door pairs. */
+    if (ok) {
+        Py_ssize_t steps = 0;
+        PyObject *e;
+        it = PyObject_GetIter(edges);
+        while (it && (e = PyIter_Next(it))) {
+            if (PyTuple_Check(e) && PyTuple_GET_SIZE(e) == 2 &&
+                PyLong_Check(PyTuple_GET_ITEM(e, 0)) &&
+                PyLong_Check(PyTuple_GET_ITEM(e, 1))) {
+                int a = vertex_of(PyTuple_GET_ITEM(e, 0), n);
+                int b = vertex_of(PyTuple_GET_ITEM(e, 1), n);
+                steps += a < b && is_step(pos, a, b, len);
+            }
+            Py_DECREF(e);
+        }
+        ok = PyErr_Occurred() ? -1 : steps == len;
+    }
+    /* every forced pair, in either order, is a step */
+    for (Py_ssize_t k = 0; k < nf && ok > 0; k++) {
+        PyObject **e = PySequence_Fast_ITEMS(PySequence_Fast_GET_ITEM(pairs, k));
+        ok = is_step(pos, vertex_of(e[0], n), vertex_of(e[1], n), len);
+    }
+done:
+    Py_XDECREF(it);
+    Py_XDECREF(vs);
+    Py_XDECREF(pairs);
+    PyMem_Free(pos);
+    return ok < 0 ? NULL : PyBool_FromLong(ok);
 }
 
 /* ------------------------------------------------------------------------ */
@@ -1136,6 +1314,8 @@ static PyObject *canonical_form(PyObject *Py_UNUSED(self), PyObject *args)
 static PyMethodDef methods[] = {
     {"ham_cycle", (PyCFunction)(void (*)(void))ham_cycle,
      METH_VARARGS | METH_KEYWORDS, "See purecore.ham_cycle."},
+    {"is_cycle", (PyCFunction)(void (*)(void))is_cycle,
+     METH_VARARGS | METH_KEYWORDS, "See purecore.is_cycle."},
     {"longest_cycle", (PyCFunction)(void (*)(void))longest_cycle,
      METH_VARARGS | METH_KEYWORDS, "See purecore.longest_cycle."},
     {"canonical_form", canonical_form, METH_VARARGS,

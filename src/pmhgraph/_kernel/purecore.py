@@ -1,8 +1,9 @@
 """Pure-python search kernels.
 
 Same contract as the compiled extension in ``_fastcore.c``: exhaustive
-backtracking for hamiltonian cycles with forced edges, exact longest cycle
-search, `pm_scan`, the perfect-matching scan over the enumeration of
+backtracking for hamiltonian cycles with forced edges, `is_cycle`, the
+re-check of the cycle a search returns, exact longest cycle search,
+`pm_scan`, the perfect-matching scan over the enumeration of
 `_completions` (it tests the matchings of a line graph against held trails
 or, without centres, yields every perfect matching of any graph), and
 `canonical_form`, the individualisation-refinement search that decides
@@ -58,12 +59,27 @@ def _advance(opens, tries, path):
     return None
 
 
+def _pair(entry):
+    """The two ints of a forced entry, a tuple or list of two ints; anything
+    else raises ValueError."""
+    if isinstance(entry, (tuple, list)) and len(entry) == 2:
+        a, b = entry
+        if isinstance(a, int) and isinstance(b, int):
+            return a, b
+    raise ValueError(f"forced edge {entry!r} is not a pair of ints")
+
+
 def ham_cycle(adj, forced=(), max_nodes=0):
     """Search for a hamiltonian cycle containing every edge in `forced`.
 
     adj: list of sorted neighbor lists (simple undirected graph).
-    forced: iterable of (u, v) pairs, each an edge of the graph, with no
-        vertex incident to more than two forced edges (caller-validated).
+    forced: iterable of edges of the graph, each a tuple or list of two
+        ints in either order; a repeated or reversed pair counts once.  The
+        set is checked before anything else, for any n: an entry that is
+        not a pair of ints, a pair that is not an edge (a vertex out of
+        range, a self pair, a non-edge) and a vertex on more than two
+        distinct forced edges raise ValueError, with the text the compiled
+        kernel gives.
     max_nodes: 0 = unlimited, else cap on visited search nodes.  The search
         stops at the first node past the cap and returns BUDGET with
         max_nodes + 1 nodes.
@@ -72,18 +88,28 @@ def ham_cycle(adj, forced=(), max_nodes=0):
     of n distinct vertices (closure edge implied).
     """
     n = len(adj)
-    if n < 3:
-        return ABSENT, None, 0
-
     amask = _masks(adj)
 
     fnbr = [[] for _ in range(n)]
-    fset = set()
-    for a, b in forced:
-        fnbr[a].append(b)
-        fnbr[b].append(a)
-        fset.add((a, b) if a < b else (b, a))
+    fset = {}     # the distinct forced edges (a, b), a < b, in first-seen order
+    for entry in forced:
+        a, b = _pair(entry)
+        if a > b:
+            a, b = b, a
+        if not (0 <= a and b < n and a != b and amask[a] >> b & 1):
+            raise ValueError(f"forced edge ({a},{b}) not in the graph")
+        if (a, b) not in fset:
+            fset[a, b] = None
+            fnbr[a].append(b)
+            fnbr[b].append(a)
+    for e in fset:
+        for v in e:
+            if len(fnbr[v]) > 2:
+                raise ValueError(f"vertex {v} has {len(fnbr[v])} forced "
+                                 f"incidences (max 2)")
     nforced = len(fset)
+    if n < 3:
+        return ABSENT, None, 0
 
     # Anchor at a forced vertex when there is one; min degree otherwise.
     anchored = [v for v in range(n) if fnbr[v]]
@@ -141,6 +167,22 @@ def ham_cycle(adj, forced=(), max_nodes=0):
             return ABSENT, None, nodes
         path.append(w)
         free = frees[-1] ^ 1 << w
+
+
+def is_cycle(n, edges, cyc, forced=()):
+    """Is the vertex list `cyc` a cycle of the graph on 0..n-1 with edge set
+    `edges` (a set of pairs (u, v), u < v < n), through every forced pair?
+
+    True iff cyc has at least 3 vertices, all distinct, every step, the
+    closing one included, is in `edges`, and every forced pair, in either
+    order, is a step.  A forced entry that is not a pair of ints raises
+    ValueError, as in `ham_cycle`.  The compiled twin reads only `edges` and
+    the lists, never a search's copy of the graph, so it re-checks what a
+    search returns."""
+    need = {(a, b) if a < b else (b, a) for a, b in map(_pair, forced)}
+    steps = {(u, v) if u < v else (v, u) for u, v in zip(cyc, cyc[1:] + cyc[:1])}
+    return (len(cyc) >= 3 and len(set(cyc)) == len(cyc)
+            and edges.issuperset(steps) and steps.issuperset(need))
 
 
 def _closable_core(amask, u, root, region):

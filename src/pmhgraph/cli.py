@@ -41,7 +41,7 @@ from typing import NamedTuple
 import click
 
 from . import _kernel
-from .constructions import prop6_construct, y_extension, y_reduction
+from .constructions import _prop6_construct, y_extension, y_reduction
 from .cycles import (ABSENT, FOUND, INCONCLUSIVE, CycleWalk,
                      _hypohamiltonian, euler_tour, find_dominating_cycle,
                      find_hamiltonian_cycle, is_arbitrarily_traceable,
@@ -336,11 +336,17 @@ def _yred(g, o):
 
 def _prop6(g, o):
     """Expand every vertex but one of a cubic hypohamiltonian odd-size graph
-    into a triangle; the result has circumference one below its order."""
-    out, kept, tmap = prop6_construct(g, o.keep, max_nodes=o.max_nodes)
+    into a triangle; the result has circumference one below its order.
+    The nodes are those of the hypohamiltonicity check, as in `_hypoham`."""
+    built, nodes = _prop6_construct(g, o.keep, o.max_nodes)
+    if built is None:
+        return _Line({"outcome": INCONCLUSIVE, "reason": "budget"}, None,
+                     nodes, INCONCLUSIVE)
+    out, kept, tmap = built
     return _Line({"graph6": write_graph6(out), "order": out.n,
                   "size": len(out.edges), "kept": kept},
-                 {"triangles": {str(v): list(t) for v, t in tmap.items()}})
+                 {"triangles": {str(v): list(t) for v, t in tmap.items()}},
+                 nodes)
 
 
 # ---------------------------------------------------------------------------

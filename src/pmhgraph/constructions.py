@@ -8,8 +8,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cycles import is_hypohamiltonian
-from .errors import ParityError, PreconditionError, StructureError
+from .cycles import _hypohamiltonian
+from .errors import BudgetError, ParityError, PreconditionError, StructureError
 from .graph_core import Graph, are_isomorphic
 from .line_graph import LineGraphMap
 from .matching import Matching
@@ -91,13 +91,26 @@ def prop6_construct(g: Graph, keep, max_nodes=0):
     `max_nodes` caps each search of the hypohamiltonicity check, which
     raises BudgetError when the cap leaves it undecided.
     """
+    built, _nodes = _prop6_construct(g, keep, max_nodes)
+    if built is None:
+        raise BudgetError("a hamiltonicity search ran out of nodes")
+    return built
+
+
+def _prop6_construct(g: Graph, keep, max_nodes):
+    """(built, nodes): what `prop6_construct` returns, or None when a capped
+    search left the hypohamiltonicity check open, and the summed nodes of
+    the check's searches."""
     if any(g.degree(v) != 3 for v in range(g.n)):
         raise PreconditionError("base must be cubic")
     if len(g.edges) % 2 == 0:
         raise ParityError("base must have odd size")
     if not 0 <= keep < g.n:
         raise PreconditionError(f"vertex {keep} is not in the graph")
-    if not is_hypohamiltonian(g, max_nodes=max_nodes):
+    verdict, nodes = _hypohamiltonian(g, max_nodes)
+    if verdict is None:
+        return None, nodes
+    if not verdict:
         raise PreconditionError("base must be hypohamiltonian")
     cur = g
     # expansions never renumber surviving vertices, so original ids persist
@@ -109,7 +122,7 @@ def prop6_construct(g: Graph, keep, max_nodes=0):
         triangle_map[v] = s.new_vertices
     if len(cur.edges) != len(g.edges) + 3 * (g.n - 1) or len(cur.edges) % 2:
         raise StructureError(f"expansion left {len(cur.edges)} edges")
-    return cur, keep, triangle_map
+    return (cur, keep, triangle_map), nodes
 
 
 def remark1_reduction(lgm: LineGraphMap, m: Matching):

@@ -8,9 +8,8 @@ Budget-capped searches report "inconclusive", never absence.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
-from itertools import chain, combinations
+from itertools import combinations
 
 from . import _kernel
 from .errors import (BudgetError, CapacityError, PreconditionError,
@@ -130,49 +129,27 @@ def _check_size(g: Graph):
                             f"{_kernel.MAX_VERTICES}")
 
 
-def _check_forced(g: Graph, forced):
-    """The forced edges normalised and deduplicated (the kernels read a
-    repeated edge as two forced edges), after refusing a non-edge and a
-    vertex on more than two of them."""
-    edges = g.edges
-    norm = {}
-    for u, v in forced:
-        if u > v:
-            u, v = v, u
-        if (u, v) not in edges:
-            raise PreconditionError(f"forced edge ({u},{v}) not in the graph")
-        norm[u, v] = None
-    norm = list(norm)
-    ends = list(chain.from_iterable(norm))
-    if len(set(ends)) < len(ends):
-        for v, d in Counter(ends).items():
-            if d > 2:
-                raise PreconditionError(f"vertex {v} has {d} forced incidences (max 2)")
-    return norm
-
-
 def find_hamiltonian_cycle(g: Graph, forced=(), max_nodes=0) -> SearchResult:
     """Exhaustive hamiltonian cycle search; the cycle must contain every
-    forced edge.  Absence verdicts are certified by search-tree exhaustion."""
-    return _hamiltonian_search(g, _check_forced(g, forced), max_nodes)
+    forced edge.  Absence verdicts are certified by search-tree exhaustion.
 
-
-def _hamiltonian_search(g: Graph, norm, max_nodes) -> SearchResult:
-    """`find_hamiltonian_cycle` for forced edges `norm` that are already
-    normalised, distinct edges of g with at most two at any vertex, such as
-    the sorted edges of a matching of g; the kernel's cycle is re-checked."""
+    `forced` holds edges of g as pairs of ints in either order, with no
+    vertex on more than two distinct ones; a repeated pair counts once.
+    The kernel checks the set and refuses any other with PreconditionError.
+    A cycle the kernel returns is re-checked by `_kernel.is_cycle`, which
+    reads g.edges and not the search's copy of the graph."""
     _check_size(g)
-    status, cyc, nodes = _kernel.ham_cycle(g.adjacency, norm, max_nodes)
+    if not isinstance(forced, (list, tuple)):
+        forced = list(forced)     # read by the search and by the re-check
+    try:
+        status, cyc, nodes = _kernel.ham_cycle(g.adjacency, forced, max_nodes)
+    except ValueError as exc:
+        raise PreconditionError(str(exc)) from None
     if status != _kernel.FOUND:
         return SearchResult(_STATUS[status], None, nodes)
-    # The re-check of validate_walk and contains_edges for this one shape:
-    # n >= 3 distinct vertices whose n steps, the closing one included, are
-    # edges of g and include every forced edge.
-    steps = {(u, v) if u < v else (v, u) for u, v in zip(cyc, cyc[1:] + cyc[:1])}
-    if not (len(cyc) == g.n >= 3 and len(set(cyc)) == g.n
-            and g.edges.issuperset(steps) and steps.issuperset(norm)):
+    if not (len(cyc) == g.n and _kernel.is_cycle(g.n, g.edges, cyc, forced)):
         raise WitnessError(f"kernel returned an invalid hamiltonian cycle {cyc}"
-                           f" for forced edges {norm}")
+                           f" for forced edges {forced}")
     return SearchResult(FOUND, CycleWalk((*cyc, cyc[0]), _HAMILTONIAN), nodes)
 
 
@@ -456,13 +433,11 @@ def longest_cycle_search(g: Graph, max_nodes=0) -> SearchResult:
     cap returns the best cycle found so far as a lower bound."""
     _check_size(g)
     status, cyc, nodes = _kernel.longest_cycle(g.adjacency, max_nodes)
-    if cyc is not None:
-        walk = CycleWalk((*cyc, cyc[0]), _CYCLE)
-        if not validate_walk(g, walk):
-            raise WitnessError(f"kernel returned an invalid cycle {cyc}")
-    else:
-        walk = None
-    return SearchResult(_STATUS[status], walk, nodes)
+    if cyc is None:
+        return SearchResult(_STATUS[status], None, nodes)
+    if not _kernel.is_cycle(g.n, g.edges, cyc):
+        raise WitnessError(f"kernel returned an invalid cycle {cyc}")
+    return SearchResult(_STATUS[status], CycleWalk((*cyc, cyc[0]), _CYCLE), nodes)
 
 
 def circumference(g: Graph):

@@ -20,9 +20,9 @@ from dataclasses import dataclass
 from . import _kernel
 from ._kernel.purecore import _completions
 from .cycles import (ABSENT, FOUND, INCONCLUSIVE, CycleWalk, SearchResult,
-                     _check_size, _hamiltonian_search, closed, euler_tour,
-                     find_dominating_cycle, find_hamiltonian_cycle,
-                     is_arbitrarily_traceable, validate_walk)
+                     _check_size, closed, euler_tour, find_dominating_cycle,
+                     find_hamiltonian_cycle, is_arbitrarily_traceable,
+                     validate_walk)
 from .errors import (BudgetError, ParityError, PreconditionError,
                      StructureError, WitnessError)
 from .graph_core import Graph
@@ -72,15 +72,15 @@ def is_pmh(h: Graph, max_nodes=0) -> PmhVerdict:
     enumeration, and not from the kernel scan behind
     `enumerate_perfect_matchings` and `is_pmh_line`, so the oracle stays
     independent of the fast path it cross-checks; the order is the same.
-    Each pair list is sorted by construction, a valid forced set of h that
-    goes straight to the search, and only a witness becomes a Matching.
+    Each pair list is the forced set of one `find_hamiltonian_cycle`, whose
+    kernel checks it, and only a witness becomes a Matching.
     """
     tested = 0
     nodes = 0
     inconclusive = False
     for pairs in _completions(h.adjacency):
         tested += 1
-        res = _hamiltonian_search(h, pairs, max_nodes)
+        res = find_hamiltonian_cycle(h, pairs, max_nodes)
         nodes += res.nodes
         if res.outcome == ABSENT:
             return PmhVerdict("not_pmh", witness=Matching(frozenset(pairs), h.n),
@@ -124,7 +124,7 @@ def is_pmh_line(lgm: LineGraphMap, max_nodes=0) -> PmhVerdict:
     inconclusive = False
     for pairs in scan:
         searches += 1
-        res = _hamiltonian_search(h, pairs, max_nodes)
+        res = find_hamiltonian_cycle(h, pairs, max_nodes)
         nodes += res.nodes
         if res.outcome == ABSENT:
             return PmhVerdict("not_pmh", witness=Matching(frozenset(pairs), h.n),

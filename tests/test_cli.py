@@ -216,6 +216,25 @@ def test_construct_commands():
     assert rep3["verdict"]["order"] == 28 and rep3["verdict"]["size"] == 42
 
 
+def test_prop6_reports_the_nodes_of_its_check():
+    """`construct prop6` spends the nodes of its hypohamiltonicity check, as
+    `cycles hypoham` reports them: 245 on the Petersen graph, and 154 when
+    `--max-nodes 50` leaves the check open."""
+    for budget, nodes, code in [([], 245, 0), (["--max-nodes", "50"], 154, 2)]:
+        prop6 = run("construct", "prop6", "--keep", "0", *budget, "-",
+                    input=g6("petersen") + "\n")
+        hypoham = run("cycles", "hypoham", *budget, "-",
+                      input=g6("petersen") + "\n")
+        assert prop6.exit_code == hypoham.exit_code == code
+        (rep,), (hyp,) = reports(prop6), reports(hypoham)
+        assert rep["stats"]["nodes"] == hyp["stats"]["nodes"] == nodes
+        if code:
+            assert rep["verdict"] == {"outcome": "inconclusive", "reason": "budget"}
+            assert rep["witness"] is None
+        else:
+            assert rep["verdict"]["order"] == 28
+
+
 def test_prop6_keep_outside_the_graph():
     # Petersen passes the cubic and parity checks that stop K4 first
     res = run("construct", "prop6", "--keep", "99", "-",

@@ -62,6 +62,71 @@ def test_forced_edge_validation():
         find_hamiltonian_cycle(k4, forced=[(0, 1), (0, 2), (0, 3)])
 
 
+_K4, _K5 = make_named_graph("complete", [4]), make_named_graph("complete", [5])
+
+# (graph, forced set, the message of its PreconditionError): each kernel
+# checks the forced set before it searches, for any order
+BAD_FORCED = {
+    "not a pair": (_K4, [(0, 1, 2)], "forced edge (0, 1, 2) is not a pair of ints"),
+    "one vertex": (_K4, [(0, 1), (3,)], "forced edge (3,) is not a pair of ints"),
+    "not ints": (_K4, [(0, "1")], "forced edge (0, '1') is not a pair of ints"),
+    "a float": (_K4, [[0, 1.0]], "forced edge [0, 1.0] is not a pair of ints"),
+    "out of range": (_K4, [(4, 0)], "forced edge (0,4) not in the graph"),
+    "negative": (_K4, [(-1, 2)], "forced edge (-1,2) not in the graph"),
+    "beyond 64 bits": (_K4, [(1, 2**70)],
+                       f"forced edge (1,{2**70}) not in the graph"),
+    "self pair": (_K4, [(2, 2)], "forced edge (2,2) not in the graph"),
+    "non-edge": (make_named_graph("cycle", [6]), [(2, 0)],
+                 "forced edge (0,2) not in the graph"),
+    "three at a vertex": (_K4, [(0, 1), (2, 0), (0, 3)],
+                          "vertex 0 has 3 forced incidences (max 2)"),
+    "four at a vertex": (_K5, [(0, 1), (0, 2), (1, 0), (0, 3), (4, 0)],
+                         "vertex 0 has 4 forced incidences (max 2)"),
+    # the first such vertex among the ends of the pairs as they first appear
+    "first overloaded vertex": (_K5, [(1, 2), (0, 3), (0, 4), (0, 2), (1, 3),
+                                      (1, 4)],
+                                "vertex 1 has 3 forced incidences (max 2)"),
+    # every pair is checked before the incidences are counted
+    "non-edge after an overload": (_K4, [(0, 1), (0, 2), (0, 3), (1, 1)],
+                                   "forced edge (1,1) not in the graph"),
+    "order 2": (Graph.from_edges(2, [(0, 1)]), [(0, 1), (1, 2)],
+                "forced edge (1,2) not in the graph"),
+    "order 1": (Graph(1), [(0, 0)], "forced edge (0,0) not in the graph"),
+    "order 0": (Graph(0), [(0, 1, 2)],
+                "forced edge (0, 1, 2) is not a pair of ints"),
+}
+
+KERNELS = [purecore] + ([] if _fastcore is None else [_fastcore])
+
+
+@pytest.mark.parametrize("impl", KERNELS, ids=lambda k: k.BACKEND)
+@pytest.mark.parametrize("case", sorted(BAD_FORCED))
+def test_bad_forced_set_is_a_precondition_error(case, impl, monkeypatch):
+    g, forced, message = BAD_FORCED[case]
+    with pytest.raises(ValueError) as raised:
+        impl.ham_cycle([list(a) for a in g.adjacency], forced, 0)
+    assert str(raised.value) == message
+    monkeypatch.setattr(_kernel, "ham_cycle", impl.ham_cycle)
+    with pytest.raises(PreconditionError) as raised:
+        find_hamiltonian_cycle(g, forced=forced)
+    assert str(raised.value) == message
+
+
+@pytest.mark.parametrize("impl", KERNELS, ids=lambda k: k.BACKEND)
+def test_repeated_and_reversed_forced_pairs_count_once(impl, monkeypatch):
+    monkeypatch.setattr(_kernel, "ham_cycle", impl.ham_cycle)
+    monkeypatch.setattr(_kernel, "is_cycle", impl.is_cycle)
+    once = find_hamiltonian_cycle(_K5, forced=[(0, 1), (2, 3)])
+    assert once and once.walk.contains_edges([(0, 1), (2, 3)])
+    for forced in ([(1, 0), (3, 2)], [(0, 1), (1, 0), (2, 3), (0, 1)],
+                   [[3, 2], (0, 1), (2, 3)], iter([(0, 1), (2, 3), (3, 2)])):
+        assert find_hamiltonian_cycle(_K5, forced=forced) == once
+    # order 2 checks and then searches nothing
+    k2 = Graph.from_edges(2, [(0, 1)])
+    assert find_hamiltonian_cycle(k2, forced=[(0, 1), (1, 0)]) == \
+        SearchResult("absent", None, 0)
+
+
 def test_hamiltonian_matches_naive_oracle(rng):
     for _ in range(60):
         g = random_graph(rng, 7, 0.4)
@@ -323,7 +388,8 @@ def test_bad_kernel_witness_raises(monkeypatch):
 
 
 # (graph, forced edges, kernel answer): each breaks one condition of
-# find_hamiltonian_cycle's re-check and no other
+# find_hamiltonian_cycle's re-check and no other; only "too few vertices" is
+# a cycle, which the length check refuses and not `is_cycle`
 BAD_HAMILTONIAN_WITNESS = {
     "too few vertices": (make_named_graph("complete", [4]), [], [0, 1, 2]),
     "fewer than three": (Graph.from_edges(2, [(0, 1)]), [], [0, 1]),
@@ -339,11 +405,16 @@ BAD_HAMILTONIAN_WITNESS = {
 
 @pytest.mark.parametrize("case", sorted(BAD_HAMILTONIAN_WITNESS))
 def test_each_hamiltonian_witness_check(case, monkeypatch):
+    """Refused through each `is_cycle` twin, and by the twin itself."""
     g, forced, cyc = BAD_HAMILTONIAN_WITNESS[case]
     monkeypatch.setattr(_kernel, "ham_cycle",
                         lambda adj, forced, max_nodes: (_kernel.FOUND, cyc, 1))
-    with pytest.raises(WitnessError):
-        find_hamiltonian_cycle(g, forced=forced)
+    for impl in KERNELS:
+        assert impl.is_cycle(g.n, g.edges, cyc, forced) == \
+            (case == "too few vertices")
+        monkeypatch.setattr(_kernel, "is_cycle", impl.is_cycle)
+        with pytest.raises(WitnessError):
+            find_hamiltonian_cycle(g, forced=forced)
 
 
 def test_hamiltonian_witness_is_the_closed_cycle(monkeypatch):
@@ -354,9 +425,6 @@ def test_hamiltonian_witness_is_the_closed_cycle(monkeypatch):
     assert res == SearchResult("found", closed([0, 2, 1, 3], kinds={
         "cycle", "tour", "hamiltonian", "dominating"}), 7)
     assert validate_walk(k4, res.walk)
-
-
-KERNELS = [purecore] + ([] if _fastcore is None else [_fastcore])
 
 
 @pytest.mark.parametrize("impl", KERNELS, ids=lambda k: k.BACKEND)

@@ -14,7 +14,7 @@ from pmhgraph._kernel import BACKEND, purecore
 from pmhgraph.cli import _candidate
 from pmhgraph.constructions import prop6_construct
 from pmhgraph.corpus import connected_graphs_upto, generate_all_graphs
-from pmhgraph.cycles import FOUND, _hamiltonian_search
+from pmhgraph.cycles import FOUND, find_hamiltonian_cycle
 from pmhgraph.errors import CapacityError
 from pmhgraph.graph_core import (ISO_SIZE_BOUND, Graph, canonical_form,
                                  make_named_graph, parse_graph6)
@@ -186,6 +186,80 @@ def test_compiled_rejects_graphs_deeper_than_its_stack():
         _fastcore.ham_cycle([[]] * (_kernel.MAX_VERTICES + 1), [], 0)
 
 
+def _naive_is_cycle(g, cyc, forced):
+    """The re-check spelt out step by step, sharing no code with the twins."""
+    if len(cyc) < 3 or len(set(cyc)) < len(cyc):
+        return False
+    steps = [(cyc[i], cyc[(i + 1) % len(cyc)]) for i in range(len(cyc))]
+    return (all(g.has_edge(a, b) for a, b in steps)
+            and all((a, b) in steps or (b, a) in steps for a, b in forced))
+
+
+def _corrupted(rng, g, cyc, forced):
+    """(name, cycle, forced) cases around the cycle `cyc` of g through
+    `forced`: itself rotated, reversed and with forced pairs reversed, and
+    the corruptions the re-check must refuse."""
+    k = len(cyc)
+    i, j = rng.sample(range(k), 2)
+    r = rng.randrange(k)
+    rotated = cyc[r:] + cyc[:r]
+    steps = {frozenset(p) for p in zip(cyc, cyc[1:] + cyc[:1])}
+    off = [e for e in sorted(g.edges) if frozenset(e) not in steps]
+    swapped = list(cyc)
+    swapped[i], swapped[j] = swapped[j], swapped[i]
+    yield "valid", cyc, forced
+    yield "rotated and reversed", rotated[::-1], forced
+    yield "forced pairs reversed", cyc, [(b, a) for a, b in forced]
+    yield "forced pair repeated", cyc, forced + forced[:1]
+    yield "repeated vertex", cyc[:i] + [cyc[j]] + cyc[i + 1:], forced
+    yield "vertex out of range", cyc[:i] + [rng.choice([g.n, g.n + 7, -1])] + \
+        cyc[i + 1:], forced
+    yield "two vertices swapped", swapped, forced
+    yield "closing step dropped", cyc[:-1], forced
+    yield "forced pair missing", cyc, forced + off[:1]
+    yield "fewer than three", cyc[:rng.randint(0, 2)], []
+
+
+@needs_compiled
+def test_is_cycle_twins_agree(rng):
+    """The compiled `is_cycle` answers as the pure one and as a naive
+    re-check on cycles the search found, on 200 seeded graphs with forced
+    edges, and on each corruption of them."""
+    seen = set()
+    for _ in range(200):
+        g = random_graph(rng, rng.randint(4, 12), rng.choice([0.4, 0.6]))
+        forced = _random_forced(rng, g, rng.randint(0, 3))
+        status, cyc, _nodes = purecore.ham_cycle(_adj(g), forced, 0)
+        if status != purecore.FOUND:
+            continue
+        for name, c, f in _corrupted(rng, g, cyc, forced):
+            want = _naive_is_cycle(g, c, f)
+            assert purecore.is_cycle(g.n, g.edges, c, f) == want, (name, g)
+            assert _fastcore.is_cycle(g.n, g.edges, c, f) == want, (name, g)
+            seen.add((name, want))
+    # every corruption was refused somewhere, and the valid cases all pass
+    assert {name for name, want in seen if not want} == {
+        "repeated vertex", "vertex out of range", "two vertices swapped",
+        "closing step dropped", "forced pair missing", "fewer than three"}
+    assert {name for name, want in seen if want} >= {
+        "valid", "rotated and reversed", "forced pairs reversed",
+        "forced pair repeated"}
+    assert ("valid", False) not in seen
+
+
+def test_is_cycle_refuses_a_malformed_forced_entry():
+    """Each twin reads every forced entry first, as the search does."""
+    k4 = make_named_graph("complete", [4])
+    for impl in (purecore,) if _fastcore is None else (purecore, _fastcore):
+        assert impl.is_cycle(4, k4.edges, [0, 1, 2, 3], [(1, 0), [3, 2]])
+        assert impl.is_cycle(3, k4.edges, [0, 1, 2])
+        assert not impl.is_cycle(4, k4.edges, [0, 1, 2], [(0, 9)])
+        for cyc in ([0, 1, 2, 3], [0, 1]):
+            with pytest.raises(ValueError, match=r"forced edge \(0, 1, 2\) is "
+                               r"not a pair of ints"):
+                impl.is_cycle(4, k4.edges, cyc, [(0, 1), (0, 1, 2)])
+
+
 def _bench_instances():
     """Representative searches: absent and found hamiltonian cycles, forced
     searches on L(Coxeter), longest cycles."""
@@ -221,7 +295,7 @@ def _scan_both(lgm, extra=0):
     adds = 0
     for pairs in ref:
         assert (next(fast), fast.tested) == (pairs, ref.tested)
-        res = _hamiltonian_search(h, pairs, 0)
+        res = find_hamiltonian_cycle(h, pairs)
         cycles = [res.walk.vertices] if res.outcome == FOUND else []
         for cycle in cycles + list(islice(more, extra)):
             assert fast.add(cycle) == ref.add(cycle)

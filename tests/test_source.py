@@ -76,6 +76,6 @@ def test_compiled_kernel_exports_every_pure_kernel_name():
     the compiled backend."""
     fastcore = pytest.importorskip("pmhgraph._kernel._fastcore")
     names = {name for name in vars(purecore) if not name.startswith("_")}
-    assert names == {"ham_cycle", "longest_cycle", "pm_scan", "canonical_form",
-                     "FOUND", "ABSENT", "BUDGET", "BACKEND"}
+    assert names == {"ham_cycle", "is_cycle", "longest_cycle", "pm_scan",
+                     "canonical_form", "FOUND", "ABSENT", "BUDGET", "BACKEND"}
     assert sorted(names - set(dir(fastcore))) == []
