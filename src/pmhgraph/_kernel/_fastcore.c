@@ -12,7 +12,9 @@
  * set and the lists it is given, not a search's arrays.  A search
  * stops at the first node past its budget (max_nodes, 0 for none) and returns
  * BUDGET with max_nodes + 1 nodes.  The pruning tests decide what purecore's
- * decide, with less work (see prune_words and lc_core).  Vertex sets are
+ * decide, with less work (see prune_words and lc_core); the hamiltonian
+ * search's leaf rule on required edges is stated in purecore.ham_cycle's
+ * docstring.  Vertex sets are
  * bitsets of nw = ceil(n/64) uint64_t words, the same masks purecore builds
  * from Python ints; the canonical form keeps one word per vertex, so it takes
  * at most 64 vertices.
@@ -52,8 +54,10 @@ typedef struct {
     int start, nforced, root, plen, blen;
     word *amask;            /* bitset row per vertex; self-loops cleared
                                (no purecore check reads a vertex's own bit) */
-    word *full, *visited, *allow, *target, *reach, *frontier, *next, *above;
-    word *cores;            /* longest cycle: a closable core per path vertex */
+    word *full, *visited, *free, *allow, *near, *target, *reach, *frontier,
+         *next, *above;
+    word *levels;           /* a set per path length: the hamiltonian search's
+                               set D, the longest cycle's closable core */
     long long nodes, max_nodes;
 } Search;
 
@@ -61,7 +65,6 @@ static void search_free(Search *s)
 {
     PyMem_Free(s->off);
     PyMem_Free(s->amask);
-    PyMem_Free(s->cores);
 }
 
 /* Copy `adj` (a sequence of neighbour sequences) into s->off and s->nbr
@@ -125,8 +128,9 @@ fail:
     return -1;
 }
 
-/* load_adj, then the searches' bitsets and empty forced-neighbour slots.
- * Returns 0, or -1 with an exception set. */
+/* load_adj, then the searches' bitsets (the rows, the scratch sets and n + 1
+ * level slots) and empty forced-neighbour slots.  Returns 0, or -1 with an
+ * exception set. */
 static int search_init(Search *s, PyObject *adj, long long max_nodes)
 {
     if (load_adj(s, adj) < 0)
@@ -134,16 +138,17 @@ static int search_init(Search *s, PyObject *adj, long long max_nodes)
     int n = s->n, nw = (n + 63) / 64;
     s->max_nodes = max_nodes;
     s->nw = nw;
-    s->amask = PyMem_Calloc(((size_t)n + 8) * nw + 1, sizeof(word));
+    s->amask = PyMem_Calloc((2 * (size_t)n + 11) * nw + 1, sizeof(word));
     if (!s->amask) {
         search_free(s);
         PyErr_NoMemory();
         return -1;
     }
     word *w0 = s->amask + (size_t)n * nw;
-    word **scratch[] = {&s->full, &s->visited, &s->allow, &s->target,
-                        &s->reach, &s->frontier, &s->next, &s->above};
-    for (int i = 0; i < 8; i++)
+    word **scratch[] = {&s->full, &s->visited, &s->free, &s->allow, &s->near,
+                        &s->target, &s->reach, &s->frontier, &s->next,
+                        &s->above, &s->levels};
+    for (int i = 0; i < 11; i++)
         *scratch[i] = w0 + i * nw;
     for (int v = 0; v < n; v++) {
         ADD(s->full, v);
@@ -208,39 +213,86 @@ static int forced_to(const Search *s, int u, int w)
     return s->fn[2 * u] == w || s->fn[2 * u + 1] == w;
 }
 
+/* The number of set bits of y, or 3 when it is more. */
+INLINE int upto3(word y)
+{
+    word a = y & (y - 1);
+    return (y != 0) + (a != 0) + ((a & (a - 1)) != 0);
+}
+
+/* |R(x)| of purecore.ham_cycle, or 3 when it is more: x's neighbours in
+ * `two` (the set D) and its forced partners in `within` outside it. */
+INLINE int required(const Search *s, int x, const word *two, const word *within,
+                    int nw)
+{
+    const word *row = s->amask + (size_t)x * nw;
+    int cnt = 0;
+    for (int i = 0; i < nw && cnt < 3; i++)
+        cnt += upto3(row[i] & two[i]);
+    for (int k = 0; k < 2; k++) {
+        int f = s->fn[2 * x + k];
+        cnt += f >= 0 && HAS(within, f) && !HAS(two, f);
+    }
+    return cnt;
+}
+
 /* purecore's feasible: every unvisited vertex keeps two neighbours among the
  * unvisited ones, the start and u, and all of those are reachable from u
- * through them.  A node's usable set is its parent's minus
- * the parent, and the parent passed both tests (it was expanded).  So only the
- * parent's unvisited neighbours need the degree test again, and the set is
- * still connected iff the parent's neighbours in it are reachable from u: any
- * other vertex reached the parent through one of them.  parent < 0 tests all. */
-INLINE int prune_words(Search *s, int u, int parent, int nw)
+ * through them; no vertex has more required partners than steps left.  It
+ * writes the node's set D to `two`.  A node's usable set is its parent's
+ * minus the parent, and the parent passed every test (it was expanded).  So
+ * only the parent's unvisited neighbours need the degree test again, and the
+ * set is still connected iff the parent's neighbours in it are reachable from
+ * u: any other vertex reached the parent through one of them.  A vertex of
+ * the parent's D (`had`) that is still unvisited keeps its two neighbours, and
+ * only a neighbour of the parent can join D (newD).  R(x) of an unvisited x
+ * outside D grows only by a neighbour in newD, so of the unvisited vertices
+ * only the neighbours of newD outside D (`near`) need the required test
+ * again, with u and the start.  parent < 0 tests all: every vertex is new
+ * to D, and an x with no neighbour in D has at most its two forced
+ * partners. */
+INLINE int prune_words(Search *s, int u, int parent, const word *had, word *two,
+                       int nw)
 {
-    for (int i = 0; i < nw; i++)
-        s->allow[i] = ~s->visited[i] & s->full[i];
-    ADD(s->allow, s->start);
-    ADD(s->allow, u);
+    word *free = s->free, *allow = s->allow, *near = s->near;
     for (int i = 0; i < nw; i++) {
-        word x = ~s->visited[i] & s->full[i];
+        allow[i] = free[i] = ~s->visited[i] & s->full[i];
+        two[i] = parent < 0 ? 0 : had[i] & free[i];
+        near[i] = 0;
+    }
+    ADD(allow, s->start);
+    ADD(allow, u);
+    for (int i = 0; i < nw; i++) {
+        word x = free[i];
         if (parent >= 0)
             x &= s->amask[(size_t)parent * nw + i];
         for (; x; x &= x - 1) {
             const word *row = s->amask + (size_t)(i * 64 + __builtin_ctzll(x)) * nw;
             int cnt = 0;
-            for (int j = 0; j < nw && cnt < 2; j++) {
-                word y = row[j] & s->allow[j];
-                cnt += y ? ((y & (y - 1)) ? 2 : 1) : 0;
-            }
+            for (int j = 0; j < nw && cnt < 3; j++)
+                cnt += upto3(row[j] & allow[j]);
             if (cnt < 2)
                 return 0;
+            if (cnt == 2) {
+                two[i] |= x & -x;
+                for (int j = 0; j < nw; j++)
+                    near[j] |= row[j];
+            }
         }
     }
-    if (parent < 0)
-        return flood(s, u, s->allow, s->allow, nw);
     for (int i = 0; i < nw; i++)
-        s->target[i] = s->amask[(size_t)parent * nw + i] & s->allow[i];
-    return flood(s, u, s->allow, s->target, nw);
+        for (word x = near[i] & free[i] & ~two[i]; x; x &= x - 1)
+            if (required(s, i * 64 + __builtin_ctzll(x), two, allow, nw) > 2)
+                return 0;
+    int steps = u == s->start ? 2 : 1;
+    if (required(s, u, two, free, nw) > steps ||
+        required(s, s->start, two, free, nw) > steps)
+        return 0;
+    if (parent < 0)
+        return flood(s, u, allow, allow, nw);
+    for (int i = 0; i < nw; i++)
+        s->target[i] = s->amask[(size_t)parent * nw + i] & allow[i];
+    return flood(s, u, allow, s->target, nw);
 }
 
 static int ham_dfs(Search *s, int u, int parent, int count, int used)
@@ -258,8 +310,12 @@ static int ham_dfs(Search *s, int u, int parent, int count, int used)
             pending++;
             pend0 = s->fn[2 * u + i];
         }
-    if (pending >= 2 || !(s->nw == 1 ? prune_words(s, u, parent, 1)
-                                     : prune_words(s, u, parent, s->nw)))
+    /* the node's D in the slot of its path length, its parent's in the one
+     * before */
+    int nw = s->nw;
+    word *two = s->levels + (size_t)count * nw;
+    if (pending >= 2 || !(nw == 1 ? prune_words(s, u, parent, two - 1, two, 1)
+                                  : prune_words(s, u, parent, two - nw, two, nw)))
         return ABSENT;
     const int *cands = pending ? &pend0 : s->nbr + s->off[u];
     int ncands = pending ? 1 : s->off[u + 1] - s->off[u];
@@ -602,7 +658,7 @@ INLINE int lc_core(Search *s, int u, int parent, word *core, int size, int nw)
 }
 
 /* A node of purecore.longest_cycle: the path s->path[0..plen) ends at u, and
- * its level's slot of s->cores holds the `size` vertices the path may still
+ * its level slot in s->levels holds the `size` vertices the path may still
  * take (see lc_core for `parent`).  Bound: the node is a leaf when the path
  * plus its closable core is no longer than the best cycle, or when u is not
  * root and root has no neighbour in the core; a child w takes the core minus
@@ -616,7 +672,7 @@ static int lc_dfs(Search *s, int u, int parent, int size)
         memcpy(s->best, s->path, s->plen * sizeof(int));
         s->blen = s->plen;
     }
-    word *core = s->cores + (size_t)(s->plen - 1) * nw, *sub = core + nw;
+    word *core = s->levels + (size_t)(s->plen - 1) * nw, *sub = core + nw;
     size = nw == 1 ? lc_core(s, u, parent, core, size, 1)
                    : lc_core(s, u, parent, core, size, nw);
     for (int i = 0; i < nw && !meets; i++)
@@ -650,12 +706,7 @@ static PyObject *longest_cycle(PyObject *Py_UNUSED(self), PyObject *args,
                                      &adj, &max_nodes) ||
         search_init(&s, adj, max_nodes) < 0)
         return NULL;
-    /* a path of plen vertices uses the slots of levels 0 .. plen - 1 */
-    s.cores = PyMem_Calloc((size_t)s.n * s.nw + 1, sizeof(word));
-    if (!s.cores) {
-        search_free(&s);
-        return PyErr_NoMemory();
-    }
+    /* a path of plen vertices uses the level slots 0 .. plen - 1 */
     int r = 0;
     memcpy(s.above, s.full, s.nw * sizeof(word));
     for (int root = 0; !r && s.n - root > s.blen; root++) {
@@ -663,7 +714,7 @@ static PyObject *longest_cycle(PyObject *Py_UNUSED(self), PyObject *args,
         DEL(s.above, root);
         s.root = s.path[0] = root;
         s.plen = 1;
-        memcpy(s.cores, s.above, s.nw * sizeof(word));
+        memcpy(s.levels, s.above, s.nw * sizeof(word));
         r = lc_dfs(&s, root, -1, s.n - 1 - root);
     }
     PyObject *out = r == FAILED ? NULL :

@@ -86,6 +86,23 @@ def ham_cycle(adj, forced=(), max_nodes=0):
 
     Returns (status, cycle_or_None, nodes_expanded).  The cycle is a list
     of n distinct vertices (closure edge implied).
+
+    Leaf rule.  A node whose path runs from the start s to u, with
+    unvisited set F and allow = F | {s, u}, is expanded only when every
+    vertex of F keeps two neighbours in allow, all of allow is reachable
+    from u through it, and no vertex has more required partners than steps
+    left.  The rest of a hamiltonian cycle through the node is a path from
+    u through F to s inside allow, in which each vertex of F takes two
+    steps and u and s one each (two at the root, where u = s).  So a vertex
+    of F with exactly two neighbours in allow (the set D) takes both, and a
+    forced edge is a step.  With fm(x) the forced partners of x, the
+    required partners R(x) are N(x) & allow for x in D, (N(x) & D) |
+    (fm(x) & allow) for the rest of F, and (N(x) & D) | (fm(x) & F) for u
+    and s.  The node is a leaf when |R(x)| > 2 for some x in F, or R(u) or
+    R(s) is larger than its steps left.  No subtree cut this way holds a
+    hamiltonian cycle, and the children and their order are those of the
+    search without the rule, so status and witness are too; only node
+    counts fall.
     """
     n = len(adj)
     amask = _masks(adj)
@@ -121,16 +138,39 @@ def ham_cycle(adj, forced=(), max_nodes=0):
     def edge_forced(a, b):
         return ((a, b) if a < b else (b, a)) in fset
 
+    fmask = _masks(fnbr)
+
     def feasible(free, u):
         # Every unvisited vertex keeps two neighbours among the unvisited
         # ones (`free`), the start and u, and all of those are reachable
-        # from u through them (start allowed as endpoint).
+        # from u through them (start allowed as endpoint).  The ones with
+        # exactly two (`two`, the docstring's D) must take both, and no
+        # vertex has more required partners than steps left.  A vertex of
+        # `free` outside D with no neighbour in D has only its forced
+        # partners, at most two, so only D's neighbours (`near`) are tested.
         allow = free | (1 << start) | (1 << u)
+        two = near = 0
         rest = free
         while rest:
             b = rest & -rest
             rest ^= b
-            if (amask[b.bit_length() - 1] & allow & ~b).bit_count() < 2:
+            m = amask[b.bit_length() - 1]
+            k = (m & allow & ~b).bit_count()
+            if k < 2:
+                return False
+            if k == 2:
+                two |= b
+                near |= m
+        rest = near & free & ~two
+        while rest:
+            b = rest & -rest
+            rest ^= b
+            x = b.bit_length() - 1
+            if (amask[x] & two | fmask[x] & allow).bit_count() > 2:
+                return False
+        steps = 2 if u == start else 1
+        for x in (u, start):
+            if (amask[x] & two | fmask[x] & free).bit_count() > steps:
                 return False
         return (allow & ~_flood(amask, u, allow)) == 0
 

@@ -3,6 +3,7 @@ same status, same witness, same node count.  Both are also checked against
 naive permutation oracles on small random graphs.
 """
 
+import hashlib
 import signal
 import time
 from itertools import combinations, islice
@@ -63,11 +64,30 @@ def _grid(rows, cols):
 
 def _assert_same(kind, adj, *args):
     """Both backends agree, and a search stopped by its budget (the last
-    argument) reports one node past it."""
+    argument) reports one node past it.  Returns the common result."""
     p = getattr(purecore, kind)(adj, *args)
     c = getattr(_fastcore, kind)(adj, *args)
     assert p == c, (kind, args)
     assert p[0] != purecore.BUDGET or p[2] == args[-1] + 1, (kind, args, p)
+    return p
+
+
+def _witness_digest(results):
+    """sha256 of the (status, witness) pairs of search results, in order.
+    The pinned digests were taken before the leaf test on required edges:
+    a pruning test may change node counts, never a status or a witness."""
+    h = hashlib.sha256()
+    for status, witness, _nodes in results:
+        h.update(repr((status, witness)).encode())
+    return h.hexdigest()
+
+
+def _gp(n, k):
+    """The generalised Petersen graph GP(n, k): an outer n-cycle, an inner
+    cycle of step k and n spokes."""
+    return Graph.from_edges(2 * n, [(i, (i + 1) % n) for i in range(n)]
+                            + [(n + i, n + (i + k) % n) for i in range(n)]
+                            + [(i, n + i) for i in range(n)])
 
 
 def test_backend_reports_itself():
@@ -79,22 +99,46 @@ def test_backend_reports_itself():
 
 @needs_compiled
 def test_ham_cycle_parity_random(rng):
+    results = []
     for _ in range(300):
         n = rng.randint(4, 14)
         g = random_graph(rng, n, rng.choice([0.25, 0.4, 0.6]))
         forced = _random_forced(rng, g, rng.randint(0, 3))
-        _assert_same("ham_cycle", _adj(g), forced, 0)
+        results.append(_assert_same("ham_cycle", _adj(g), forced, 0))
+    assert _witness_digest(results) == (
+        "862bc503f24d5771bf7f61fcd43810736907874b685f7187c55bd06401b61452")
+
+
+def _assert_same_at_every_cap(adj, forced, cap):
+    """Parity uncapped, at `cap`, at the uncapped search's node count (it
+    finishes) and one below it (it stops at its last node)."""
+    status, cycle, nodes = _assert_same("ham_cycle", adj, forced, 0)
+    _assert_same("ham_cycle", adj, forced, cap)
+    assert _assert_same("ham_cycle", adj, forced, nodes) == (status, cycle, nodes)
+    if nodes > 1:
+        assert _assert_same("ham_cycle", adj, forced, nodes - 1) == (
+            purecore.BUDGET, None, nodes)
 
 
 @needs_compiled
 def test_ham_cycle_parity_under_budget(rng):
+    """Random graphs, and GP(35,2), whose 70 vertices take two words a set,
+    so that the sets of the leaf test on required edges straddle the word
+    boundary; its forced sets are the spokes and random sets of 15 to 25
+    edges (GP(35,2) has no hamiltonian cycle, and with fewer forced edges a
+    search takes about 10^5 nodes)."""
     g = make_named_graph("petersen", [])
     for cap in (1, 5, 50, 1000):
         _assert_same("ham_cycle", _adj(g), [], cap)
     for _ in range(100):
         g = random_graph(rng, rng.randint(6, 12), 0.4)
         forced = _random_forced(rng, g, rng.randint(0, 3))
-        _assert_same("ham_cycle", _adj(g), forced, rng.choice([1, 7, 40]))
+        _assert_same_at_every_cap(_adj(g), forced, rng.choice([1, 7, 40]))
+    gp = _gp(35, 2)
+    _assert_same_at_every_cap(_adj(gp), [(i, 35 + i) for i in range(35)], 7)
+    for _ in range(20):
+        _assert_same_at_every_cap(_adj(gp), _random_forced(rng, gp, rng.randint(15, 25)),
+                                  rng.choice([1, 7, 40]))
 
 
 @needs_compiled
@@ -125,8 +169,10 @@ def test_ham_cycle_parity_on_coxeter_matchings(rng):
     is_pmh(L(Coxeter))."""
     lg = build_line_graph(make_named_graph("coxeter", [])).lg
     ms = list(enumerate_perfect_matchings(lg))
-    for m in rng.sample(ms, 200):
-        _assert_same("ham_cycle", _adj(lg), sorted(m.edges), 0)
+    results = [_assert_same("ham_cycle", _adj(lg), sorted(m.edges), 0)
+               for m in rng.sample(ms, 200)]
+    assert _witness_digest(results) == (
+        "428d62ab85abfc96205bc46a6dc51cde60be7f6d22f1bdd52661e2f37612728a")
 
 
 def _seeded_perfect_matching(rng, g):
@@ -158,8 +204,11 @@ def test_parity_beyond_one_word(rng):
     word boundary)."""
     lg = build_line_graph(make_named_graph("bipartite", [10, 10])).lg
     assert lg.n > 64
-    for _ in range(20):
-        _assert_same("ham_cycle", _adj(lg), _seeded_perfect_matching(rng, lg), 0)
+    results = [_assert_same("ham_cycle", _adj(lg),
+                            _seeded_perfect_matching(rng, lg), 0)
+               for _ in range(20)]
+    assert _witness_digest(results) == (
+        "ce83b5be11b93cf06da0e05e8024bd20ff8e346856dfeed43e66e865e28a8768")
     _assert_same("ham_cycle", _adj(lg), [], 0)
     # a cap above the finished search's nodes first, so that a kernel
     # that strays fails here rather than searching on without end
