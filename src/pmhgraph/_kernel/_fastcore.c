@@ -522,7 +522,11 @@ INLINE int is_step(const int *pos, int a, int b, Py_ssize_t len)
 
 /* purecore.is_cycle.  It reads `edges`, `cyc` and `forced` and nothing of a
  * search (no CSR, no bitsets), so a bug in reading a graph or in a search
- * cannot pass its own re-check. */
+ * cannot pass its own re-check.  On a sparse edge set it passes once over
+ * `edges`; when `edges` holds more than DENSE_STEPS pairs per cycle vertex
+ * it looks each step up instead, so on a dense host (the line graph of
+ * K_{k,k}) the cost is O(len(cyc) + len(forced)), not O(|edges|). */
+#define DENSE_STEPS 3
 static PyObject *is_cycle(PyObject *Py_UNUSED(self), PyObject *args, PyObject *kwargs)
 {
     static char *kwlist[] = {"n", "edges", "cyc", "forced", NULL};
@@ -538,12 +542,17 @@ static PyObject *is_cycle(PyObject *Py_UNUSED(self), PyObject *args, PyObject *k
     vs = PySequence_Fast(cyc, "cyc must be a sequence");
     pairs = forced ? PySequence_Fast(forced, "forced must be iterable")
                    : PyTuple_New(0);
-    pos = PyMem_Malloc(((size_t)(n > 0 ? n : 0) + 1) * sizeof(int));
+    /* pos[x]: the index of vertex x in cyc, -1 off it; at[i]: the vertex at
+     * index i.  Only distinct vertices below n are stored, so n slots each
+     * suffice. */
+    size_t slots = (size_t)(n > 0 ? n : 0) + 1;
+    pos = PyMem_Malloc(2 * slots * sizeof(int));
     if (vs == NULL || pairs == NULL || pos == NULL) {
         if (pos == NULL)
             PyErr_NoMemory();
         goto done;
     }
+    int *at = pos + slots;
     /* Every forced entry is read first, so a malformed one always raises. */
     Py_ssize_t len = PySequence_Fast_GET_SIZE(vs), nf = PySequence_Fast_GET_SIZE(pairs);
     for (Py_ssize_t k = 0; k < nf; k++) {
@@ -551,27 +560,36 @@ static PyObject *is_cycle(PyObject *Py_UNUSED(self), PyObject *args, PyObject *k
         if (read_pair(PySequence_Fast_GET_ITEM(pairs, k), e) < 0)
             goto done;
     }
-    /* pos[x]: the last index of vertex x in cyc, -1 off it */
     for (int x = 0; x < n; x++)
         pos[x] = -1;
+    PyObject **items = PySequence_Fast_ITEMS(vs);
     ok = len >= 3;
     for (Py_ssize_t i = 0; i < len && ok; i++) {
-        long x = PyLong_AsLong(PySequence_Fast_GET_ITEM(vs, i));
+        long x = PyLong_AsLong(items[i]);
         if (x == -1 && PyErr_Occurred()) {
             ok = -1;
             goto done;
         }
         /* a vertex outside 0..n-1 is on no edge */
-        ok = x >= 0 && x < n;
+        ok = x >= 0 && x < n && pos[x] < 0;
         if (ok)
-            pos[x] = (int)i;
+            at[pos[x] = (int)i] = (int)x;
     }
-    /* A set holds a pair once, and a pair (u, v), u < v, is a step when u
-     * and v sit next to each other on the cycle of the len indices.  So
-     * when len of the pairs are steps, all len indices are taken, each by
-     * one vertex, and every step is in `edges`.  A repeated vertex takes
-     * one index only, which leaves at most len - 2 next-door pairs. */
-    if (ok) {
+    if (ok && PySet_GET_SIZE(edges) > DENSE_STEPS * len) {
+        /* each step, the closing one included, as the pair (low, high) of
+         * cyc's own int objects */
+        for (Py_ssize_t i = 0; i < len && ok > 0; i++) {
+            Py_ssize_t j = i + 1 < len ? i + 1 : 0;
+            PyObject *key = at[i] < at[j] ? PyTuple_Pack(2, items[i], items[j])
+                                          : PyTuple_Pack(2, items[j], items[i]);
+            ok = key == NULL ? -1 : PySet_Contains(edges, key);
+            Py_XDECREF(key);
+        }
+    } else if (ok) {
+        /* A set holds a pair once, and a pair (u, v), u < v, is a step when
+         * u and v sit next to each other on the cycle of the len indices,
+         * each taken by one vertex.  So every step is in `edges` exactly
+         * when len of the pairs are steps. */
         Py_ssize_t steps = 0;
         PyObject *e;
         it = PyObject_GetIter(edges);

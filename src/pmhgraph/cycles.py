@@ -136,8 +136,7 @@ def find_hamiltonian_cycle(g: Graph, forced=(), max_nodes=0) -> SearchResult:
     `forced` holds edges of g as pairs of ints in either order, with no
     vertex on more than two distinct ones; a repeated pair counts once.
     The kernel checks the set and refuses any other with PreconditionError.
-    A cycle the kernel returns is re-checked by `_kernel.is_cycle`, which
-    reads g.edges and not the search's copy of the graph."""
+    A cycle the kernel returns is re-checked by `hamiltonian_walk`."""
     _check_size(g)
     if not isinstance(forced, (list, tuple)):
         forced = list(forced)     # read by the search and by the re-check
@@ -147,10 +146,20 @@ def find_hamiltonian_cycle(g: Graph, forced=(), max_nodes=0) -> SearchResult:
         raise PreconditionError(str(exc)) from None
     if status != _kernel.FOUND:
         return SearchResult(_STATUS[status], None, nodes)
+    return SearchResult(FOUND, hamiltonian_walk(g, cyc, forced), nodes)
+
+
+def hamiltonian_walk(g: Graph, cyc, forced=(), kinds=_HAMILTONIAN) -> CycleWalk:
+    """The closed walk of the vertex list `cyc`, with the given kind flags,
+    once it is re-checked as a hamiltonian cycle of g through every pair of
+    `forced`; raises WitnessError otherwise.  The check is
+    `_kernel.is_cycle`, which reads g.edges and not a search's copy of the
+    graph, so every hamiltonian cycle the searches and routes return passes
+    the one predicate."""
     if not (len(cyc) == g.n and _kernel.is_cycle(g.n, g.edges, cyc, forced)):
-        raise WitnessError(f"kernel returned an invalid hamiltonian cycle {cyc}"
-                           f" for forced edges {forced}")
-    return SearchResult(FOUND, CycleWalk((*cyc, cyc[0]), _HAMILTONIAN), nodes)
+        raise WitnessError(f"{list(cyc)} is not a hamiltonian cycle through "
+                           f"the forced edges {sorted(map(tuple, forced))}")
+    return CycleWalk((*cyc, cyc[0]), kinds)
 
 
 def _induced(g: Graph, keep):

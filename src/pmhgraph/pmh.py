@@ -21,13 +21,16 @@ from . import _kernel
 from ._kernel.purecore import _completions
 from .cycles import (ABSENT, FOUND, INCONCLUSIVE, CycleWalk, SearchResult,
                      _check_size, closed, euler_tour, find_dominating_cycle,
-                     find_hamiltonian_cycle, is_arbitrarily_traceable,
-                     validate_walk)
+                     find_hamiltonian_cycle, hamiltonian_walk,
+                     is_arbitrarily_traceable, validate_walk)
 from .errors import (BudgetError, ParityError, PreconditionError,
                      StructureError, WitnessError)
 from .graph_core import Graph
 from .line_graph import LineGraphMap
 from .matching import Matching, matching_to_p3
+
+# The kind flags of the hamiltonian cycles this module builds.
+_KINDS = frozenset({"cycle", "tour", "hamiltonian"})
 
 
 @dataclass(frozen=True)
@@ -145,10 +148,14 @@ def is_pmh_line(lgm: LineGraphMap, max_nodes=0) -> PmhVerdict:
 
 
 def _matching_centers(lgm: LineGraphMap, m: Matching):
-    """The base vertices at which some 2-path of m is centred.  Raises
-    PreconditionError (via matching_to_p3) unless m is a perfect matching of
-    the line graph."""
-    return {c for c, _pair in matching_to_p3(lgm, m).paths}
+    """The base vertices at which some 2-path of m is centred, read off
+    `lgm.centre`.  Unless m is a perfect matching of the line graph,
+    `matching_to_p3` raises its PreconditionError, which says why."""
+    centre = lgm.centre
+    centers = {centre.get((a, b) if a < b else (b, a)) for a, b in m.edges}
+    if None in centers or m.host_n != lgm.lg.n or not m.is_perfect():
+        matching_to_p3(lgm, m)
+    return centers
 
 
 def _lay_out(lgm: LineGraphMap, m: Matching, trail) -> CycleWalk:
@@ -160,17 +167,19 @@ def _lay_out(lgm: LineGraphMap, m: Matching, trail) -> CycleWalk:
     centred at c; the 2-paths of m with both edges off the trail centred at
     c, in the first segment at c that the entry's 2-path does not fill; the
     exit's partner, if centred at c.  With no trail edges (G is a star) the
-    one segment holds every 2-path.  Raises WitnessError unless the walk is
-    a hamiltonian cycle of L(G) through m."""
+    one segment holds every 2-path.  The walk is re-checked by
+    `hamiltonian_walk`, with m's pairs as the forced edges, which raises
+    WitnessError unless it is a hamiltonian cycle of L(G) through m."""
     centre = lgm.centre
     on = set(trail)
     partner, at, off = {}, {}, {}
-    for e in sorted(m.edges):
-        a, b = sorted(e)
+    for a, b in sorted(m.edges):
+        if a > b:
+            a, b = b, a
         partner[a], partner[b] = b, a
-        at[a] = at[b] = centre[(a, b)]
+        at[a] = at[b] = c = centre[(a, b)]
         if a not in on and b not in on:
-            off.setdefault(at[a], []).extend((a, b))
+            off.setdefault(c, []).extend((a, b))
     verts = [] if trail else [x for seg in off.values() for x in seg]
     for entry, exit_ in zip(trail, trail[1:] + trail[:1]):
         c = centre[(entry, exit_) if entry < exit_ else (exit_, entry)]
@@ -182,11 +191,7 @@ def _lay_out(lgm: LineGraphMap, m: Matching, trail) -> CycleWalk:
         verts.extend(off.pop(c, ()))
         if at[exit_] == c:
             verts.append(partner[exit_])
-    walk = closed(verts, kinds={"cycle", "tour", "hamiltonian"})
-    if not (validate_walk(lgm.lg, walk) and walk.contains_edges(m.edges)):
-        raise WitnessError(f"constructed walk {walk.vertices} is not a "
-                           f"hamiltonian cycle through the matching")
-    return walk
+    return hamiltonian_walk(lgm.lg, verts, m.edges, _KINDS)
 
 
 def _cycle_trail(lgm: LineGraphMap, cycle: CycleWalk):
@@ -259,11 +264,10 @@ def kotzig_partition(lgm: LineGraphMap, m: Matching, max_nodes=0):
         raise PreconditionError("base graph is not hamiltonian")
     h1 = _extend_via_dominating_cycle(lgm, m, centers, res.walk)
     rest = Graph(lgm.lg.n, lgm.lg.edges - set(h1.edge_seq))
+    # the complement's Euler tour, re-checked as a hamiltonian cycle of L(g)
     tour = euler_tour(rest) if rest.is_connected() else None
-    h2 = None if tour is None else closed(
-        tour.vertices, kinds={"cycle", "tour", "hamiltonian"})
-    if h2 is None or not validate_walk(lgm.lg, h2):
-        raise WitnessError("complement of the extension is not a hamiltonian cycle")
+    h2 = hamiltonian_walk(lgm.lg, tour.vertices[:-1] if tour else (),
+                          kinds=_KINDS)
     return h1, h2, res.nodes
 
 
@@ -361,8 +365,8 @@ def find_pc_hamiltonian_cycle(g: Graph, c: EdgeColouring,
     if got is None:
         return SearchResult(INCONCLUSIVE if search.capped else ABSENT, None,
                             search.nodes)
-    walk = closed(got, kinds={"cycle", "tour", "hamiltonian"})
-    if not (validate_walk(g, walk) and is_properly_coloured(walk, c)):
+    walk = hamiltonian_walk(g, got, kinds=_KINDS)
+    if not is_properly_coloured(walk, c):
         raise WitnessError(f"invalid properly coloured cycle {got}")
     return SearchResult(FOUND, walk, search.nodes)
 

@@ -13,7 +13,10 @@ import pytest
 
 import pmhgraph
 from pmhgraph import _kernel
+from pmhgraph.cycles import euler_tour
 from pmhgraph.graph_core import Graph, make_named_graph
+from pmhgraph.line_graph import build_line_graph
+from pmhgraph.matching import make_matching
 
 
 BACKEND_LINE = f"pmhgraph kernel backend: {pmhgraph.kernel_backend}"
@@ -88,6 +91,28 @@ def relabelled(g, rng):
     perm = list(range(g.n))
     rng.shuffle(perm)
     return Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges])
+
+
+def euler_matching(lgm, rng):
+    """A perfect matching of L(G), for G eulerian of even size: relabel G
+    by a seeded permutation, take `euler_tour` of the copy and pair its
+    edges in tour order.  Consecutive edges of a tour share a vertex, so
+    each pair, read back in G's labels, is an edge of L(G)."""
+    g = lgm.base
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    back = {p: v for v, p in enumerate(perm)}
+    tour = euler_tour(Graph.from_edges(g.n, [(perm[u], perm[v])
+                                             for u, v in g.edges]))
+    steps = [lgm.lg_vertex(back[a], back[b]) for a, b in tour.edge_seq]
+    return make_matching(lgm.lg, zip(steps[::2], steps[1::2]))
+
+
+@pytest.fixture(scope="session")
+def lk50():
+    """L(K_{50,50}), case (iii)'s smallest base: 2,500 vertices of degree
+    98."""
+    return build_line_graph(make_named_graph("bipartite", [50, 50]))
 
 
 def random_graph(rng, n, p):

@@ -4,6 +4,7 @@ naive permutation oracles on small random graphs.
 """
 
 import hashlib
+import random
 import signal
 import time
 from itertools import combinations, islice
@@ -15,16 +16,17 @@ from pmhgraph._kernel import BACKEND, purecore
 from pmhgraph.cli import _candidate
 from pmhgraph.constructions import prop6_construct
 from pmhgraph.corpus import connected_graphs_upto, generate_all_graphs
-from pmhgraph.cycles import FOUND, find_hamiltonian_cycle
-from pmhgraph.errors import CapacityError
+from pmhgraph.cycles import FOUND, find_hamiltonian_cycle, hamiltonian_walk
+from pmhgraph.errors import CapacityError, WitnessError
 from pmhgraph.graph_core import (ISO_SIZE_BOUND, Graph, canonical_form,
                                  make_named_graph, parse_graph6)
 from pmhgraph.matching import enumerate_perfect_matchings
 from pmhgraph.line_graph import build_line_graph
-from pmhgraph.pmh import _centres, enumerate_hamiltonian_cycles
+from pmhgraph.pmh import (_centres, enumerate_hamiltonian_cycles,
+                          extend_matching_bipartite)
 
-from conftest import (naive_ham_cycle, naive_longest_cycle_length, random_graph,
-                      relabelled)
+from conftest import (euler_matching, naive_ham_cycle,
+                      naive_longest_cycle_length, random_graph, relabelled)
 
 try:
     from pmhgraph._kernel import _fastcore
@@ -307,6 +309,64 @@ def test_is_cycle_refuses_a_malformed_forced_entry():
             with pytest.raises(ValueError, match=r"forced edge \(0, 1, 2\) is "
                                r"not a pair of ints"):
                 impl.is_cycle(4, k4.edges, cyc, [(0, 1), (0, 1, 2)])
+
+
+def _dense_cases(g, cyc, forced):
+    """(case, cycle, forced) around the cycle `cyc` of g through `forced`:
+    itself, and one vertex list for each way the re-check refuses, each
+    breaking that condition alone where it can.  `prefix` is the shortest
+    head of cyc whose closing step is no edge of g."""
+    k = next(k for k in range(3, len(cyc)) if not g.has_edge(cyc[k - 1], cyc[0]))
+    prefix = cyc[:k]
+    steps = {frozenset(p) for p in zip(cyc, cyc[1:] + cyc[:1])}
+    unused = next(e for e in sorted(g.edges) if frozenset(e) not in steps)
+    yield "valid", cyc, forced
+    yield "valid, reversed", cyc[::-1], forced
+    yield "repeated vertex", cyc + cyc[-2:], forced
+    yield "out-of-range vertex", cyc[:2] + [g.n] + cyc[3:], forced
+    yield "non-edge step", prefix[1:] + prefix[:1], []
+    yield "non-edge closing step", prefix, []
+    yield "forced pair missing", cyc, forced + [unused]
+
+
+@pytest.fixture(scope="module")
+def dense_hosts(lk50):
+    """(name, host, hamiltonian cycle, forced pairs) on hosts with more than
+    three edges per cycle vertex, which the compiled twin reads by lookups:
+    L(K_{10,10}) and L(K_{50,50}) with a cycle the bipartite route lays out
+    through a sampled matching, and K_{50,50} with its cycle 0, 50, 1, 51, ...
+    through three of its steps."""
+    out = []
+    rng = random.Random(10)
+    for name, lgm in (("L(K10,10)", build_line_graph(
+            make_named_graph("bipartite", [10, 10]))), ("L(K50,50)", lk50)):
+        m = euler_matching(lgm, rng)
+        walk = extend_matching_bipartite(lgm, m).walk
+        out.append((name, lgm.lg, list(walk.vertices[:-1]), sorted(m.edges)))
+    cyc = [v for i in range(50) for v in (i, 50 + i)]
+    out.append(("K50,50", lk50.base, cyc, [(0, 50), (51, 2), (49, 99)]))
+    return out
+
+
+def test_is_cycle_twins_agree_on_dense_hosts(dense_hosts, monkeypatch):
+    """On dense hosts the twins answer as the naive re-check on each case
+    of BAD_HAMILTONIAN_WITNESS, with a vertex out of range added, and
+    `hamiltonian_walk` refuses every refused case through either twin."""
+    impls = [purecore] + ([] if _fastcore is None else [_fastcore])
+    for name, g, cyc, forced in dense_hosts:
+        assert len(g.edges) > 3 * len(cyc), name
+        for case, c, f in _dense_cases(g, cyc, forced):
+            want = case.startswith("valid")
+            assert _naive_is_cycle(g, c, f) == want, (name, case)
+            for impl in impls:
+                assert impl.is_cycle(g.n, g.edges, c, f) == want, \
+                    (name, case, impl.BACKEND)
+                monkeypatch.setattr(_kernel, "is_cycle", impl.is_cycle)
+                if want:
+                    assert hamiltonian_walk(g, c, f).vertices == (*c, c[0])
+                else:
+                    with pytest.raises(WitnessError):
+                        hamiltonian_walk(g, c, f)
 
 
 def _bench_instances():

@@ -1,3 +1,5 @@
+import hashlib
+import random
 from itertools import islice, permutations
 
 import pytest
@@ -8,7 +10,8 @@ from pmhgraph.cli import _candidate
 from pmhgraph.constructions import prop6_construct, remark1_reduction
 from pmhgraph.corpus import connected_graphs_upto, connected_subcubic_upto
 from pmhgraph.cycles import (FOUND, closed, find_hamiltonian_cycle,
-                             is_arbitrarily_traceable, validate_walk)
+                             hamiltonian_walk, is_arbitrarily_traceable,
+                             validate_walk)
 from pmhgraph.errors import (CapacityError, ParityError, PreconditionError,
                              StructureError, WitnessError)
 from pmhgraph.graph_core import Graph, make_named_graph, parse_graph6
@@ -16,6 +19,7 @@ from pmhgraph.line_graph import build_line_graph
 from pmhgraph.matching import (Matching, enumerate_perfect_matchings,
                                make_matching, matching_to_p3)
 from pmhgraph.pmh import (EdgeColouring, _cycle_trail, _lay_out,
+                          _matching_centers,
                           colouring_from_matching,
                           count_pc_hamiltonian_cycles,
                           daykin_hypothesis_holds,
@@ -28,7 +32,14 @@ from pmhgraph.pmh import (EdgeColouring, _cycle_trail, _lay_out,
                           is_pmh, is_pmh_line, is_properly_coloured,
                           kotzig_partition, lasvergnas_condition)
 
-from conftest import two_squares
+from conftest import euler_matching, two_squares
+
+try:
+    from pmhgraph._kernel import _fastcore
+except ImportError:
+    _fastcore = None
+
+KERNELS = [purecore] + ([] if _fastcore is None else [_fastcore])
 
 
 def test_is_pmh_verdicts(petersen):
@@ -232,13 +243,22 @@ def test_extend_subcubic_agrees_with_oracle():
             assert res.walk.contains_edges(m.edges)
 
 
+# sha256 of repr((outcome, walk vertices, nodes)) of `extend_matching_subcubic`
+# on each perfect matching of the line graphs of the 418 connected subcubic
+# even-size bases up to 9 vertices, in corpus and enumeration order, with one
+# fresh base graph per base whose dominating-cycle memo serves its matchings.
+SUBCUBIC_DIGEST = "a543df821cbc35bcda1c05551eff5c0f81e4165c7896abcda4751d593e89273e"
+
+
 def test_subcubic_memo_changes_no_outcome():
     """One base graph object per base, whose dominating-cycle searches are
     kept across its matchings, gives each matching the outcome and walk of
-    a fresh base graph, at no more nodes."""
+    a fresh base graph, at no more nodes; its outcomes, walks and nodes are
+    pinned by SUBCUBIC_DIGEST."""
     bases = connected_subcubic_upto(9, even_size_only=True)
     assert len(bases) == 418
     matchings = 0
+    digest = hashlib.sha256()
     for g in bases:
         shared = build_line_graph(Graph(g.n, g.edges))
         for m in enumerate_perfect_matchings(shared.lg):
@@ -247,8 +267,11 @@ def test_subcubic_memo_changes_no_outcome():
                 build_line_graph(Graph(g.n, g.edges)), m)
             assert (kept.outcome, kept.walk) == (fresh.outcome, fresh.walk)
             assert kept.nodes <= fresh.nodes
+            digest.update(repr((kept.outcome, kept.walk and kept.walk.vertices,
+                                kept.nodes)).encode())
             matchings += 1
     assert matchings == 3013
+    assert digest.hexdigest() == SUBCUBIC_DIGEST
 
 
 def test_subcubic_searches_coxeter_itself_once(kernel_calls):
@@ -409,6 +432,105 @@ def test_lay_out_along_a_cycle_of_k5():
     misfit = make_matching(lgm.lg, [(0, 3), (1, 2), (4, 5), (6, 8), (7, 9)])
     with pytest.raises(WitnessError):
         _lay_out(lgm, misfit, trail)
+
+
+def test_each_constructed_cycle_is_rechecked_by_the_kernel(monkeypatch):
+    """`_lay_out`, the second cycle of `kotzig_partition` and
+    `find_pc_hamiltonian_cycle` each raise WitnessError when
+    `_kernel.is_cycle` refuses their cycle."""
+    k5 = build_line_graph(make_named_graph("complete", [5]))
+    m = make_matching(k5.lg, [(0, 3), (5, 6), (1, 4), (7, 8), (2, 9)])
+    trail = _cycle_trail(k5, closed([0, 1, 2, 3, 4]))
+    colouring = colouring_from_matching(k5, m)
+    cube = build_line_graph(make_named_graph("cube", []))
+    mc = next(enumerate_perfect_matchings(cube.lg))
+    real = _kernel.is_cycle
+    # each passes while the kernel accepts
+    _lay_out(k5, m, trail)
+    assert find_pc_hamiltonian_cycle(k5.base, colouring)
+    kotzig_partition(cube, mc)
+    asked = []
+
+    def refuse(n, edges, cyc, forced=()):
+        asked.append((n, len(cyc), sorted(forced)))
+        return False
+
+    monkeypatch.setattr(_kernel, "is_cycle", refuse)
+    with pytest.raises(WitnessError):
+        _lay_out(k5, m, trail)
+    assert asked == [(10, 10, sorted(m.edges))]
+    with pytest.raises(WitnessError):
+        find_pc_hamiltonian_cycle(k5.base, colouring)
+    assert asked[1:] == [(5, 5, [])]
+    # the base search and the first cycle pass; the second cycle, the only
+    # check on L(cube) with no forced pair, is refused
+    monkeypatch.setattr(_kernel, "is_cycle", lambda n, edges, cyc, forced=():
+                        (n != cube.lg.n or bool(forced))
+                        and real(n, edges, cyc, forced))
+    with pytest.raises(WitnessError):
+        kotzig_partition(cube, mc)
+
+
+@pytest.mark.parametrize("impl", KERNELS, ids=lambda k: k.BACKEND)
+@pytest.mark.parametrize("base", [("complete", [5]), ("bipartite", [6, 6])],
+                         ids=["L(K5)", "L(K6,6)"])
+def test_laid_out_cycle_with_two_vertices_swapped_is_refused(impl, base,
+                                                             monkeypatch):
+    """The partner of a laid-out cycle's first vertex is swapped with the
+    vertex half way round, so the matching pair is no step: each twin
+    refuses it, on a sparse host (L(K5), 3 edges per vertex) and on one the
+    compiled twin reads by lookups (L(K_{6,6}), 5 per vertex)."""
+    monkeypatch.setattr(_kernel, "is_cycle", impl.is_cycle)
+    lgm = build_line_graph(make_named_graph(*base))
+    m = euler_matching(lgm, random.Random(6))
+    route = (extend_matching_complete if base[0] == "complete"
+             else extend_matching_bipartite)
+    res = route(lgm, m)
+    assert res.outcome == FOUND
+    cyc = list(res.walk.vertices[:-1])
+    assert hamiltonian_walk(lgm.lg, cyc, m.edges) == \
+        closed(cyc, kinds={"cycle", "tour", "hamiltonian", "dominating"})
+    partner = {a: b for e in m.edges for a, b in (e, e[::-1])}
+    i, j = cyc.index(partner[cyc[0]]), len(cyc) // 2
+    cyc[i], cyc[j] = cyc[j], cyc[i]
+    assert not impl.is_cycle(lgm.lg.n, lgm.lg.edges, cyc, m.edges)
+    with pytest.raises(WitnessError):
+        hamiltonian_walk(lgm.lg, cyc, m.edges)
+
+
+def test_bipartite_route_in_the_k50_regime(lk50):
+    """Case (iii) at its smallest k: the route answers `found` on three
+    Euler-tour matchings of L(K_{50,50})."""
+    rng = random.Random(50)
+    for _ in range(3):
+        m = euler_matching(lk50, rng)
+        res = extend_matching_bipartite(lk50, m)
+        assert res.outcome == FOUND
+        assert validate_walk(lk50.lg, res.walk)
+        assert res.walk.contains_edges(m.edges)
+
+
+def test_matching_centres_are_those_of_the_decomposition():
+    """`_matching_centers` reads `lgm.centre`: the centres of
+    `matching_to_p3`, and its errors for a matching that is not perfect or
+    holds a pair that is no edge."""
+    for name, params in (("complete", [4]), ("cube", []), ("complete", [5])):
+        lgm = build_line_graph(make_named_graph(name, params))
+        for m in islice(enumerate_perfect_matchings(lgm.lg), 40):
+            flipped = Matching(frozenset(e[::-1] for e in m.edges), m.host_n)
+            want = {c for c, _pair in matching_to_p3(lgm, m).paths}
+            assert _matching_centers(lgm, m) == want
+            assert _matching_centers(lgm, flipped) == want
+    k4 = build_line_graph(make_named_graph("complete", [4]))
+    for bad in (Matching(frozenset({(0, 1)}), 6),
+                Matching(frozenset({(0, 1), (2, 4), (3, 5)}), 7),
+                Matching(frozenset({(5, 0), (1, 4), (2, 3)}), 6),
+                Matching(frozenset({(0, 5), (4, 1), (3, 2)}), 6)):
+        with pytest.raises(PreconditionError) as want:
+            matching_to_p3(k4, bad)
+        with pytest.raises(PreconditionError) as got:
+            _matching_centers(k4, bad)
+        assert str(got.value) == str(want.value)
 
 
 def test_matching_pair_that_is_no_line_graph_edge():
