@@ -26,6 +26,8 @@ else:
         _impl = purecore
 
 BACKEND = _impl.BACKEND
+SearchGraph = _impl.SearchGraph
+EdgeTable = _impl.EdgeTable
 ham_cycle = _impl.ham_cycle
 is_cycle = _impl.is_cycle
 longest_cycle = _impl.longest_cycle

@@ -1,15 +1,14 @@
 /* Compiled search kernels: hamiltonian cycle with forced edges, is_cycle (the
  * re-check of a returned cycle), longest cycle, the perfect-matching scan of
  * a line graph against held trails, and the canonical form that decides
- * isomorphism.
+ * isomorphism; and the two per-graph objects the first three take.
  *
  * Mirrors purecore.py exactly (same start vertex, same candidate order, same
  * node counting, hence the same status, witness and node count; for the
  * canonical form the same partitions, stack order and twin test, hence the
  * same form and labelling); see that module for the contract.  ham_cycle
  * checks its forced set before it searches, for any n, and raises
- * purecore's ValueError text for a bad one.  is_cycle reads only the edge
- * set and the lists it is given, not a search's arrays.  A search
+ * purecore's ValueError text for a bad one.  A search
  * stops at the first node past its budget (max_nodes, 0 for none) and returns
  * BUDGET with max_nodes + 1 nodes.  The pruning tests decide what purecore's
  * decide, with less work (see prune_words and lc_core); the hamiltonian
@@ -19,10 +18,21 @@
  * from Python ints; the canonical form keeps one word per vertex, so it takes
  * at most 64 vertices.
  *
+ * A SearchGraph holds everything a search reads or writes for one graph: the
+ * CSR copy, the bitset rows and the scratch sets.  ham_cycle and
+ * longest_cycle search it, or a temporary one loaded the same way from a raw
+ * adjacency, and reset at the start of each call what the call uses.  An
+ * EdgeTable holds is_cycle's own copy of an edge set, each vertex's higher
+ * neighbours in ascending order, loaded from the set alone; is_cycle loads a
+ * raw set into a temporary one.  The search never reads a table and is_cycle
+ * never reads a SearchGraph, so a bug in loading a graph or in a search
+ * cannot pass its own re-check.
+ *
  * A search polls PyErr_CheckSignals() every 2^14 nodes, the scan every 2^14
  * matchings and the canonical form every 2^14 partitions, so a signal handler
- * that raises (a SIGALRM timeout, Ctrl-C) interrupts it; the call then frees
- * its memory and raises.
+ * that raises (a SIGALRM timeout, Ctrl-C) interrupts it; the call then
+ * raises.  A handler that searches a SearchGraph while a search of it runs
+ * gets RuntimeError: the two would share its scratch.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -52,6 +62,7 @@ typedef struct {
     int *fn;                /* two forced-neighbour slots per vertex (-1 when
                                empty) */
     int start, nforced, root, plen, blen;
+    int busy;               /* a search of this state is running */
     word *amask;            /* bitset row per vertex; self-loops cleared
                                (no purecore check reads a vertex's own bit) */
     word *full, *visited, *free, *allow, *near, *target, *reach, *frontier,
@@ -65,6 +76,8 @@ static void search_free(Search *s)
 {
     PyMem_Free(s->off);
     PyMem_Free(s->amask);
+    s->off = NULL;
+    s->amask = NULL;
 }
 
 /* Copy `adj` (a sequence of neighbour sequences) into s->off and s->nbr
@@ -128,15 +141,13 @@ fail:
     return -1;
 }
 
-/* load_adj, then the searches' bitsets (the rows, the scratch sets and n + 1
- * level slots) and empty forced-neighbour slots.  Returns 0, or -1 with an
- * exception set. */
-static int search_init(Search *s, PyObject *adj, long long max_nodes)
+/* load_adj, then the searches' bitsets: the rows, the scratch sets and n + 1
+ * level slots.  Returns 0, or -1 with an exception set. */
+static int load_graph(Search *s, PyObject *adj)
 {
     if (load_adj(s, adj) < 0)
         return -1;
     int n = s->n, nw = (n + 63) / 64;
-    s->max_nodes = max_nodes;
     s->nw = nw;
     s->amask = PyMem_Calloc((2 * (size_t)n + 11) * nw + 1, sizeof(word));
     if (!s->amask) {
@@ -152,12 +163,115 @@ static int search_init(Search *s, PyObject *adj, long long max_nodes)
         *scratch[i] = w0 + i * nw;
     for (int v = 0; v < n; v++) {
         ADD(s->full, v);
-        s->fn[2 * v] = s->fn[2 * v + 1] = -1;
         for (int i = s->off[v]; i < s->off[v + 1]; i++)
             if (s->nbr[i] != v)
                 ADD(ROW(s, v), s->nbr[i]);
     }
     return 0;
+}
+
+/* ------------------------------------------------------------------------ */
+/* SearchGraph: the search state of one graph (see purecore.SearchGraph) */
+
+typedef struct {
+    PyObject_HEAD
+    Search s;
+} SearchGraph;
+
+static PyTypeObject SearchGraphType;
+
+static PyObject *graph_new(PyTypeObject *type, PyObject *args, PyObject *kwargs)
+{
+    static char *kwlist[] = {"adj", NULL};
+    PyObject *adj;
+    SearchGraph *g;
+    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "O:SearchGraph", kwlist, &adj) ||
+        (g = (SearchGraph *)type->tp_alloc(type, 0)) == NULL)
+        return NULL;
+    if (load_graph(&g->s, adj) < 0)
+        Py_CLEAR(g);
+    return (PyObject *)g;
+}
+
+static void graph_dealloc(SearchGraph *g)
+{
+    search_free(&g->s);
+    Py_TYPE(g)->tp_free((PyObject *)g);
+}
+
+static Py_ssize_t graph_len(SearchGraph *g)
+{
+    return g->s.n;
+}
+
+/* Row v: the neighbours of v as a tuple, in the order they were given. */
+static PyObject *graph_row(SearchGraph *g, Py_ssize_t v)
+{
+    if (v < 0 || v >= g->s.n) {
+        PyErr_SetString(PyExc_IndexError, "vertex out of range");
+        return NULL;
+    }
+    const int *nbr = g->s.nbr + g->s.off[v];
+    Py_ssize_t d = g->s.off[v + 1] - g->s.off[v];
+    PyObject *row = PyTuple_New(d);
+    for (Py_ssize_t i = 0; row && i < d; i++) {
+        PyObject *w = PyLong_FromLong(nbr[i]);
+        if (w == NULL)
+            Py_CLEAR(row);
+        else
+            PyTuple_SET_ITEM(row, i, w);
+    }
+    return row;
+}
+
+static PySequenceMethods graph_as_sequence = {
+    .sq_length = (lenfunc)graph_len,
+    .sq_item = (ssizeargfunc)graph_row,
+};
+
+static PyTypeObject SearchGraphType = {
+    PyVarObject_HEAD_INIT(NULL, 0)
+    .tp_name = "pmhgraph._kernel._fastcore.SearchGraph",
+    .tp_basicsize = sizeof(SearchGraph),
+    .tp_flags = Py_TPFLAGS_DEFAULT,
+    .tp_doc = "See purecore.SearchGraph.",
+    .tp_new = graph_new,
+    .tp_dealloc = (destructor)graph_dealloc,
+    .tp_as_sequence = &graph_as_sequence,
+};
+
+/* The search state for `graph`: its own when it is a SearchGraph, else *tmp
+ * loaded from it as an adjacency; marked busy, with the visited set, the
+ * forced slots, the counters and the budget reset.  Returns NULL with an
+ * exception set, a RuntimeError when the SearchGraph is busy. */
+static Search *search_begin(PyObject *graph, Search *tmp, long long max_nodes)
+{
+    Search *s = tmp;
+    if (Py_IS_TYPE(graph, &SearchGraphType)) {
+        s = &((SearchGraph *)graph)->s;
+        if (s->busy) {
+            PyErr_SetString(PyExc_RuntimeError,
+                            "the SearchGraph is already searching");
+            return NULL;
+        }
+    } else if (load_graph(tmp, graph) < 0) {
+        return NULL;
+    }
+    s->busy = 1;
+    memset(s->visited, 0, s->nw * sizeof(word));
+    memset(s->fn, -1, 2 * (size_t)s->n * sizeof(int));
+    s->start = s->nforced = s->root = s->plen = s->blen = 0;
+    s->nodes = 0;
+    s->max_nodes = max_nodes;
+    return s;
+}
+
+/* The end of a search begun on s, with search_begin's `tmp`. */
+static void search_end(Search *s, Search *tmp)
+{
+    s->busy = 0;
+    if (s == tmp)
+        search_free(tmp);
 }
 
 /* Count a node; FAILED on a pending exception, BUDGET past the cap. */
@@ -474,40 +588,40 @@ static PyObject *ham_cycle(PyObject *Py_UNUSED(self), PyObject *args, PyObject *
     static char *kwlist[] = {"adj", "forced", "max_nodes", NULL};
     PyObject *adj, *forced = NULL;
     long long max_nodes = 0;
-    Search s;
+    Search tmp, *s;
     if (!PyArg_ParseTupleAndKeywords(args, kwargs, "O|OL:ham_cycle", kwlist,
                                      &adj, &forced, &max_nodes) ||
-        search_init(&s, adj, max_nodes) < 0)
+        (s = search_begin(adj, &tmp, max_nodes)) == NULL)
         return NULL;
-    int n = s.n, status = ABSENT;
-    if (forced && load_forced(&s, forced) < 0)
+    int n = s->n, status = ABSENT;
+    if (forced && load_forced(s, forced) < 0)
         status = FAILED;
     if (n >= 3 && status != FAILED) {
         /* Anchor at a forced vertex when there is one, min degree otherwise. */
         int start = 0;
         for (int v = 1; v < n; v++) {
-            int a = s.fn[2 * v] >= 0, b = s.fn[2 * start] >= 0;
-            if (a > b || (a == b && s.off[v + 1] - s.off[v] <
-                                    s.off[start + 1] - s.off[start]))
+            int a = s->fn[2 * v] >= 0, b = s->fn[2 * start] >= 0;
+            if (a > b || (a == b && s->off[v + 1] - s->off[v] <
+                                    s->off[start + 1] - s->off[start]))
                 start = v;
         }
-        s.start = s.path[0] = start;
-        ADD(s.visited, start);
-        int first = s.fn[2 * start];
+        s->start = s->path[0] = start;
+        ADD(s->visited, start);
+        int first = s->fn[2 * start];
         if (first >= 0) {
             /* By direction symmetry the lowest forced neighbour goes first. */
-            if (s.fn[2 * start + 1] >= 0 && s.fn[2 * start + 1] < first)
-                first = s.fn[2 * start + 1];
-            ADD(s.visited, first);
-            s.path[1] = first;
-            status = ham_dfs(&s, first, -1, 2, 1);
+            if (s->fn[2 * start + 1] >= 0 && s->fn[2 * start + 1] < first)
+                first = s->fn[2 * start + 1];
+            ADD(s->visited, first);
+            s->path[1] = first;
+            status = ham_dfs(s, first, -1, 2, 1);
         } else {
-            status = ham_dfs(&s, start, -1, 1, 0);
+            status = ham_dfs(s, start, -1, 1, 0);
         }
     }
     PyObject *out = status == FAILED ? NULL :
-        result(status, status == FOUND ? s.path : NULL, n, s.nodes);
-    search_free(&s);
+        result(status, status == FOUND ? s->path : NULL, n, s->nodes);
+    search_end(s, &tmp);
     return out;
 }
 
@@ -520,25 +634,175 @@ INLINE int is_step(const int *pos, int a, int b, Py_ssize_t len)
     return gap == 1 || gap == -1 || gap == len - 1 || gap == 1 - len;
 }
 
-/* purecore.is_cycle.  It reads `edges`, `cyc` and `forced` and nothing of a
- * search (no CSR, no bitsets), so a bug in reading a graph or in a search
- * cannot pass its own re-check.  On a sparse edge set it passes once over
- * `edges`; when `edges` holds more than DENSE_STEPS pairs per cycle vertex
- * it looks each step up instead, so on a dense host (the line graph of
- * K_{k,k}) the cost is O(len(cyc) + len(forced)), not O(|edges|). */
-#define DENSE_STEPS 3
+/* ------------------------------------------------------------------------ */
+/* EdgeTable: is_cycle's copy of an edge set (see purecore.EdgeTable) */
+
+typedef struct {
+    int n;
+    int *off, *up;      /* the higher ends of the edges (u, v), u < v < n, of
+                           each u in ascending order (CSR) */
+} Table;
+
+static void table_free(Table *t)
+{
+    PyMem_Free(t->off);
+    t->off = NULL;
+}
+
+/* The pairs (u, v) of ints, u < v < n, of the set `edges` into t; any other
+ * member is on no cycle, as in purecore.is_cycle.  Returns 0, or -1 with an
+ * exception set. */
+static int table_load(Table *t, int n, PyObject *edges)
+{
+    memset(t, 0, sizeof *t);
+    if (!PyAnySet_Check(edges)) {
+        PyErr_SetString(PyExc_TypeError, "edges must be a set");
+        return -1;
+    }
+    t->n = n = n > 0 ? n : 0;
+    Py_ssize_t cap = PySet_GET_SIZE(edges), m = 0;
+    if (cap > INT_MAX / 4) {
+        PyErr_NoMemory();
+        return -1;
+    }
+    /* lo, hi: the pairs in the set's order; order: their indices by hi */
+    int *lo = PyMem_Malloc((3 * (size_t)cap + n + 1) * sizeof(int));
+    t->off = PyMem_Calloc((size_t)n + 1 + cap, sizeof(int));
+    PyObject *it = lo && t->off ? PyObject_GetIter(edges) : NULL, *e;
+    if (!lo || !t->off) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    int *hi = lo + cap, *order = hi + cap, *at = order + cap;
+    t->up = t->off + n + 1;
+    while (it && (e = PyIter_Next(it))) {
+        if (PyTuple_Check(e) && PyTuple_GET_SIZE(e) == 2 && m < cap &&
+            PyLong_Check(PyTuple_GET_ITEM(e, 0)) &&
+            PyLong_Check(PyTuple_GET_ITEM(e, 1))) {
+            int a = vertex_of(PyTuple_GET_ITEM(e, 0), n);
+            int b = vertex_of(PyTuple_GET_ITEM(e, 1), n);
+            if (a >= 0 && a < b) {
+                lo[m] = a;
+                hi[m++] = b;
+            }
+        }
+        Py_DECREF(e);
+    }
+    if (it == NULL || PyErr_Occurred())
+        goto done;
+    /* two stable counting passes, by hi and then by lo, sort each row */
+    memset(at, 0, (n + 1) * sizeof(int));
+    for (Py_ssize_t k = 0; k < m; k++) {
+        at[hi[k] + 1]++;
+        t->off[lo[k] + 1]++;
+    }
+    for (int v = 0; v < n; v++) {
+        at[v + 1] += at[v];
+        t->off[v + 1] += t->off[v];
+    }
+    for (Py_ssize_t k = 0; k < m; k++)
+        order[at[hi[k]]++] = (int)k;
+    memcpy(at, t->off, (n + 1) * sizeof(int));
+    for (Py_ssize_t i = 0; i < m; i++)
+        t->up[at[lo[order[i]]]++] = hi[order[i]];
+done:
+    Py_XDECREF(it);
+    PyMem_Free(lo);
+    if (PyErr_Occurred()) {
+        table_free(t);
+        return -1;
+    }
+    return 0;
+}
+
+/* Is (a, b), a < b, an edge of t? */
+INLINE int table_has(const Table *t, int a, int b)
+{
+    if (b >= t->n)
+        return 0;
+    int l = t->off[a], h = t->off[a + 1];
+    while (l < h) {
+        int mid = (l + h) / 2;
+        if (t->up[mid] < b)
+            l = mid + 1;
+        else
+            h = mid;
+    }
+    return l < t->off[a + 1] && t->up[l] == b;
+}
+
+typedef struct {
+    PyObject_HEAD
+    Table t;
+} EdgeTable;
+
+static PyTypeObject EdgeTableType;
+
+static PyObject *table_new(PyTypeObject *type, PyObject *args, PyObject *kwargs)
+{
+    static char *kwlist[] = {"n", "edges", NULL};
+    PyObject *edges;
+    int n;
+    EdgeTable *t;
+    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "iO:EdgeTable", kwlist,
+                                     &n, &edges) ||
+        (t = (EdgeTable *)type->tp_alloc(type, 0)) == NULL)
+        return NULL;
+    if (table_load(&t->t, n, edges) < 0)
+        Py_CLEAR(t);
+    return (PyObject *)t;
+}
+
+static void table_dealloc(EdgeTable *t)
+{
+    table_free(&t->t);
+    Py_TYPE(t)->tp_free((PyObject *)t);
+}
+
+/* `(u, v) in table`, true for a tuple of ints u < v that is an edge, as for
+ * the frozenset purecore keeps. */
+static int table_contains(EdgeTable *t, PyObject *key)
+{
+    if (!PyTuple_Check(key) || PyTuple_GET_SIZE(key) != 2 ||
+        !PyLong_Check(PyTuple_GET_ITEM(key, 0)) ||
+        !PyLong_Check(PyTuple_GET_ITEM(key, 1)))
+        return 0;
+    int a = vertex_of(PyTuple_GET_ITEM(key, 0), t->t.n);
+    int b = vertex_of(PyTuple_GET_ITEM(key, 1), t->t.n);
+    return a >= 0 && a < b && table_has(&t->t, a, b);
+}
+
+static PySequenceMethods table_as_sequence = {
+    .sq_contains = (objobjproc)table_contains,
+};
+
+static PyTypeObject EdgeTableType = {
+    PyVarObject_HEAD_INIT(NULL, 0)
+    .tp_name = "pmhgraph._kernel._fastcore.EdgeTable",
+    .tp_basicsize = sizeof(EdgeTable),
+    .tp_flags = Py_TPFLAGS_DEFAULT,
+    .tp_doc = "See purecore.EdgeTable.",
+    .tp_new = table_new,
+    .tp_dealloc = (destructor)table_dealloc,
+    .tp_as_sequence = &table_as_sequence,
+};
+
+/* purecore.is_cycle, on an EdgeTable or on a set it loads into a temporary
+ * one.  It reads the table, `cyc` and `forced` and nothing of a search, in
+ * O(len(cyc) log(degree) + len(forced)) on a table. */
 static PyObject *is_cycle(PyObject *Py_UNUSED(self), PyObject *args, PyObject *kwargs)
 {
     static char *kwlist[] = {"n", "edges", "cyc", "forced", NULL};
-    PyObject *edges, *cyc, *forced = NULL, *vs = NULL, *pairs = NULL, *it = NULL;
+    PyObject *edges, *cyc, *forced = NULL, *vs = NULL, *pairs = NULL;
     int n, *pos = NULL, ok = -1;
+    Table tmp, *t = &tmp;
     if (!PyArg_ParseTupleAndKeywords(args, kwargs, "iOO|O:is_cycle", kwlist,
                                      &n, &edges, &cyc, &forced))
         return NULL;
-    if (!PyAnySet_Check(edges)) {
-        PyErr_SetString(PyExc_TypeError, "edges must be a set");
+    if (Py_IS_TYPE(edges, &EdgeTableType))
+        t = &((EdgeTable *)edges)->t;
+    else if (table_load(&tmp, n, edges) < 0)
         return NULL;
-    }
     vs = PySequence_Fast(cyc, "cyc must be a sequence");
     pairs = forced ? PySequence_Fast(forced, "forced must be iterable")
                    : PyTuple_New(0);
@@ -575,35 +839,10 @@ static PyObject *is_cycle(PyObject *Py_UNUSED(self), PyObject *args, PyObject *k
         if (ok)
             at[pos[x] = (int)i] = (int)x;
     }
-    if (ok && PySet_GET_SIZE(edges) > DENSE_STEPS * len) {
-        /* each step, the closing one included, as the pair (low, high) of
-         * cyc's own int objects */
-        for (Py_ssize_t i = 0; i < len && ok > 0; i++) {
-            Py_ssize_t j = i + 1 < len ? i + 1 : 0;
-            PyObject *key = at[i] < at[j] ? PyTuple_Pack(2, items[i], items[j])
-                                          : PyTuple_Pack(2, items[j], items[i]);
-            ok = key == NULL ? -1 : PySet_Contains(edges, key);
-            Py_XDECREF(key);
-        }
-    } else if (ok) {
-        /* A set holds a pair once, and a pair (u, v), u < v, is a step when
-         * u and v sit next to each other on the cycle of the len indices,
-         * each taken by one vertex.  So every step is in `edges` exactly
-         * when len of the pairs are steps. */
-        Py_ssize_t steps = 0;
-        PyObject *e;
-        it = PyObject_GetIter(edges);
-        while (it && (e = PyIter_Next(it))) {
-            if (PyTuple_Check(e) && PyTuple_GET_SIZE(e) == 2 &&
-                PyLong_Check(PyTuple_GET_ITEM(e, 0)) &&
-                PyLong_Check(PyTuple_GET_ITEM(e, 1))) {
-                int a = vertex_of(PyTuple_GET_ITEM(e, 0), n);
-                int b = vertex_of(PyTuple_GET_ITEM(e, 1), n);
-                steps += a < b && is_step(pos, a, b, len);
-            }
-            Py_DECREF(e);
-        }
-        ok = PyErr_Occurred() ? -1 : steps == len;
+    /* each step, the closing one included, is an edge */
+    for (Py_ssize_t i = 0; i < len && ok; i++) {
+        int a = at[i], b = at[i + 1 < len ? i + 1 : 0];
+        ok = a < b ? table_has(t, a, b) : table_has(t, b, a);
     }
     /* every forced pair, in either order, is a step */
     for (Py_ssize_t k = 0; k < nf && ok > 0; k++) {
@@ -611,10 +850,11 @@ static PyObject *is_cycle(PyObject *Py_UNUSED(self), PyObject *args, PyObject *k
         ok = is_step(pos, vertex_of(e[0], n), vertex_of(e[1], n), len);
     }
 done:
-    Py_XDECREF(it);
     Py_XDECREF(vs);
     Py_XDECREF(pairs);
     PyMem_Free(pos);
+    if (t == &tmp)
+        table_free(&tmp);
     return ok < 0 ? NULL : PyBool_FromLong(ok);
 }
 
@@ -719,26 +959,26 @@ static PyObject *longest_cycle(PyObject *Py_UNUSED(self), PyObject *args,
     static char *kwlist[] = {"adj", "max_nodes", NULL};
     PyObject *adj;
     long long max_nodes = 0;
-    Search s;
+    Search tmp, *s;
     if (!PyArg_ParseTupleAndKeywords(args, kwargs, "O|L:longest_cycle", kwlist,
                                      &adj, &max_nodes) ||
-        search_init(&s, adj, max_nodes) < 0)
+        (s = search_begin(adj, &tmp, max_nodes)) == NULL)
         return NULL;
     /* a path of plen vertices uses the level slots 0 .. plen - 1 */
     int r = 0;
-    memcpy(s.above, s.full, s.nw * sizeof(word));
-    for (int root = 0; !r && s.n - root > s.blen; root++) {
+    memcpy(s->above, s->full, s->nw * sizeof(word));
+    for (int root = 0; !r && s->n - root > s->blen; root++) {
         /* Cycles whose minimum vertex is `root`: the path stays above it. */
-        DEL(s.above, root);
-        s.root = s.path[0] = root;
-        s.plen = 1;
-        memcpy(s.levels, s.above, s.nw * sizeof(word));
-        r = lc_dfs(&s, root, -1, s.n - 1 - root);
+        DEL(s->above, root);
+        s->root = s->path[0] = root;
+        s->plen = 1;
+        memcpy(s->levels, s->above, s->nw * sizeof(word));
+        r = lc_dfs(s, root, -1, s->n - 1 - root);
     }
     PyObject *out = r == FAILED ? NULL :
-        result(r == BUDGET ? BUDGET : s.blen ? FOUND : ABSENT,
-               s.blen ? s.best : NULL, s.blen, s.nodes);
-    search_free(&s);
+        result(r == BUDGET ? BUDGET : s->blen ? FOUND : ABSENT,
+               s->blen ? s->best : NULL, s->blen, s->nodes);
+    search_end(s, &tmp);
     return out;
 }
 
@@ -1402,8 +1642,13 @@ static struct PyModuleDef module = {
 
 PyMODINIT_FUNC PyInit__fastcore(void)
 {
-    PyObject *m = PyType_Ready(&ScanType) < 0 ? NULL : PyModule_Create(&module);
+    PyObject *m = PyType_Ready(&ScanType) < 0 || PyType_Ready(&SearchGraphType) < 0 ||
+                  PyType_Ready(&EdgeTableType) < 0 ? NULL : PyModule_Create(&module);
     if (m != NULL && (PyModule_AddObjectRef(m, "pm_scan", (PyObject *)&ScanType) < 0 ||
+                      PyModule_AddObjectRef(m, "SearchGraph",
+                                            (PyObject *)&SearchGraphType) < 0 ||
+                      PyModule_AddObjectRef(m, "EdgeTable",
+                                            (PyObject *)&EdgeTableType) < 0 ||
                       PyModule_AddIntConstant(m, "FOUND", FOUND) < 0 ||
                       PyModule_AddIntConstant(m, "ABSENT", ABSENT) < 0 ||
                       PyModule_AddIntConstant(m, "BUDGET", BUDGET) < 0 ||

@@ -2,7 +2,8 @@
 
 Same contract as the compiled extension in ``_fastcore.c``: exhaustive
 backtracking for hamiltonian cycles with forced edges, `is_cycle`, the
-re-check of the cycle a search returns, exact longest cycle search,
+re-check of the cycle a search returns, exact longest cycle search, the
+per-graph objects they take (`SearchGraph`, `EdgeTable`),
 `pm_scan`, the perfect-matching scan over the enumeration of
 `_completions` (it tests the matchings of a line graph against held trails
 or, without centres, yields every perfect matching of any graph), and
@@ -26,6 +27,41 @@ def _masks(adj):
     """Neighbour bitmask of every vertex (neighbours are distinct, so the sum
     is the bitwise or)."""
     return [sum(1 << w for w in nbrs) for nbrs in adj]
+
+
+class SearchGraph:
+    """The search state of one graph, made once from its adjacency `adj` (a
+    sequence of neighbour sequences) and passed to `ham_cycle` and
+    `longest_cycle` in place of it, so that searches of one graph share it.
+    Here it holds the rows and their neighbour bitmasks; the compiled twin
+    holds its CSR copy, bitset rows and scratch sets, about n^2/4 bytes
+    (67 MB at 16,384 vertices).
+    Either reads as its rows: len() is the order and [v] the neighbours of
+    v, as a tuple.  A search given anything else loads it into a temporary
+    SearchGraph, so a twin's SearchGraph is a raw adjacency to the other.
+    A search of a SearchGraph that is searching already (from a signal
+    handler run during the search) raises RuntimeError."""
+
+    def __init__(self, adj):
+        self._rows = tuple(tuple(a) for a in adj)
+        self._masks = _masks(self._rows)
+        self._busy = False
+
+    def __len__(self):
+        return len(self._rows)
+
+    def __getitem__(self, v):
+        return self._rows[v]
+
+
+def _idle(adj):
+    """The SearchGraph `adj`, or a temporary one loaded from it; RuntimeError
+    when it is searching already.  The caller marks it busy inside the `try`
+    whose `finally` clears the mark."""
+    graph = adj if type(adj) is SearchGraph else SearchGraph(adj)
+    if graph._busy:
+        raise RuntimeError("the SearchGraph is already searching")
+    return graph
 
 
 def _flood(amask, u, allow):
@@ -72,7 +108,8 @@ def _pair(entry):
 def ham_cycle(adj, forced=(), max_nodes=0):
     """Search for a hamiltonian cycle containing every edge in `forced`.
 
-    adj: list of sorted neighbor lists (simple undirected graph).
+    adj: a SearchGraph, or list of sorted neighbor lists (simple undirected
+        graph) searched through a temporary one.
     forced: iterable of edges of the graph, each a tuple or list of two
         ints in either order; a repeated or reversed pair counts once.  The
         set is checked before anything else, for any n: an entry that is
@@ -104,8 +141,17 @@ def ham_cycle(adj, forced=(), max_nodes=0):
     search without the rule, so status and witness are too; only node
     counts fall.
     """
+    graph = _idle(adj)
+    try:
+        graph._busy = True
+        return _ham_cycle(graph._rows, graph._masks, forced, max_nodes)
+    finally:
+        graph._busy = False
+
+
+def _ham_cycle(adj, amask, forced, max_nodes):
+    """`ham_cycle` on the rows `adj` with neighbour bitmasks `amask`."""
     n = len(adj)
-    amask = _masks(adj)
 
     fnbr = [[] for _ in range(n)]
     fset = {}     # the distinct forced edges (a, b), a < b, in first-seen order
@@ -209,20 +255,32 @@ def ham_cycle(adj, forced=(), max_nodes=0):
         free = frees[-1] ^ 1 << w
 
 
+def EdgeTable(n, edges):
+    """The table `is_cycle` reads for the graph on 0..n-1 with edge set
+    `edges` (a set of pairs (u, v), u < v < n), made once per graph from
+    the set alone.  Here it is the set itself, as a frozenset; the compiled
+    twin keeps each vertex's higher neighbours in ascending order, O(n +
+    |edges|) ints, and answers `(u, v) in table` as the set does."""
+    if not isinstance(edges, (set, frozenset)):
+        raise TypeError("edges must be a set")
+    return frozenset(edges)
+
+
 def is_cycle(n, edges, cyc, forced=()):
     """Is the vertex list `cyc` a cycle of the graph on 0..n-1 with edge set
-    `edges` (a set of pairs (u, v), u < v < n), through every forced pair?
+    `edges` (an EdgeTable, or a set of pairs (u, v), u < v < n), through
+    every forced pair?
 
     True iff cyc has at least 3 vertices, all distinct, every step, the
     closing one included, is in `edges`, and every forced pair, in either
     order, is a step.  A forced entry that is not a pair of ints raises
-    ValueError, as in `ham_cycle`.  The compiled twin reads only `edges` and
-    the lists, never a search's copy of the graph, so it re-checks what a
-    search returns."""
+    ValueError, as in `ham_cycle`.  Neither twin reads a SearchGraph, so
+    the check is independent of the search whose cycle it re-checks."""
     need = {(a, b) if a < b else (b, a) for a, b in map(_pair, forced)}
     steps = {(u, v) if u < v else (v, u) for u, v in zip(cyc, cyc[1:] + cyc[:1])}
     return (len(cyc) >= 3 and len(set(cyc)) == len(cyc)
-            and edges.issuperset(steps) and steps.issuperset(need))
+            and all(step in edges for step in steps)
+            and steps.issuperset(need))
 
 
 def _closable_core(amask, u, root, region):
@@ -249,7 +307,8 @@ def _closable_core(amask, u, root, region):
 
 
 def longest_cycle(adj, max_nodes=0):
-    """Exact longest simple cycle by exhaustive branch and bound.
+    """Exact longest simple cycle by exhaustive branch and bound, on a
+    SearchGraph or an adjacency, as `ham_cycle` takes them.
 
     Returns (status, best_cycle_or_None, nodes).  ABSENT means the graph is
     acyclic.  On BUDGET, which `max_nodes` bounds as in `ham_cycle`, the
@@ -270,8 +329,17 @@ def longest_cycle(adj, max_nodes=0):
     subtree cut this way holds no cycle longer than `best`, so the cuts
     change no status or witness, only the node count.
     """
+    graph = _idle(adj)
+    try:
+        graph._busy = True
+        return _longest_cycle(graph._rows, graph._masks, max_nodes)
+    finally:
+        graph._busy = False
+
+
+def _longest_cycle(adj, amask, max_nodes):
+    """`longest_cycle` on the rows `adj` with neighbour bitmasks `amask`."""
     n = len(adj)
-    amask = _masks(adj)
 
     best = []
     nodes = 0

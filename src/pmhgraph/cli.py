@@ -191,6 +191,11 @@ def _run(command, body, source, opts):
             click.echo(f"error: {_brief(g6)}: {exc}", err=True)
             errors = True
             continue
+        finally:
+            # the runner holds every graph until it exits, but not the state
+            # a search kept on it
+            if isinstance(g, Graph):
+                g.drop_kernel_state()
         _emit({"schema": SCHEMA, "command": command, "input": g6,
                "verdict": line.verdict, "witness": witness,
                "stats": {"nodes": line.nodes,

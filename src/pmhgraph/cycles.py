@@ -129,6 +129,28 @@ def _check_size(g: Graph):
                             f"{_kernel.MAX_VERTICES}")
 
 
+def _search_graph(g: Graph):
+    """The kernel's SearchGraph of g, made on first use and kept on g, as its
+    adjacency is, so every search of g shares one; a graph above the
+    kernel's bound is refused when it is made, before either backend runs."""
+    graph = g._search_graph
+    if graph is None:
+        _check_size(g)
+        graph = _kernel.SearchGraph(g.adjacency)
+        object.__setattr__(g, "_search_graph", graph)
+    return graph
+
+
+def _edge_table(g: Graph):
+    """The kernel's EdgeTable of g, which `is_cycle` reads: made on first
+    use from g.edges alone, and kept on g."""
+    table = g._edge_table
+    if table is None:
+        table = _kernel.EdgeTable(g.n, g.edges)
+        object.__setattr__(g, "_edge_table", table)
+    return table
+
+
 def find_hamiltonian_cycle(g: Graph, forced=(), max_nodes=0) -> SearchResult:
     """Exhaustive hamiltonian cycle search; the cycle must contain every
     forced edge.  Absence verdicts are certified by search-tree exhaustion.
@@ -137,11 +159,11 @@ def find_hamiltonian_cycle(g: Graph, forced=(), max_nodes=0) -> SearchResult:
     vertex on more than two distinct ones; a repeated pair counts once.
     The kernel checks the set and refuses any other with PreconditionError.
     A cycle the kernel returns is re-checked by `hamiltonian_walk`."""
-    _check_size(g)
     if not isinstance(forced, (list, tuple)):
         forced = list(forced)     # read by the search and by the re-check
     try:
-        status, cyc, nodes = _kernel.ham_cycle(g.adjacency, forced, max_nodes)
+        status, cyc, nodes = _kernel.ham_cycle(_search_graph(g), forced,
+                                               max_nodes)
     except ValueError as exc:
         raise PreconditionError(str(exc)) from None
     if status != _kernel.FOUND:
@@ -153,10 +175,11 @@ def hamiltonian_walk(g: Graph, cyc, forced=(), kinds=_HAMILTONIAN) -> CycleWalk:
     """The closed walk of the vertex list `cyc`, with the given kind flags,
     once it is re-checked as a hamiltonian cycle of g through every pair of
     `forced`; raises WitnessError otherwise.  The check is
-    `_kernel.is_cycle`, which reads g.edges and not a search's copy of the
-    graph, so every hamiltonian cycle the searches and routes return passes
-    the one predicate."""
-    if not (len(cyc) == g.n and _kernel.is_cycle(g.n, g.edges, cyc, forced)):
+    `_kernel.is_cycle` on g's EdgeTable, made from g.edges and not from a
+    search's copy of the graph, so every hamiltonian cycle the searches and
+    routes return passes the one predicate."""
+    if not (len(cyc) == g.n
+            and _kernel.is_cycle(g.n, _edge_table(g), cyc, forced)):
         raise WitnessError(f"{list(cyc)} is not a hamiltonian cycle through "
                            f"the forced edges {sorted(map(tuple, forced))}")
     return CycleWalk((*cyc, cyc[0]), kinds)
@@ -439,7 +462,11 @@ def _hypohamiltonian(g: Graph, max_nodes):
 
 def longest_cycle_search(g: Graph, max_nodes=0) -> SearchResult:
     """Exact longest cycle (branch and bound); inconclusive under a budget
-    cap returns the best cycle found so far as a lower bound."""
+    cap returns the best cycle found so far as a lower bound.
+
+    A graph's longest cycle is searched once, so the kernel loads g and its
+    edge set into temporary objects instead of the ones kept on g, which
+    would cost a one-shot caller more than they save (README)."""
     _check_size(g)
     status, cyc, nodes = _kernel.longest_cycle(g.adjacency, max_nodes)
     if cyc is None:

@@ -35,6 +35,12 @@ class Graph:
     n: int
     edges: frozenset = field(default_factory=frozenset)
 
+    # The kernel objects that cycles keeps on a graph once it is searched or
+    # re-checked (cycles._search_graph, cycles._edge_table); class-level None
+    # until then, so a first use reads no missing attribute.
+    _search_graph = None
+    _edge_table = None
+
     def __post_init__(self):
         for u, v in self.edges:
             if not (0 <= u < v < self.n):
@@ -69,6 +75,22 @@ class Graph:
             adj = tuple(tuple(sorted(a)) for a in adj)
             object.__setattr__(self, "_adj_cache", adj)
             return adj
+
+    def drop_kernel_state(self):
+        """Free the kernel objects kept on the graph; a later search or
+        re-check makes them again.  For a caller that holds many graphs
+        and is done with each, as the CLI runner is."""
+        if self._search_graph is not None or self._edge_table is not None:
+            object.__setattr__(self, "_search_graph", None)
+            object.__setattr__(self, "_edge_table", None)
+
+    def __getstate__(self):
+        # A pickle or copy leaves out the kernel objects (the compiled ones
+        # cannot be pickled); the copy makes its own on first use.
+        state = dict(self.__dict__)
+        state.pop("_search_graph", None)
+        state.pop("_edge_table", None)
+        return state
 
     def degree(self, v):
         return len(self.adjacency[v])

@@ -291,15 +291,15 @@ def colouring_from_matching(lgm: LineGraphMap, m: Matching) -> EdgeColouring:
 
 
 def daykin_hypothesis_holds(g: Graph, c: EdgeColouring):
-    """No vertex incident to more than two edges of one colour."""
-    for v in range(g.n):
-        counts = {}
-        for w in g.adjacency[v]:
-            col = c.of(v, w)
-            counts[col] = counts.get(col, 0) + 1
-            if counts[col] > 2:
-                return False
-    return True
+    """No vertex incident to more than two edges of one colour.  An edge of
+    g that c does not colour raises KeyError."""
+    colour = c.colour
+    ends = {}         # (vertex, colour) -> the edges of that colour there
+    for u, v in g.edges:
+        col = colour[u, v]
+        ends[u, col] = ends.get((u, col), 0) + 1
+        ends[v, col] = ends.get((v, col), 0) + 1
+    return max(ends.values(), default=0) <= 2
 
 
 class _HamiltonianWalk:

@@ -729,3 +729,22 @@ def test_max_nodes_from_environment():
     res = run("cycles", "ham", "--max-nodes", "0", "-",
               input=g6("petersen") + "\n", env=env)
     assert res.exit_code == 0 and reports(res)[0]["verdict"]["outcome"] == "absent"
+
+
+def test_each_graph_drops_its_kernel_state_once_its_line_is_done(monkeypatch):
+    """The runner reads every graph before it answers and holds them all,
+    but drops the kernel state a search keeps on each (up to 67 MB at the
+    kernel's bound) once its line is done, refused lines included."""
+    held = []
+    search = cli.find_hamiltonian_cycle
+
+    def tracked(g, forced=(), max_nodes=0):
+        assert [h._search_graph for h in held] == [None] * len(held)
+        held.append(g)
+        return search(g, forced, max_nodes)
+
+    monkeypatch.setattr(cli, "find_hamiltonian_cycle", tracked)
+    lines = [g6("petersen"), g6("complete", [5]), g6("cube"), g6("petersen")]
+    res = run("cycles", "ham", "-", input="\n".join(lines) + "\n")
+    assert res.exit_code == 0 and len(reports(res)) == 4 and len(held) == 4
+    assert [(h._search_graph, h._edge_table) for h in held] == [(None, None)] * 4

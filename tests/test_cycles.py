@@ -1,4 +1,6 @@
+import copy
 import os
+import pickle
 import subprocess
 import sys
 import textwrap
@@ -474,3 +476,23 @@ def test_witness_checks_survive_python_O():
                          capture_output=True, text=True, timeout=60)
     assert out.returncode == 0, out.stderr
     assert out.stdout.split() == ["1", "raised", "raised", "raised"]
+
+
+def test_a_searched_graph_still_pickles_and_copies():
+    """A graph keeps its kernel objects once searched; a pickle, deep copy or
+    copy of it leaves them out, equals and hashes as the original, and
+    searches to the same results with objects of its own."""
+    lg = build_line_graph(make_named_graph("cube", [])).lg
+    forced = sorted(next(enumerate_perfect_matchings(lg)).edges)
+    ham = find_hamiltonian_cycle(lg, forced)
+    longest = longest_cycle_search(lg)
+    kept = (lg._search_graph, lg._edge_table)
+    for twin in (pickle.loads(pickle.dumps(lg)), copy.deepcopy(lg),
+                 copy.copy(lg)):
+        assert twin == lg and hash(twin) == hash(lg)
+        assert twin._search_graph is None and twin._edge_table is None
+        assert find_hamiltonian_cycle(twin, forced) == ham
+        assert longest_cycle_search(twin) == longest
+        assert twin._search_graph is not kept[0]
+    assert (lg._search_graph, lg._edge_table) == kept
+    assert find_hamiltonian_cycle(lg, forced) == ham

@@ -332,7 +332,7 @@ def _dense_cases(g, cyc, forced):
 @pytest.fixture(scope="module")
 def dense_hosts(lk50):
     """(name, host, hamiltonian cycle, forced pairs) on hosts with more than
-    three edges per cycle vertex, which the compiled twin reads by lookups:
+    three edges per cycle vertex, whose EdgeTable rows are long:
     L(K_{10,10}) and L(K_{50,50}) with a cycle the bipartite route lays out
     through a sampled matching, and K_{50,50} with its cycle 0, 50, 1, 51, ...
     through three of its steps."""
@@ -688,3 +688,127 @@ def test_budget_status_never_claims_absence():
     g = make_named_graph("petersen", [])
     status, cyc, _nodes = purecore.ham_cycle(_adj(g), [], 3)
     assert status == purecore.BUDGET and cyc is None
+
+
+def _bad_forced(rng, g):
+    """A forced set `ham_cycle` refuses: a non-edge, or three edges at one
+    vertex when g has such a vertex."""
+    hub = next((v for v in range(g.n) if len(g.adjacency[v]) >= 3), None)
+    if hub is not None and rng.random() < 0.5:
+        return [(hub, w) for w in g.adjacency[hub][:3]]
+    return [(0, g.n)]
+
+
+def _alarmed(search, *args):
+    """Run search(*args) under a 20 ms SIGALRM whose handler raises _Alarm;
+    returns what it returned, or None when the alarm ended it."""
+    def handler(signum, frame):
+        raise _Alarm()
+
+    old = signal.signal(signal.SIGALRM, handler)
+    try:
+        signal.setitimer(signal.ITIMER_REAL, 0.02)
+        return search(*args)
+    except _Alarm:
+        return None
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
+
+
+@pytest.mark.parametrize("impl", _backends(), ids=lambda k: k.BACKEND)
+def test_search_graph_reuse_matches_fresh_calls(impl, rng):
+    """Calls on one SearchGraph per graph, interleaved across 13 graphs,
+    equal fresh calls on the raw adjacency (status, witness and nodes),
+    including the call right after a refused forced set, a BUDGET stop and
+    an interrupt by a raising SIGALRM handler."""
+    graphs = [random_graph(rng, rng.randint(3, 13), rng.choice([0.3, 0.5, 0.8]))
+              for _ in range(12)] + [_grid(7, 9)]
+    cached = [impl.SearchGraph(_adj(g)) for g in graphs]
+    kinds = []
+    for _ in range(400):
+        i = rng.randrange(len(graphs))
+        g, graph = graphs[i], cached[i]
+        kind = rng.choice(["ham", "ham", "budget", "longest", "refused",
+                           "alarm" if g.n == 63 else "ham"])
+        forced = _random_forced(rng, g, rng.randint(0, 4))
+        if kind == "refused":
+            with pytest.raises(ValueError):
+                impl.ham_cycle(graph, _bad_forced(rng, g), 0)
+        elif kind == "alarm":
+            # the 7x9 grid has no hamiltonian cycle, and its unforced search
+            # runs 167,690,380 nodes
+            assert _alarmed(impl.ham_cycle, graph, [], 0) is None
+        elif kind == "longest":
+            cap = rng.choice([0, 0, 7, 100]) if g.n < 63 else 500
+            assert impl.longest_cycle(graph, cap) == \
+                impl.longest_cycle(_adj(g), cap)
+        else:
+            cap = 0 if kind == "ham" and g.n < 63 else rng.choice([1, 5, 60])
+            assert impl.ham_cycle(graph, forced, cap) == \
+                impl.ham_cycle(_adj(g), forced, cap)
+        kinds.append(kind)
+        # the next call on the same graph, whatever happened above
+        cap = 0 if g.n < 63 else 2000
+        assert impl.ham_cycle(graph, forced, cap) == \
+            impl.ham_cycle(_adj(g), forced, cap), (kind, g, forced)
+    assert set(kinds) == {"ham", "budget", "longest", "refused", "alarm"}
+
+
+@pytest.mark.parametrize("impl", _backends(), ids=lambda k: k.BACKEND)
+def test_search_of_a_busy_search_graph_is_refused(impl):
+    """A signal handler that searches the SearchGraph under search gets
+    RuntimeError from either search, and may search another graph; the
+    interrupted graph then searches as a fresh one."""
+    grid, small = _grid(7, 9), _grid(3, 4)
+    busy, other = impl.SearchGraph(_adj(grid)), impl.SearchGraph(_adj(small))
+    seen = []
+
+    def nested(signum, frame):
+        for search, graph in ((impl.ham_cycle, busy), (impl.longest_cycle, busy),
+                              (impl.ham_cycle, other)):
+            try:
+                args = ([], 50) if search is impl.ham_cycle else (50,)
+                seen.append(search(graph, *args))
+            except RuntimeError as exc:
+                seen.append(str(exc))
+        raise _Alarm()
+
+    old = signal.signal(signal.SIGALRM, nested)
+    try:
+        signal.setitimer(signal.ITIMER_REAL, 0.02)
+        with pytest.raises(_Alarm):
+            impl.ham_cycle(busy, [], 0)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
+    refusal = "the SearchGraph is already searching"
+    assert seen == [refusal, refusal, impl.ham_cycle(_adj(small), [], 50)]
+    assert impl.ham_cycle(busy, [], 2000) == impl.ham_cycle(_adj(grid), [], 2000)
+
+
+@needs_compiled
+def test_each_twin_reads_the_other_twins_objects_as_raw_input(rng):
+    """A SearchGraph reads as its rows and an EdgeTable answers `in` as the
+    edge set, so each twin takes the other's objects as a raw adjacency or
+    edge set, with the same answers."""
+    for _ in range(40):
+        g = random_graph(rng, rng.randint(0, 10), 0.5)
+        forced = _random_forced(rng, g, 2)
+        rows = tuple(tuple(a) for a in g.adjacency)
+        for impl, twin in ((purecore, _fastcore), (_fastcore, purecore)):
+            graph, table = impl.SearchGraph(rows), impl.EdgeTable(g.n, g.edges)
+            assert len(graph) == g.n and tuple(graph) == rows
+            assert all((e in table) == (e in g.edges)
+                       for e in combinations(range(g.n + 1), 2))
+            assert twin.ham_cycle(graph, forced, 0) == \
+                impl.ham_cycle(graph, forced, 0)
+            assert twin.longest_cycle(graph, 0) == impl.longest_cycle(graph, 0)
+            status, cyc, _nodes = impl.ham_cycle(rows, forced, 0)
+            for c in ([cyc] if cyc else []) + [list(range(g.n))]:
+                want = impl.is_cycle(g.n, g.edges, c, forced)
+                assert impl.is_cycle(g.n, table, c, forced) == want
+                assert twin.is_cycle(g.n, table, c, forced) == want
+    for impl in _backends():
+        with pytest.raises(TypeError, match="edges must be a set"):
+            impl.EdgeTable(3, [(0, 1)])

@@ -32,7 +32,7 @@ from pmhgraph.pmh import (EdgeColouring, _cycle_trail, _lay_out,
                           is_pmh, is_pmh_line, is_properly_coloured,
                           kotzig_partition, lasvergnas_condition)
 
-from conftest import euler_matching, two_squares
+from conftest import euler_matching, random_graph, two_squares
 
 try:
     from pmhgraph._kernel import _fastcore
@@ -330,6 +330,38 @@ def test_colouring_from_matching():
     assert daykin_hypothesis_holds(lgm.base, c)
 
 
+def _daykin_per_vertex(g, c):
+    """Daykin's hypothesis read vertex by vertex, one `EdgeColouring.of` per
+    adjacency entry."""
+    for v in range(g.n):
+        counts = {}
+        for w in g.adjacency[v]:
+            col = c.of(v, w)
+            counts[col] = counts.get(col, 0) + 1
+            if counts[col] > 2:
+                return False
+    return True
+
+
+def test_daykin_hypothesis_agrees_with_the_per_vertex_reading(rng):
+    """The one pass over the edges answers as the per-vertex reading on
+    random colourings with one to four colours, holding and failing; an
+    uncoloured edge raises KeyError."""
+    seen = set()
+    for _ in range(300):
+        g = random_graph(rng, rng.randint(0, 10), rng.choice([0.3, 0.6, 0.9]))
+        colours = rng.randint(1, 4)
+        c = EdgeColouring({e: rng.randrange(colours) for e in g.edges})
+        want = _daykin_per_vertex(g, c)
+        assert daykin_hypothesis_holds(g, c) == want, (g, c)
+        seen.add(want)
+    assert seen == {True, False}
+    k4 = make_named_graph("complete", [4])
+    with pytest.raises(KeyError):
+        daykin_hypothesis_holds(k4, EdgeColouring(
+            {e: 0 for e in sorted(k4.edges)[1:]}))
+
+
 def test_pc_cycle_search():
     lgm = build_line_graph(make_named_graph("complete", [5]))
     m = next(enumerate_perfect_matchings(lgm.lg))
@@ -478,8 +510,8 @@ def test_laid_out_cycle_with_two_vertices_swapped_is_refused(impl, base,
                                                              monkeypatch):
     """The partner of a laid-out cycle's first vertex is swapped with the
     vertex half way round, so the matching pair is no step: each twin
-    refuses it, on a sparse host (L(K5), 3 edges per vertex) and on one the
-    compiled twin reads by lookups (L(K_{6,6}), 5 per vertex)."""
+    refuses it, on a sparse host (L(K5), 3 edges per vertex) and on a
+    denser one (L(K_{6,6}), 5 per vertex)."""
     monkeypatch.setattr(_kernel, "is_cycle", impl.is_cycle)
     lgm = build_line_graph(make_named_graph(*base))
     m = euler_matching(lgm, random.Random(6))

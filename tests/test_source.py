@@ -77,5 +77,47 @@ def test_compiled_kernel_exports_every_pure_kernel_name():
     fastcore = pytest.importorskip("pmhgraph._kernel._fastcore")
     names = {name for name in vars(purecore) if not name.startswith("_")}
     assert names == {"ham_cycle", "is_cycle", "longest_cycle", "pm_scan",
-                     "canonical_form", "FOUND", "ABSENT", "BUDGET", "BACKEND"}
+                     "canonical_form", "SearchGraph", "EdgeTable", "FOUND",
+                     "ABSENT", "BUDGET", "BACKEND"}
     assert sorted(names - set(dir(fastcore))) == []
+
+
+SEARCHES = ("ham_cycle", "longest_cycle", "is_cycle")
+
+
+def _reads_a_search(node):
+    return (isinstance(node, ast.Attribute) and node.attr in SEARCHES
+            and isinstance(node.value, ast.Name) and node.value.id == "_kernel")
+
+
+def test_only_cycles_calls_the_searches_and_names_their_graphs():
+    """Only cycles.py calls `_kernel.ham_cycle`, `longest_cycle` and
+    `is_cycle`, so every hamiltonian search of the package (`is_pmh`,
+    `is_pmh_line`, the routes, the CLI) reuses the SearchGraph kept on its
+    graph and every `hamiltonian_walk` re-check its EdgeTable; only the
+    one-shot longest-cycle search hands over the raw adjacency and edges."""
+    found, calls = [], set()
+    for path in sorted(PACKAGE.rglob("*.py")):
+        rel = path.relative_to(PACKAGE).as_posix()
+        if rel.startswith("_kernel/"):
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and "_kernel" in (node.module or ""):
+                found += [f"{rel}:{node.lineno} imports {a.name}"
+                          for a in node.names if a.name in SEARCHES]
+            elif _reads_a_search(node) and rel != "cycles.py":
+                found.append(f"{rel}:{node.lineno} reads _kernel.{node.attr}")
+        if rel == "cycles.py":
+            calls = {(fn.name, node.func.attr,
+                      ast.unparse(node.args[node.func.attr == "is_cycle"]))
+                     for fn in tree.body if isinstance(fn, ast.FunctionDef)
+                     for node in ast.walk(fn)
+                     if isinstance(node, ast.Call) and _reads_a_search(node.func)}
+    assert found == []
+    assert calls == {
+        ("find_hamiltonian_cycle", "ham_cycle", "_search_graph(g)"),
+        ("hamiltonian_walk", "is_cycle", "_edge_table(g)"),
+        ("longest_cycle_search", "longest_cycle", "g.adjacency"),
+        ("longest_cycle_search", "is_cycle", "g.edges"),
+    }
