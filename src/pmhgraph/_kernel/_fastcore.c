@@ -7,8 +7,8 @@
  * node counting, hence the same status, witness and node count; for the
  * canonical form the same partitions, stack order and twin test, hence the
  * same form and labelling); see that module for the contract.  ham_cycle
- * checks its forced set before it searches, for any n, and raises
- * purecore's ValueError text for a bad one.  A search
+ * checks its forced set in one pass before it searches, for any n, and
+ * raises purecore's ValueError text for the first bad entry.  A search
  * stops at the first node past its budget (max_nodes, 0 for none) and returns
  * BUDGET with max_nodes + 1 nodes.  The pruning tests decide what purecore's
  * decide, with less work (see prune_words and lc_core); the hamiltonian
@@ -204,29 +204,8 @@ static Py_ssize_t graph_len(SearchGraph *g)
     return g->s.n;
 }
 
-/* Row v: the neighbours of v as a tuple, in the order they were given. */
-static PyObject *graph_row(SearchGraph *g, Py_ssize_t v)
-{
-    if (v < 0 || v >= g->s.n) {
-        PyErr_SetString(PyExc_IndexError, "vertex out of range");
-        return NULL;
-    }
-    const int *nbr = g->s.nbr + g->s.off[v];
-    Py_ssize_t d = g->s.off[v + 1] - g->s.off[v];
-    PyObject *row = PyTuple_New(d);
-    for (Py_ssize_t i = 0; row && i < d; i++) {
-        PyObject *w = PyLong_FromLong(nbr[i]);
-        if (w == NULL)
-            Py_CLEAR(row);
-        else
-            PyTuple_SET_ITEM(row, i, w);
-    }
-    return row;
-}
-
 static PySequenceMethods graph_as_sequence = {
     .sq_length = (lenfunc)graph_len,
-    .sq_item = (ssizeargfunc)graph_row,
 };
 
 static PyTypeObject SearchGraphType = {
@@ -482,63 +461,14 @@ static void raise_non_edge(PyObject **e)
                      e[swap], e[1 - swap]);
 }
 
-/* Error path of load_forced, once every entry is an edge: purecore's error
- * for a vertex on more than two distinct forced edges.  It names the first
- * such vertex among the ends, lower end first, of the distinct edges in the
- * order they first appear. */
-static void raise_overflow(int n, PyObject *pairs)
-{
-    Py_ssize_t k = PySequence_Fast_GET_SIZE(pairs), m = 0;
-    PyObject *seen = PySet_New(NULL);
-    int *count = PyMem_Calloc((size_t)n + 2 * k, sizeof(int)), *ends = count + n;
-    if (seen == NULL || count == NULL) {
-        if (count == NULL)
-            PyErr_NoMemory();
-        goto done;
-    }
-    for (Py_ssize_t j = 0; j < k; j++) {
-        PyObject **e = PySequence_Fast_ITEMS(PySequence_Fast_GET_ITEM(pairs, j));
-        int a = vertex_of(e[0], n), b = vertex_of(e[1], n);
-        if (a > b) {
-            int t = a;
-            a = b;
-            b = t;
-        }
-        PyObject *key = PyLong_FromLongLong((long long)a * n + b);
-        int known = key == NULL ? -1 : PySet_Contains(seen, key);
-        if (known == 0 && PySet_Add(seen, key) < 0)
-            known = -1;
-        Py_XDECREF(key);
-        if (known < 0)
-            goto done;
-        if (!known) {
-            count[a]++;
-            count[b]++;
-            ends[m++] = a;
-            ends[m++] = b;
-        }
-    }
-    for (Py_ssize_t i = 0; i < m; i++)
-        if (count[ends[i]] > 2) {
-            PyErr_Format(PyExc_ValueError,
-                         "vertex %d has %d forced incidences (max 2)",
-                         ends[i], count[ends[i]]);
-            break;
-        }
-done:
-    Py_XDECREF(seen);
-    PyMem_Free(count);
-}
-
-/* Check `forced` as purecore.ham_cycle does and read it into the slots: a
- * repeated or reversed pair counts once.  Returns 0, or -1 with an exception
- * set. */
+/* Check `forced` as purecore.ham_cycle does, in one pass, and read it into
+ * the slots: a repeated or reversed pair counts once.  Returns 0, or -1 with
+ * an exception set. */
 static int load_forced(Search *s, PyObject *forced)
 {
     PyObject *pairs = PySequence_Fast(forced, "forced must be iterable");
     if (pairs == NULL)
         return -1;
-    int over = 0;
     for (Py_ssize_t k = 0; k < PySequence_Fast_GET_SIZE(pairs); k++) {
         PyObject *e[2];
         if (read_pair(PySequence_Fast_GET_ITEM(pairs, k), e) < 0)
@@ -550,17 +480,20 @@ static int load_forced(Search *s, PyObject *forced)
         }
         if (forced_to(s, a, b))
             continue;
-        if (s->fn[2 * a + 1] >= 0 || s->fn[2 * b + 1] >= 0) {
-            over = 1;     /* named once every entry is known to be an edge */
-            continue;
+        if (a > b) {
+            int t = a;
+            a = b;
+            b = t;
+        }
+        int full = s->fn[2 * a + 1] >= 0 ? a : s->fn[2 * b + 1] >= 0 ? b : -1;
+        if (full >= 0) {
+            PyErr_Format(PyExc_ValueError,
+                         "vertex %d has 3 forced incidences (max 2)", full);
+            goto fail;
         }
         s->fn[2 * a + (s->fn[2 * a] >= 0)] = b;
         s->fn[2 * b + (s->fn[2 * b] >= 0)] = a;
         s->nforced++;
-    }
-    if (over) {
-        raise_overflow(s->n, pairs);
-        goto fail;
     }
     Py_DECREF(pairs);
     return 0;
@@ -759,23 +692,6 @@ static void table_dealloc(EdgeTable *t)
     Py_TYPE(t)->tp_free((PyObject *)t);
 }
 
-/* `(u, v) in table`, true for a tuple of ints u < v that is an edge, as for
- * the frozenset purecore keeps. */
-static int table_contains(EdgeTable *t, PyObject *key)
-{
-    if (!PyTuple_Check(key) || PyTuple_GET_SIZE(key) != 2 ||
-        !PyLong_Check(PyTuple_GET_ITEM(key, 0)) ||
-        !PyLong_Check(PyTuple_GET_ITEM(key, 1)))
-        return 0;
-    int a = vertex_of(PyTuple_GET_ITEM(key, 0), t->t.n);
-    int b = vertex_of(PyTuple_GET_ITEM(key, 1), t->t.n);
-    return a >= 0 && a < b && table_has(&t->t, a, b);
-}
-
-static PySequenceMethods table_as_sequence = {
-    .sq_contains = (objobjproc)table_contains,
-};
-
 static PyTypeObject EdgeTableType = {
     PyVarObject_HEAD_INIT(NULL, 0)
     .tp_name = "pmhgraph._kernel._fastcore.EdgeTable",
@@ -784,7 +700,6 @@ static PyTypeObject EdgeTableType = {
     .tp_doc = "See purecore.EdgeTable.",
     .tp_new = table_new,
     .tp_dealloc = (destructor)table_dealloc,
-    .tp_as_sequence = &table_as_sequence,
 };
 
 /* purecore.is_cycle, on an EdgeTable or on a set it loads into a temporary

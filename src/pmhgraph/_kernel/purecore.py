@@ -35,12 +35,10 @@ class SearchGraph:
     `longest_cycle` in place of it, so that searches of one graph share it.
     Here it holds the rows and their neighbour bitmasks; the compiled twin
     holds its CSR copy, bitset rows and scratch sets, about n^2/4 bytes
-    (67 MB at 16,384 vertices).
-    Either reads as its rows: len() is the order and [v] the neighbours of
-    v, as a tuple.  A search given anything else loads it into a temporary
-    SearchGraph, so a twin's SearchGraph is a raw adjacency to the other.
-    A search of a SearchGraph that is searching already (from a signal
-    handler run during the search) raises RuntimeError."""
+    (67 MB at 16,384 vertices).  len() of either is the order.  A search
+    given anything else loads it into a temporary SearchGraph.  A search of
+    a SearchGraph that is searching already (from a signal handler run
+    during the search) raises RuntimeError."""
 
     def __init__(self, adj):
         self._rows = tuple(tuple(a) for a in adj)
@@ -49,9 +47,6 @@ class SearchGraph:
 
     def __len__(self):
         return len(self._rows)
-
-    def __getitem__(self, v):
-        return self._rows[v]
 
 
 def _idle(adj):
@@ -112,11 +107,13 @@ def ham_cycle(adj, forced=(), max_nodes=0):
         graph) searched through a temporary one.
     forced: iterable of edges of the graph, each a tuple or list of two
         ints in either order; a repeated or reversed pair counts once.  The
-        set is checked before anything else, for any n: an entry that is
-        not a pair of ints, a pair that is not an edge (a vertex out of
-        range, a self pair, a non-edge) and a vertex on more than two
-        distinct forced edges raise ValueError, with the text the compiled
-        kernel gives.
+        set is checked before anything else, for any n, in one pass: the
+        entries are read in order, and the first that is not a pair of
+        ints, is not an edge (a vertex out of range, a self pair, a
+        non-edge), or is a new pair at a vertex already on two raises
+        ValueError, with the text the compiled kernel gives; an overloaded
+        vertex is named as having 3 forced incidences, the lower end when
+        both ends are full.
     max_nodes: 0 = unlimited, else cap on visited search nodes.  The search
         stops at the first node past the cap and returns BUDGET with
         max_nodes + 1 nodes.
@@ -153,24 +150,21 @@ def _ham_cycle(adj, amask, forced, max_nodes):
     """`ham_cycle` on the rows `adj` with neighbour bitmasks `amask`."""
     n = len(adj)
 
-    fnbr = [[] for _ in range(n)]
-    fset = {}     # the distinct forced edges (a, b), a < b, in first-seen order
+    fnbr = [[] for _ in range(n)]     # the distinct forced partners
     for entry in forced:
         a, b = _pair(entry)
         if a > b:
             a, b = b, a
         if not (0 <= a and b < n and a != b and amask[a] >> b & 1):
             raise ValueError(f"forced edge ({a},{b}) not in the graph")
-        if (a, b) not in fset:
-            fset[a, b] = None
+        if b not in fnbr[a]:
+            for v in (a, b):
+                if len(fnbr[v]) == 2:
+                    raise ValueError(f"vertex {v} has 3 forced incidences "
+                                     f"(max 2)")
             fnbr[a].append(b)
             fnbr[b].append(a)
-    for e in fset:
-        for v in e:
-            if len(fnbr[v]) > 2:
-                raise ValueError(f"vertex {v} has {len(fnbr[v])} forced "
-                                 f"incidences (max 2)")
-    nforced = len(fset)
+    nforced = sum(map(len, fnbr)) // 2
     if n < 3:
         return ABSENT, None, 0
 
@@ -182,7 +176,7 @@ def _ham_cycle(adj, amask, forced, max_nodes):
         start = min(range(n), key=lambda v: (len(adj[v]), v))
 
     def edge_forced(a, b):
-        return ((a, b) if a < b else (b, a)) in fset
+        return b in fnbr[a]
 
     fmask = _masks(fnbr)
 
@@ -260,7 +254,7 @@ def EdgeTable(n, edges):
     `edges` (a set of pairs (u, v), u < v < n), made once per graph from
     the set alone.  Here it is the set itself, as a frozenset; the compiled
     twin keeps each vertex's higher neighbours in ascending order, O(n +
-    |edges|) ints, and answers `(u, v) in table` as the set does."""
+    |edges|) ints."""
     if not isinstance(edges, (set, frozenset)):
         raise TypeError("edges must be a set")
     return frozenset(edges)

@@ -36,42 +36,20 @@ class CycleWalk:
     vertices: tuple
     kinds: frozenset = field(default_factory=frozenset)
 
-    # Cached by hand, as Graph.adjacency is: on CPython 3.11 a
-    # cached_property takes a lock on each first read.
-
     @property
     def touched(self):
-        try:
-            return self._touched
-        except AttributeError:
-            touched = frozenset(self.vertices)
-            object.__setattr__(self, "_touched", touched)
-            return touched
+        return frozenset(self.vertices)
 
     @property
     def edge_seq(self):
-        try:
-            return self._edge_seq
-        except AttributeError:
-            vs = self.vertices
-            seq = tuple((a, b) if a < b else (b, a) for a, b in zip(vs, vs[1:]))
-            object.__setattr__(self, "_edge_seq", seq)
-            return seq
-
-    @property
-    def _edge_set(self):
-        try:
-            return self._edge_set_cache
-        except AttributeError:
-            have = frozenset(self.edge_seq)
-            object.__setattr__(self, "_edge_set_cache", have)
-            return have
+        vs = self.vertices
+        return tuple((a, b) if a < b else (b, a) for a, b in zip(vs, vs[1:]))
 
     def length(self):
         return len(self.vertices) - 1 if len(self.vertices) > 1 else 0
 
     def contains_edges(self, edges):
-        have = self._edge_set
+        have = frozenset(self.edge_seq)
         return all(((u, v) if u < v else (v, u)) in have for u, v in edges)
 
 
@@ -171,10 +149,11 @@ def find_hamiltonian_cycle(g: Graph, forced=(), max_nodes=0) -> SearchResult:
     return SearchResult(FOUND, hamiltonian_walk(g, cyc, forced), nodes)
 
 
-def hamiltonian_walk(g: Graph, cyc, forced=(), kinds=_HAMILTONIAN) -> CycleWalk:
-    """The closed walk of the vertex list `cyc`, with the given kind flags,
-    once it is re-checked as a hamiltonian cycle of g through every pair of
-    `forced`; raises WitnessError otherwise.  The check is
+def hamiltonian_walk(g: Graph, cyc, forced=()) -> CycleWalk:
+    """The closed walk of the vertex list `cyc`, with the kind flags of a
+    hamiltonian cycle (which dominates every edge), once it is re-checked
+    as a hamiltonian cycle of g through every pair of `forced`; raises
+    WitnessError otherwise.  The check is
     `_kernel.is_cycle` on g's EdgeTable, made from g.edges and not from a
     search's copy of the graph, so every hamiltonian cycle the searches and
     routes return passes the one predicate."""
@@ -182,7 +161,7 @@ def hamiltonian_walk(g: Graph, cyc, forced=(), kinds=_HAMILTONIAN) -> CycleWalk:
             and _kernel.is_cycle(g.n, _edge_table(g), cyc, forced)):
         raise WitnessError(f"{list(cyc)} is not a hamiltonian cycle through "
                            f"the forced edges {sorted(map(tuple, forced))}")
-    return CycleWalk((*cyc, cyc[0]), kinds)
+    return CycleWalk((*cyc, cyc[0]), _HAMILTONIAN)
 
 
 def _induced(g: Graph, keep):

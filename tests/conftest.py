@@ -4,6 +4,7 @@ The naive oracles are deliberately dumb (permutation sweeps) so they share
 no code or pruning ideas with the search kernels they validate.
 """
 
+import copy
 import random
 from importlib.machinery import EXTENSION_SUFFIXES
 from itertools import combinations, permutations
@@ -139,6 +140,16 @@ def petersen():
 @pytest.fixture
 def k4():
     return make_named_graph("complete", [4])
+
+
+def on_twin(monkeypatch, impl, *graphs):
+    """Route the package's searches and re-checks to the kernel twin `impl`,
+    its per-graph objects included, since neither twin reads the other's.
+    Returns copies of `graphs`, which keep no kernel object made before."""
+    for name in ("SearchGraph", "EdgeTable", "ham_cycle", "is_cycle",
+                 "longest_cycle"):
+        monkeypatch.setattr(_kernel, name, getattr(impl, name))
+    return [copy.copy(g) for g in graphs]
 
 
 @pytest.fixture

@@ -24,7 +24,8 @@ from pmhgraph.graph_core import Graph, make_named_graph
 from pmhgraph.line_graph import build_line_graph
 from pmhgraph.matching import enumerate_perfect_matchings, matching_to_p3
 
-from conftest import naive_ham_cycle, naive_longest_cycle_length, random_graph, two_squares
+from conftest import (naive_ham_cycle, naive_longest_cycle_length, on_twin,
+                      random_graph, two_squares)
 
 try:
     from pmhgraph._kernel import _fastcore
@@ -67,7 +68,8 @@ def test_forced_edge_validation():
 _K4, _K5 = make_named_graph("complete", [4]), make_named_graph("complete", [5])
 
 # (graph, forced set, the message of its PreconditionError): each kernel
-# checks the forced set before it searches, for any order
+# checks the forced set in one pass before it searches, for any order, and
+# the first bad entry raises
 BAD_FORCED = {
     "not a pair": (_K4, [(0, 1, 2)], "forced edge (0, 1, 2) is not a pair of ints"),
     "one vertex": (_K4, [(0, 1), (3,)], "forced edge (3,) is not a pair of ints"),
@@ -82,15 +84,19 @@ BAD_FORCED = {
                  "forced edge (0,2) not in the graph"),
     "three at a vertex": (_K4, [(0, 1), (2, 0), (0, 3)],
                           "vertex 0 has 3 forced incidences (max 2)"),
+    # the third distinct pair at vertex 0 raises; the fourth is never read
     "four at a vertex": (_K5, [(0, 1), (0, 2), (1, 0), (0, 3), (4, 0)],
-                         "vertex 0 has 4 forced incidences (max 2)"),
-    # the first such vertex among the ends of the pairs as they first appear
+                         "vertex 0 has 3 forced incidences (max 2)"),
+    # (0, 2) overloads vertex 0 before (1, 4) overloads vertex 1
     "first overloaded vertex": (_K5, [(1, 2), (0, 3), (0, 4), (0, 2), (1, 3),
                                       (1, 4)],
-                                "vertex 1 has 3 forced incidences (max 2)"),
-    # every pair is checked before the incidences are counted
+                                "vertex 0 has 3 forced incidences (max 2)"),
+    # the overload comes first, so the non-edge after it is never read
     "non-edge after an overload": (_K4, [(0, 1), (0, 2), (0, 3), (1, 1)],
-                                   "forced edge (1,1) not in the graph"),
+                                   "vertex 0 has 3 forced incidences (max 2)"),
+    # the lower end is named when both ends are full
+    "both ends full": (_K5, [(0, 1), (0, 2), (3, 1), (3, 2), (3, 0)],
+                       "vertex 0 has 3 forced incidences (max 2)"),
     "order 2": (Graph.from_edges(2, [(0, 1)]), [(0, 1), (1, 2)],
                 "forced edge (1,2) not in the graph"),
     "order 1": (Graph(1), [(0, 0)], "forced edge (0,0) not in the graph"),
@@ -108,7 +114,7 @@ def test_bad_forced_set_is_a_precondition_error(case, impl, monkeypatch):
     with pytest.raises(ValueError) as raised:
         impl.ham_cycle([list(a) for a in g.adjacency], forced, 0)
     assert str(raised.value) == message
-    monkeypatch.setattr(_kernel, "ham_cycle", impl.ham_cycle)
+    (g,) = on_twin(monkeypatch, impl, g)
     with pytest.raises(PreconditionError) as raised:
         find_hamiltonian_cycle(g, forced=forced)
     assert str(raised.value) == message
@@ -116,13 +122,12 @@ def test_bad_forced_set_is_a_precondition_error(case, impl, monkeypatch):
 
 @pytest.mark.parametrize("impl", KERNELS, ids=lambda k: k.BACKEND)
 def test_repeated_and_reversed_forced_pairs_count_once(impl, monkeypatch):
-    monkeypatch.setattr(_kernel, "ham_cycle", impl.ham_cycle)
-    monkeypatch.setattr(_kernel, "is_cycle", impl.is_cycle)
-    once = find_hamiltonian_cycle(_K5, forced=[(0, 1), (2, 3)])
+    (k5,) = on_twin(monkeypatch, impl, _K5)
+    once = find_hamiltonian_cycle(k5, forced=[(0, 1), (2, 3)])
     assert once and once.walk.contains_edges([(0, 1), (2, 3)])
     for forced in ([(1, 0), (3, 2)], [(0, 1), (1, 0), (2, 3), (0, 1)],
                    [[3, 2], (0, 1), (2, 3)], iter([(0, 1), (2, 3), (3, 2)])):
-        assert find_hamiltonian_cycle(_K5, forced=forced) == once
+        assert find_hamiltonian_cycle(k5, forced=forced) == once
     # order 2 checks and then searches nothing
     k2 = Graph.from_edges(2, [(0, 1)])
     assert find_hamiltonian_cycle(k2, forced=[(0, 1), (1, 0)]) == \
@@ -409,14 +414,14 @@ BAD_HAMILTONIAN_WITNESS = {
 def test_each_hamiltonian_witness_check(case, monkeypatch):
     """Refused through each `is_cycle` twin, and by the twin itself."""
     g, forced, cyc = BAD_HAMILTONIAN_WITNESS[case]
-    monkeypatch.setattr(_kernel, "ham_cycle",
-                        lambda adj, forced, max_nodes: (_kernel.FOUND, cyc, 1))
     for impl in KERNELS:
         assert impl.is_cycle(g.n, g.edges, cyc, forced) == \
             (case == "too few vertices")
-        monkeypatch.setattr(_kernel, "is_cycle", impl.is_cycle)
+        (h,) = on_twin(monkeypatch, impl, g)
+        monkeypatch.setattr(_kernel, "ham_cycle",
+                            lambda adj, forced, max_nodes: (_kernel.FOUND, cyc, 1))
         with pytest.raises(WitnessError):
-            find_hamiltonian_cycle(g, forced=forced)
+            find_hamiltonian_cycle(h, forced=forced)
 
 
 def test_hamiltonian_witness_is_the_closed_cycle(monkeypatch):

@@ -26,7 +26,8 @@ from pmhgraph.pmh import (_centres, enumerate_hamiltonian_cycles,
                           extend_matching_bipartite)
 
 from conftest import (euler_matching, naive_ham_cycle,
-                      naive_longest_cycle_length, random_graph, relabelled)
+                      naive_longest_cycle_length, on_twin, random_graph,
+                      relabelled)
 
 try:
     from pmhgraph._kernel import _fastcore
@@ -355,18 +356,18 @@ def test_is_cycle_twins_agree_on_dense_hosts(dense_hosts, monkeypatch):
     impls = [purecore] + ([] if _fastcore is None else [_fastcore])
     for name, g, cyc, forced in dense_hosts:
         assert len(g.edges) > 3 * len(cyc), name
-        for case, c, f in _dense_cases(g, cyc, forced):
-            want = case.startswith("valid")
-            assert _naive_is_cycle(g, c, f) == want, (name, case)
-            for impl in impls:
+        for impl in impls:
+            (h,) = on_twin(monkeypatch, impl, g)
+            for case, c, f in _dense_cases(g, cyc, forced):
+                want = case.startswith("valid")
+                assert _naive_is_cycle(g, c, f) == want, (name, case)
                 assert impl.is_cycle(g.n, g.edges, c, f) == want, \
                     (name, case, impl.BACKEND)
-                monkeypatch.setattr(_kernel, "is_cycle", impl.is_cycle)
                 if want:
-                    assert hamiltonian_walk(g, c, f).vertices == (*c, c[0])
+                    assert hamiltonian_walk(h, c, f).vertices == (*c, c[0])
                 else:
                     with pytest.raises(WitnessError):
-                        hamiltonian_walk(g, c, f)
+                        hamiltonian_walk(h, c, f)
 
 
 def _bench_instances():
@@ -787,28 +788,93 @@ def test_search_of_a_busy_search_graph_is_refused(impl):
     assert impl.ham_cycle(busy, [], 2000) == impl.ham_cycle(_adj(grid), [], 2000)
 
 
-@needs_compiled
-def test_each_twin_reads_the_other_twins_objects_as_raw_input(rng):
-    """A SearchGraph reads as its rows and an EdgeTable answers `in` as the
-    edge set, so each twin takes the other's objects as a raw adjacency or
-    edge set, with the same answers."""
+def test_is_cycle_reads_its_edge_table_as_the_raw_set(rng):
+    """Each twin's `is_cycle` answers on its own EdgeTable as on the raw
+    edge set, and an EdgeTable is made from a set only."""
     for _ in range(40):
         g = random_graph(rng, rng.randint(0, 10), 0.5)
         forced = _random_forced(rng, g, 2)
-        rows = tuple(tuple(a) for a in g.adjacency)
-        for impl, twin in ((purecore, _fastcore), (_fastcore, purecore)):
-            graph, table = impl.SearchGraph(rows), impl.EdgeTable(g.n, g.edges)
-            assert len(graph) == g.n and tuple(graph) == rows
-            assert all((e in table) == (e in g.edges)
-                       for e in combinations(range(g.n + 1), 2))
-            assert twin.ham_cycle(graph, forced, 0) == \
-                impl.ham_cycle(graph, forced, 0)
-            assert twin.longest_cycle(graph, 0) == impl.longest_cycle(graph, 0)
-            status, cyc, _nodes = impl.ham_cycle(rows, forced, 0)
+        for impl in _backends():
+            table = impl.EdgeTable(g.n, g.edges)
+            status, cyc, _nodes = impl.ham_cycle(_adj(g), forced, 0)
             for c in ([cyc] if cyc else []) + [list(range(g.n))]:
-                want = impl.is_cycle(g.n, g.edges, c, forced)
-                assert impl.is_cycle(g.n, table, c, forced) == want
-                assert twin.is_cycle(g.n, table, c, forced) == want
+                assert impl.is_cycle(g.n, table, c, forced) == \
+                    impl.is_cycle(g.n, g.edges, c, forced)
     for impl in _backends():
         with pytest.raises(TypeError, match="edges must be a set"):
             impl.EdgeTable(3, [(0, 1)])
+
+
+def _first_bad_forced_entry(g, forced):
+    """The ValueError text `ham_cycle` gives for `forced` on g, or None when
+    it takes the set: the entries read in order, spelt out apart from either
+    twin, the first bad one named."""
+    taken = []
+    for entry in forced:
+        if not (isinstance(entry, (tuple, list)) and len(entry) == 2
+                and all(isinstance(x, int) for x in entry)):
+            return f"forced edge {entry!r} is not a pair of ints"
+        a, b = sorted(entry)
+        if (a, b) not in g.edges:
+            return f"forced edge ({a},{b}) not in the graph"
+        if (a, b) in taken:
+            continue
+        for v in (a, b):
+            if sum(v in e for e in taken) == 2:
+                return f"vertex {v} has 3 forced incidences (max 2)"
+        taken.append((a, b))
+    return None
+
+
+def _mixed_forced(rng, g, out_of_graph):
+    """Up to 9 forced entries for g: edges in either order, most among a few
+    low vertices (so repeats, reversals and overloads), earlier entries
+    again, pairs of ints that are not edges (self pairs, non-edges,
+    negative, out of range, beyond 64 bits) and entries that are not pairs
+    of ints."""
+    low = rng.randint(3, 12)
+    edges = sorted(e for e in g.edges if e[1] < low) or sorted(g.edges)
+    bad = rng.choice([0, 0.1, 0.3])     # the share of entries drawn bad
+    out = []
+    for _ in range(rng.randint(0, 9)):
+        kind = rng.random()
+        if edges and rng.random() >= bad:
+            entry = rng.choice(edges)[::rng.choice([1, -1])]
+            if out and kind < 0.2:
+                entry = rng.choice(out)
+                if isinstance(entry, (tuple, list)) and kind < 0.1:
+                    entry = entry[::-1]
+        elif kind < 0.4:
+            entry = (rng.randint(-1, g.n), rng.choice(out_of_graph + [g.n]))
+        elif kind < 0.7:
+            entry = (rng.randint(-1, g.n + 1), rng.randint(-1, g.n + 1))
+        else:
+            entry = rng.choice([(0,), (0, 1, 2), "01", 5, None, (0, "1"),
+                                [1, 2.0], (1.5, 2)])
+        if isinstance(entry, tuple) and len(entry) == 2 and rng.random() < 0.2:
+            entry = list(entry)
+        out.append(entry)
+    return out
+
+
+def test_forced_set_check_matches_a_first_failing_entry_reference(rng):
+    """On 600 seeded graphs of 0 to 12 vertices with forced lists that mix
+    good and bad entries, each twin raises the reference's ValueError text,
+    or both return the same result when the reference takes the set."""
+    out_of_graph = [-1, 2**63, 2**70, -2**64]
+    seen = set()
+    for _ in range(600):
+        g = random_graph(rng, rng.randint(0, 12), rng.choice([0.3, 0.6, 0.9]))
+        forced = _mixed_forced(rng, g, out_of_graph)
+        want = _first_bad_forced_entry(g, forced)
+        results = []
+        for impl in _backends():
+            if want is None:
+                results.append(impl.ham_cycle(_adj(g), forced, 0))
+            else:
+                with pytest.raises(ValueError) as raised:
+                    impl.ham_cycle(_adj(g), forced, 0)
+                assert str(raised.value) == want, (g, forced, impl.BACKEND)
+        assert results[1:] == results[:-1], (g, forced)
+        seen.add("good" if want is None else want.split()[-1])
+    assert seen == {"good", "ints", "graph", "2)"}

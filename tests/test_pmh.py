@@ -32,7 +32,7 @@ from pmhgraph.pmh import (EdgeColouring, _cycle_trail, _lay_out,
                           is_pmh, is_pmh_line, is_properly_coloured,
                           kotzig_partition, lasvergnas_condition)
 
-from conftest import euler_matching, random_graph, two_squares
+from conftest import euler_matching, on_twin, random_graph, two_squares
 
 try:
     from pmhgraph._kernel import _fastcore
@@ -512,7 +512,7 @@ def test_laid_out_cycle_with_two_vertices_swapped_is_refused(impl, base,
     vertex half way round, so the matching pair is no step: each twin
     refuses it, on a sparse host (L(K5), 3 edges per vertex) and on a
     denser one (L(K_{6,6}), 5 per vertex)."""
-    monkeypatch.setattr(_kernel, "is_cycle", impl.is_cycle)
+    on_twin(monkeypatch, impl)
     lgm = build_line_graph(make_named_graph(*base))
     m = euler_matching(lgm, random.Random(6))
     route = (extend_matching_complete if base[0] == "complete"

@@ -2,8 +2,10 @@
 
 import ast
 import os
+import shutil
 import subprocess
 import sys
+import sysconfig
 from pathlib import Path
 
 import pytest
@@ -80,6 +82,22 @@ def test_compiled_kernel_exports_every_pure_kernel_name():
                      "canonical_form", "SearchGraph", "EdgeTable", "FOUND",
                      "ABSENT", "BUDGET", "BACKEND"}
     assert sorted(names - set(dir(fastcore))) == []
+
+
+def test_compiled_kernel_source_compiles_without_warnings(tmp_path):
+    """`_fastcore.c` compiles against the interpreter's headers under -Wall
+    -Wextra -Werror, so a static helper that a deletion leaves unused fails
+    here and not only as a warning in the extension build."""
+    cc = (sysconfig.get_config_var("CC") or "cc").split()
+    if shutil.which(cc[0]) is None:
+        pytest.skip(f"no C compiler: {cc[0]} not found")
+    out = subprocess.run(
+        [*cc, "-Wall", "-Wextra", "-Werror",
+         "-I" + sysconfig.get_paths()["include"], "-c",
+         str(PACKAGE / "_kernel" / "_fastcore.c"),
+         "-o", str(tmp_path / "_fastcore.o")],
+        capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
 
 
 SEARCHES = ("ham_cycle", "longest_cycle", "is_cycle")
