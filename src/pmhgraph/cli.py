@@ -3,7 +3,12 @@ enumeration, cycle searches, matching extension, and a counterexample survey.
 
 Reports are schema-versioned JSON, one sort_keys line per input graph,
 written and flushed as soon as that line is done.  Walks are serialized as
-closed vertex-id lists (first vertex repeated last).
+closed vertex-id lists (first vertex repeated last).  Each walk a report
+prints was checked by the library call that made it (`hamiltonian_walk` for
+a hamiltonian cycle, `validate_walk` for a dominating cycle or an Euler
+tour), which raises WitnessError instead of returning a walk that fails; no
+check is an `assert`, so `python -O` keeps them all, and nothing here
+checks a walk again.
 
 Every per-graph command is one row of `_COMMANDS`: a body that maps a parsed
 graph and the command's options to a `_Line` (verdict, witness, nodes,
@@ -13,10 +18,6 @@ outcome).  One runner, `_run`, does the rest for all of them:
   report.  A line that fails (bad graph6, unmet precondition) is reported on
   stderr and the other lines still get their reports.
 - It applies `--timeout-seconds` to each line and times it.
-- It re-checks every walk a witness carries against its host graph and the
-  matching edges it must contain, and raises WitnessError instead of
-  printing a walk that fails; the check is not an `assert`, so `python -O`
-  keeps it.
 - It passes the node budget (`--max-nodes`, else $PMHGRAPH_MAX_NODES, else
   unbounded; click reads both) to every search the body runs.  A spent
   budget or timeout is reported as "inconclusive" with its reason, never as
@@ -42,12 +43,11 @@ import click
 
 from . import _kernel
 from .constructions import _prop6_construct, y_extension, y_reduction
-from .cycles import (ABSENT, FOUND, INCONCLUSIVE, CycleWalk,
-                     _hypohamiltonian, euler_tour, find_dominating_cycle,
-                     find_hamiltonian_cycle, is_arbitrarily_traceable,
-                     longest_cycle_search, validate_walk)
+from .cycles import (ABSENT, FOUND, INCONCLUSIVE, _hypohamiltonian,
+                     euler_tour, find_dominating_cycle, find_hamiltonian_cycle,
+                     is_arbitrarily_traceable, longest_cycle_search)
 from .errors import (BudgetError, CapacityError, FormatError,
-                     ParameterError, PmhError, StructureError, WitnessError)
+                     ParameterError, PmhError, StructureError)
 from .graph_core import (Graph, generator_tags, make_named_graph,
                          parse_graph6, write_graph6)
 from .line_graph import build_line_graph
@@ -107,40 +107,17 @@ def _emit(report):
 # The per-graph runner
 
 
-class _Walk(NamedTuple):
-    """A witness walk and what the runner re-checks it against."""
-
-    walk: CycleWalk
-    host: Graph
-    required: frozenset = frozenset()
-
-
 class _Line(NamedTuple):
     """What a command body computed for one input graph."""
 
     verdict: dict
-    witness: object = None    # JSON data; a walk is a _Walk, as the
-                              # witness or as a value of a witness dict
+    witness: object = None    # JSON data
     nodes: int = 0
     outcome: str | None = None
 
 
-def _walk_json(witness):
-    """A _Walk as JSON once it passes its re-check; other data as it is."""
-    if not isinstance(witness, _Walk):
-        return witness
-    walk = witness.walk
-    if not (validate_walk(witness.host, walk)
-            and walk.contains_edges(witness.required)):
-        raise WitnessError(f"witness walk {list(walk.vertices)} fails "
-                           f"its re-check")
+def _walk_json(walk):
     return {"vertices": list(walk.vertices), "kinds": sorted(walk.kinds)}
-
-
-def _witness_json(witness):
-    if isinstance(witness, dict):
-        return {k: _walk_json(v) for k, v in witness.items()}
-    return _walk_json(witness)
 
 
 def _read_graphs(stream):
@@ -181,12 +158,10 @@ def _run(command, body, source, opts):
                     line = body(g, options)
             else:    # no alarm to arm: skip the context manager's cost
                 line = body(g, options)
-            witness = _witness_json(line.witness)
         except (_Timeout, BudgetError) as exc:
             reason = "timeout" if isinstance(exc, _Timeout) else "budget"
             line = _Line({"outcome": INCONCLUSIVE, "reason": reason},
                          outcome=INCONCLUSIVE)
-            witness = None
         except PmhError as exc:
             click.echo(f"error: {_brief(g6)}: {exc}", err=True)
             errors = True
@@ -197,7 +172,7 @@ def _run(command, body, source, opts):
             if isinstance(g, Graph):
                 g.drop_kernel_state()
         _emit({"schema": SCHEMA, "command": command, "input": g6,
-               "verdict": line.verdict, "witness": witness,
+               "verdict": line.verdict, "witness": line.witness,
                "stats": {"nodes": line.nodes,
                          "wall_time": round(time.perf_counter() - t0, 6)}})
         inconclusive = inconclusive or line.outcome == INCONCLUSIVE
@@ -216,8 +191,8 @@ def _spent(verdict, outcome):
     return verdict
 
 
-def _search_line(res, host, required=frozenset(), **verdict):
-    walk = None if res.walk is None else _Walk(res.walk, host, required)
+def _search_line(res, **verdict):
+    walk = None if res.walk is None else _walk_json(res.walk)
     return _Line(_spent({"outcome": res.outcome, **verdict}, res.outcome),
                  walk, res.nodes, res.outcome)
 
@@ -247,13 +222,13 @@ def _pm_enum(g, o):
 
 def _ham(g, o):
     """Hamiltonian cycle search."""
-    return _search_line(find_hamiltonian_cycle(g, max_nodes=o.max_nodes), g)
+    return _search_line(find_hamiltonian_cycle(g, max_nodes=o.max_nodes))
 
 
 def _domcycle(g, o):
     """Dominating cycle search with an allowed-untouched vertex set."""
     return _search_line(find_dominating_cycle(g, allowed_untouched=o.allow,
-                                              max_nodes=o.max_nodes), g)
+                                              max_nodes=o.max_nodes))
 
 
 def _euler(g, o):
@@ -261,7 +236,7 @@ def _euler(g, o):
     walk = euler_tour(g)
     if walk is None:
         return _Line({"outcome": ABSENT}, outcome=ABSENT)
-    return _Line({"outcome": FOUND}, _Walk(walk, g), outcome=FOUND)
+    return _Line({"outcome": FOUND}, _walk_json(walk), outcome=FOUND)
 
 
 def _circ(g, o):
@@ -314,8 +289,7 @@ def _extend(g, o):
              "complete": extend_matching_complete,
              "bipartite": extend_matching_bipartite,
              "arbtrace": extend_matching_arb_traceable}[o.method]
-    return _search_line(route(lgm, m, max_nodes=o.max_nodes), lgm.lg, m.edges,
-                        method=o.method)
+    return _search_line(route(lgm, m, max_nodes=o.max_nodes), method=o.method)
 
 
 def _kotzig(g, o):
@@ -325,8 +299,8 @@ def _kotzig(g, o):
     m = make_matching(lgm.lg, o.matching)
     h1, h2, nodes = kotzig_partition(lgm, m, max_nodes=o.max_nodes)
     return _Line({"outcome": FOUND},
-                 {"containing": _Walk(h1, lgm.lg, m.edges),
-                  "complement": _Walk(h2, lgm.lg)}, nodes)
+                 {"containing": _walk_json(h1), "complement": _walk_json(h2)},
+                 nodes)
 
 
 def _yext(g, o):

@@ -8,8 +8,8 @@ Budget-capped searches report "inconclusive", never absence.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import combinations
+from typing import NamedTuple
 
 from . import _kernel
 from .errors import (BudgetError, CapacityError, PreconditionError,
@@ -28,13 +28,12 @@ _HAMILTONIAN = frozenset({"cycle", "tour", "hamiltonian", "dominating"})
 _CYCLE = frozenset({"cycle", "tour"})
 
 
-@dataclass(frozen=True)
-class CycleWalk:
+class CycleWalk(NamedTuple):
     """A closed walk; `vertices` repeats the first vertex last (a single
     vertex stands for the trivial length-0 tour)."""
 
     vertices: tuple
-    kinds: frozenset = field(default_factory=frozenset)
+    kinds: frozenset = frozenset()
 
     @property
     def touched(self):
@@ -91,8 +90,7 @@ def validate_walk(g: Graph, walk: CycleWalk):
     return True
 
 
-@dataclass(frozen=True)
-class SearchResult:
+class SearchResult(NamedTuple):
     outcome: str              # found / absent / inconclusive
     walk: CycleWalk | None
     nodes: int
@@ -175,18 +173,18 @@ def _induced(g: Graph, keep):
 
 def _dominating_memo(g: Graph):
     """Per-graph state of `find_dominating_cycle`, kept on g like its
-    adjacency: the neighbour bitmask of every vertex, the bitmask of the
+    SearchGraph (so `Graph.drop_kernel_state` frees it and a pickle or copy
+    leaves it out): the neighbour bitmask of every vertex, the bitmask of the
     vertices of degree < 2, and the certified outcome of each G - U searched
     so far, keyed by U's bitmask: its dominating cycle of g, or None when
     G - U has no hamiltonian cycle.  Budget-capped outcomes are not kept."""
-    try:
-        return g._dominating_cache
-    except AttributeError:
+    memo = g._dominating_cache
+    if memo is None:
         adj = g.adjacency
         memo = ([sum(1 << w for w in a) for a in adj],
                 sum(1 << v for v, a in enumerate(adj) if len(a) < 2), {})
         object.__setattr__(g, "_dominating_cache", memo)
-        return memo
+    return memo
 
 
 def find_dominating_cycle(g: Graph, allowed_untouched=frozenset(),
@@ -352,12 +350,11 @@ def euler_tour(g: Graph):
         raise StructureError("euler tour requires a connected graph")
     if g.n == 0 or any(g.degree(v) % 2 for v in range(g.n)):
         return None
-    if not g.edges:
-        return closed([0], kinds={"tour", "euler"})
     # nbrs[u] yields the neighbours of u not yet tried, smallest first
     nbrs = [iter(a) for a in g.adjacency]
     used = set()
-    stack = [next(v for v in range(g.n) if g.degree(v) > 0)]
+    # g is connected, so vertex 0 has an edge unless it is the only vertex
+    stack = [0]
     out = []
     while stack:
         u = stack[-1]

@@ -22,6 +22,10 @@ ISO_SIZE_BOUND = 64
 GEN_SIZE_BOUND = _kernel.MAX_VERTICES
 
 
+# what Graph.drop_kernel_state frees and a pickle or copy leaves out
+_KEPT_STATE = ("_search_graph", "_edge_table", "_dominating_cache")
+
+
 def _norm_edge(u, v):
     if u == v:
         raise ParameterError(f"self-loop at vertex {u}")
@@ -35,11 +39,13 @@ class Graph:
     n: int
     edges: frozenset = field(default_factory=frozenset)
 
-    # The kernel objects that cycles keeps on a graph once it is searched or
-    # re-checked (cycles._search_graph, cycles._edge_table); class-level None
-    # until then, so a first use reads no missing attribute.
+    # The state that cycles keeps on a graph once it is searched or
+    # re-checked (cycles._search_graph, cycles._edge_table,
+    # cycles._dominating_memo); class-level None until then, so a first use
+    # reads no missing attribute.
     _search_graph = None
     _edge_table = None
+    _dominating_cache = None
 
     def __post_init__(self):
         for u, v in self.edges:
@@ -77,20 +83,16 @@ class Graph:
             return adj
 
     def drop_kernel_state(self):
-        """Free the kernel objects kept on the graph; a later search or
-        re-check makes them again.  For a caller that holds many graphs
-        and is done with each, as the CLI runner is."""
-        if self._search_graph is not None or self._edge_table is not None:
-            object.__setattr__(self, "_search_graph", None)
-            object.__setattr__(self, "_edge_table", None)
+        """Free the kernel objects and the dominating-cycle memo kept on
+        the graph; a later search or re-check makes them again.  For a caller that holds many graphs and is done
+        with each, as the CLI runner is."""
+        for name in _KEPT_STATE:
+            self.__dict__.pop(name, None)
 
     def __getstate__(self):
-        # A pickle or copy leaves out the kernel objects (the compiled ones
-        # cannot be pickled); the copy makes its own on first use.
-        state = dict(self.__dict__)
-        state.pop("_search_graph", None)
-        state.pop("_edge_table", None)
-        return state
+        # A pickle or copy leaves out the kept state (the compiled kernel
+        # objects cannot be pickled); the copy makes its own on first use.
+        return {k: v for k, v in self.__dict__.items() if k not in _KEPT_STATE}
 
     def degree(self, v):
         return len(self.adjacency[v])

@@ -212,14 +212,7 @@ def extend_via_dominating_cycle(lgm: LineGraphMap, m: Matching,
         raise PreconditionError("dominating-cycle extension needs max degree 3")
     if not validate_walk(g, closed(d.vertices, kinds={"cycle", "dominating"})):
         raise PreconditionError("d is not a dominating cycle of the base")
-    return _extend_via_dominating_cycle(lgm, m, _matching_centers(lgm, m), d)
-
-
-def _extend_via_dominating_cycle(lgm: LineGraphMap, m: Matching, centers,
-                                 d: CycleWalk) -> CycleWalk:
-    """`extend_via_dominating_cycle` for a base of max degree 3 and a `d`
-    already checked as a dominating cycle of it."""
-    stray = centers - d.touched
+    stray = _matching_centers(lgm, m) - d.touched
     if stray:
         raise PreconditionError(f"a 2-path of the matching is centred at "
                                 f"the untouched vertex {min(stray)}")
@@ -239,7 +232,8 @@ def extend_matching_subcubic(lgm: LineGraphMap, m: Matching,
                                 max_nodes=max_nodes)
     if res.outcome != FOUND:
         return res
-    walk = _extend_via_dominating_cycle(lgm, m, centers, res.walk)
+    # the cycle leaves untouched only vertices that centre no 2-path of m
+    walk = _lay_out(lgm, m, _cycle_trail(lgm, res.walk))
     return SearchResult(FOUND, walk, res.nodes)
 
 
@@ -253,13 +247,13 @@ def kotzig_partition(lgm: LineGraphMap, m: Matching, max_nodes=0):
         raise PreconditionError("kotzig partition requires a cubic base")
     if len(g.edges) % 2:
         raise ParityError("kotzig partition requires even base size")
-    centers = _matching_centers(lgm, m)  # m must be perfect before any search
+    _matching_centers(lgm, m)  # m must be perfect before any search
     res = find_hamiltonian_cycle(g, max_nodes=max_nodes)
     if res.outcome == INCONCLUSIVE:
         raise BudgetError("hamiltonian cycle search of the base ran out of nodes")
     if res.outcome == ABSENT:
         raise PreconditionError("base graph is not hamiltonian")
-    h1 = _extend_via_dominating_cycle(lgm, m, centers, res.walk)
+    h1 = _lay_out(lgm, m, _cycle_trail(lgm, res.walk))
     rest = Graph(lgm.lg.n, lgm.lg.edges - set(h1.edge_seq))
     # the complement's Euler tour, re-checked as a hamiltonian cycle of L(g)
     tour = euler_tour(rest) if rest.is_connected() else None

@@ -12,7 +12,7 @@ from click.testing import CliRunner
 import pmhgraph
 from pmhgraph import cli
 from pmhgraph.cli import main
-from pmhgraph.cycles import closed, find_hamiltonian_cycle, validate_walk
+from pmhgraph.cycles import CycleWalk, find_hamiltonian_cycle, validate_walk
 from pmhgraph.errors import CapacityError
 from pmhgraph._kernel import MAX_VERTICES
 from pmhgraph.graph_core import (Graph, make_named_graph, parse_graph6,
@@ -31,6 +31,13 @@ def g6(name, params=()):
 
 def reports(result):
     return [json.loads(line) for line in result.output.strip().splitlines()]
+
+
+def certified(witness, host, required=()):
+    """A walk as a report prints it is a walk of its host graph of every kind
+    it claims, and holds every required edge."""
+    walk = CycleWalk(tuple(witness["vertices"]), frozenset(witness["kinds"]))
+    return validate_walk(host, walk) and walk.contains_edges(required)
 
 
 def test_gen():
@@ -92,9 +99,7 @@ def test_cycles_ham_and_witness_revalidates():
     res = run("cycles", "ham", "-", input=g6("cube") + "\n")
     (rep,) = reports(res)
     assert rep["verdict"]["outcome"] == "found"
-    walk = closed(rep["witness"]["vertices"][:-1],
-                  kinds=set(rep["witness"]["kinds"]))
-    assert validate_walk(make_named_graph("cube", []), walk)
+    assert certified(rep["witness"], make_named_graph("cube", []))
 
 
 def test_cycles_ham_budget_exit_code():
@@ -110,6 +115,13 @@ def test_cycles_subcommands():
     res = run("cycles", "euler", "-", input=g6("octahedron") + "\n")
     (rep,) = reports(res)
     assert rep["verdict"]["outcome"] == "found"
+    assert rep["witness"]["kinds"] == ["euler", "tour"]
+    assert certified(rep["witness"], make_named_graph("octahedron", []))
+    # the one-vertex graph's tour is its vertex
+    res = run("cycles", "euler", "-", input="@\n")
+    (rep,) = reports(res)
+    assert rep["witness"]["vertices"] == [0] and certified(rep["witness"],
+                                                           Graph(1))
     # the null graph has no closed walk
     res = run("cycles", "euler", "-", input="?\n")
     (rep,) = reports(res)
@@ -128,6 +140,8 @@ def test_cycles_subcommands():
               input=g6("petersen") + "\n")
     (rep,) = reports(res)
     assert rep["verdict"]["outcome"] == "found"
+    assert "dominating" in rep["witness"]["kinds"]
+    assert certified(rep["witness"], make_named_graph("petersen", []))
     # a tree: every untouched set leaves a vertex with under two kept
     # neighbours, so no search runs
     res = run("cycles", "domcycle", "--allow", "0,1,2,3,4", "-",
@@ -154,25 +168,35 @@ def test_format_error_exit_code():
 
 
 def test_extend_and_kotzig(tmp_path):
-    lgm = build_line_graph(make_named_graph("complete", [4]))
-    m = next(enumerate_perfect_matchings(lgm.lg))
-    mfile = tmp_path / "m.json"
-    mfile.write_text(json.dumps({"edges": [list(e) for e in m.edges]}))
-    for method in ("subcubic", "complete"):
-        res = run("extend", "--method", method, "--matching", str(mfile),
-                  "-", input=g6("complete", [4]) + "\n")
+    """Each walk, as printed, is a hamiltonian cycle of the line graph, the
+    extend walks and the first kotzig cycle through every matching edge.
+    K_{4,4} takes the properly coloured cycle search and the bowtie the
+    constrained Euler tour."""
+    for method, base in [("subcubic", ("complete", (4,))),
+                         ("complete", ("complete", (4,))),
+                         ("bipartite", ("bipartite", (4, 4))),
+                         ("arbtrace", ("bowtie", ()))]:
+        lgm = build_line_graph(make_named_graph(*base))
+        m = next(enumerate_perfect_matchings(lgm.lg))
+        res = run("extend", "--method", method, "--matching",
+                  matching_file(tmp_path, *base), "-", input=g6(*base) + "\n")
         assert res.exit_code == 0, res.output
         (rep,) = reports(res)
-        assert rep["verdict"]["outcome"] == "found"
-        walk = closed(rep["witness"]["vertices"][:-1],
-                      kinds=set(rep["witness"]["kinds"]))
-        assert validate_walk(lgm.lg, walk)
-        assert walk.contains_edges(m.edges)
-    res = run("kotzig", "--matching", str(mfile), "-",
-              input=g6("complete", [4]) + "\n")
+        assert rep["verdict"] == {"method": method, "outcome": "found"}
+        assert "hamiltonian" in rep["witness"]["kinds"]
+        assert certified(rep["witness"], lgm.lg, m.edges)
+    lgm = build_line_graph(make_named_graph("complete", [4]))
+    m = next(enumerate_perfect_matchings(lgm.lg))
+    res = run("kotzig", "--matching", matching_file(tmp_path, "complete", (4,)),
+              "-", input=g6("complete", [4]) + "\n")
     assert res.exit_code == 0
     (rep,) = reports(res)
-    assert rep["witness"]["containing"] and rep["witness"]["complement"]
+    # two hamiltonian cycles of L(K4) that share no edge and cover them all
+    h1, h2 = rep["witness"]["containing"], rep["witness"]["complement"]
+    assert certified(h1, lgm.lg, m.edges) and certified(h2, lgm.lg)
+    assert "hamiltonian" in h1["kinds"] and "hamiltonian" in h2["kinds"]
+    steps = [CycleWalk(tuple(h["vertices"])).edge_seq for h in (h1, h2)]
+    assert sorted(steps[0] + steps[1]) == sorted(lgm.lg.edges)
     # the node count of the base's hamiltonian cycle search
     assert rep["stats"]["nodes"] == find_hamiltonian_cycle(
         make_named_graph("complete", [4])).nodes > 0
@@ -599,27 +623,70 @@ def test_bad_middle_line_keeps_the_other_reports():
     assert res.stderr.startswith("error: !!bad:")
 
 
-def test_extend_rechecks_its_witness_under_python_O(tmp_path):
-    """A library route that returns a hamiltonian cycle without the matching
-    edges is caught by the runner's re-check, which -O does not strip."""
-    path = matching_file(tmp_path, "complete", (4,))
-    script = textwrap.dedent(f"""
-        import sys
-        from pmhgraph import cli
-        from pmhgraph.cycles import FOUND, SearchResult, closed
-        print(sys.flags.optimize, flush=True)
-        cycle = closed([0, 1, 2, 5, 4, 3], kinds={{"cycle", "tour", "hamiltonian"}})
-        cli.extend_matching_subcubic = lambda lgm, m, max_nodes: SearchResult(FOUND, cycle, 1)
-        cli.main(["extend", "--method", "subcubic", "--matching", {path!r}, "-"])
+# each command that prints a walk, with the base graph it runs on; extend
+# and kotzig also read a perfect matching of the base's line graph
+WALK_COMMANDS = [
+    (["cycles", "ham"], ("cube", ())),
+    (["cycles", "domcycle", "--allow", "0"], ("petersen", ())),
+    (["cycles", "euler"], ("octahedron", ())),
+    (["extend", "--method", "subcubic"], ("cube", ())),
+    (["extend", "--method", "complete"], ("complete", (5,))),
+    (["extend", "--method", "bipartite"], ("bipartite", (4, 4))),
+    (["extend", "--method", "arbtrace"], ("bowtie", ())),
+    (["kotzig"], ("complete", (4,))),
+]
+
+
+def test_only_the_library_checks_a_walk_and_python_O_keeps_it(tmp_path):
+    """Under python -O, with `_kernel.is_cycle` and `cycles.validate_walk`
+    refusing every walk, each command that prints a walk prints no report,
+    writes an error line and exits 1: the library call that made the walk
+    refused it, and -O does not strip that check.  Without the refusal the
+    same commands print their walks."""
+    runs = []
+    for i, (args, (name, params)) in enumerate(WALK_COMMANDS):
+        (tmp_path / str(i)).mkdir()
+        source = tmp_path / str(i) / "input.g6"
+        source.write_text(g6(name, params) + "\n")
+        if args[0] in ("extend", "kotzig"):
+            args = args + ["--matching",
+                           matching_file(tmp_path / str(i), name, params)]
+        runs.append(args + [str(source)])
+    script = textwrap.dedent("""
+        import io, json, sys
+        from pmhgraph import _kernel, cli, cycles
+        if sys.argv[1] == "refuse":
+            _kernel.is_cycle = lambda *args: False
+            cycles.validate_walk = lambda g, walk: False
+        for args in json.loads(sys.argv[2]):
+            sys.stdout, sys.stderr = io.StringIO(), io.StringIO()
+            try:
+                cli.main(args)
+            except SystemExit as exc:
+                code = exc.code
+            finally:
+                out, err = sys.stdout.getvalue(), sys.stderr.getvalue()
+                sys.stdout, sys.stderr = sys.__stdout__, sys.__stderr__
+            print(json.dumps([sys.flags.optimize, code, out, err]))
     """)
     env = dict(os.environ,
                PYTHONPATH=str(Path(pmhgraph.__file__).resolve().parents[1]))
-    out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
-                         input=g6("complete", [4]) + "\n",
-                         capture_output=True, text=True, timeout=60)
-    assert out.returncode == 1, out.stderr
-    assert out.stdout.split() == ["1"]
-    assert "fails its re-check" in out.stderr
+    for mode in ("accept", "refuse"):
+        child = subprocess.run(
+            [sys.executable, "-O", "-c", script, mode, json.dumps(runs)],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert child.returncode == 0, child.stderr
+        lines = [json.loads(line) for line in child.stdout.splitlines()]
+        assert len(lines) == len(runs)
+        for args, (optimize, code, out, err) in zip(runs, lines):
+            assert optimize == 1
+            if mode == "accept":
+                assert code == 0 and err == "", (args, err)
+                assert '"vertices"' in out
+            else:
+                assert code == 1 and out == "", (args, out)
+                assert err.startswith("error: ") and "Traceback" not in err
+                assert len(err.splitlines()) == 1, err
 
 
 # (command args with {tmp} for the test's directory, environment); each
@@ -748,3 +815,17 @@ def test_each_graph_drops_its_kernel_state_once_its_line_is_done(monkeypatch):
     res = run("cycles", "ham", "-", input="\n".join(lines) + "\n")
     assert res.exit_code == 0 and len(reports(res)) == 4 and len(held) == 4
     assert [(h._search_graph, h._edge_table) for h in held] == [(None, None)] * 4
+    # and the dominating-cycle memo a domcycle search keeps on its graph
+    held.clear()
+    dominating = cli.find_dominating_cycle
+
+    def tracked_dominating(g, allowed_untouched, max_nodes):
+        assert [h._dominating_cache for h in held] == [None] * len(held)
+        held.append(g)
+        return dominating(g, allowed_untouched, max_nodes)
+
+    monkeypatch.setattr(cli, "find_dominating_cycle", tracked_dominating)
+    res = run("cycles", "domcycle", "--allow", "0", "-",
+              input="\n".join(lines) + "\n")
+    assert res.exit_code == 0 and len(reports(res)) == 4 and len(held) == 4
+    assert [h._dominating_cache for h in held] == [None] * 4

@@ -463,7 +463,7 @@ def test_witness_checks_survive_python_O():
         import sys
         from pmhgraph import _kernel, cycles
         from pmhgraph.errors import WitnessError
-        from pmhgraph.graph_core import make_named_graph
+        from pmhgraph.graph_core import Graph, make_named_graph
         print(sys.flags.optimize)
         bad = {C4_BAD_CYCLE}
         _kernel.ham_cycle = lambda adj, forced, max_nodes: (_kernel.FOUND, bad, 1)
@@ -474,30 +474,44 @@ def test_witness_checks_survive_python_O():
                 search(make_named_graph("cycle", [4]))
             except WitnessError:
                 print("raised")
+        # every Euler tour, the one-vertex tour included, passes validate_walk
+        cycles.validate_walk = lambda g, walk: False
+        for g in (make_named_graph("cycle", [4]), Graph(1)):
+            try:
+                cycles.euler_tour(g)
+            except WitnessError:
+                print("raised")
     """)
     env = dict(os.environ,
                PYTHONPATH=str(Path(pmhgraph.__file__).resolve().parents[1]))
     out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
                          capture_output=True, text=True, timeout=60)
     assert out.returncode == 0, out.stderr
-    assert out.stdout.split() == ["1", "raised", "raised", "raised"]
+    assert out.stdout.split() == ["1"] + ["raised"] * 5
 
 
 def test_a_searched_graph_still_pickles_and_copies():
-    """A graph keeps its kernel objects once searched; a pickle, deep copy or
-    copy of it leaves them out, equals and hashes as the original, and
-    searches to the same results with objects of its own."""
+    """A graph keeps its kernel objects and its dominating-cycle memo once
+    searched; a pickle, deep copy or copy of it leaves them out, equals and
+    hashes as the original, and searches to the same results with state of
+    its own."""
     lg = build_line_graph(make_named_graph("cube", [])).lg
     forced = sorted(next(enumerate_perfect_matchings(lg)).edges)
     ham = find_hamiltonian_cycle(lg, forced)
     longest = longest_cycle_search(lg)
-    kept = (lg._search_graph, lg._edge_table)
+    dominating = find_dominating_cycle(lg, allowed_untouched={0, 1})
+    kept = (lg._search_graph, lg._edge_table, lg._dominating_cache)
+    assert None not in kept
     for twin in (pickle.loads(pickle.dumps(lg)), copy.deepcopy(lg),
                  copy.copy(lg)):
         assert twin == lg and hash(twin) == hash(lg)
-        assert twin._search_graph is None and twin._edge_table is None
+        assert (twin._search_graph, twin._edge_table,
+                twin._dominating_cache) == (None, None, None)
         assert find_hamiltonian_cycle(twin, forced) == ham
         assert longest_cycle_search(twin) == longest
+        assert find_dominating_cycle(twin, allowed_untouched={0, 1}) \
+            == dominating
         assert twin._search_graph is not kept[0]
-    assert (lg._search_graph, lg._edge_table) == kept
+        assert twin._dominating_cache is not kept[2]
+    assert (lg._search_graph, lg._edge_table, lg._dominating_cache) == kept
     assert find_hamiltonian_cycle(lg, forced) == ham

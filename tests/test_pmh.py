@@ -227,6 +227,21 @@ def test_extend_via_dominating_cycle_preconditions(petersen):
     m = next(enumerate_perfect_matchings(lgm.lg))
     with pytest.raises(PreconditionError):
         extend_via_dominating_cycle(lgm, m, closed([0, 1, 2]))  # not dominating
+    # the hexagon round two antipodal corners dominates the cube, but a
+    # matching with a 2-path centred at one of them does not fit it
+    near = {x for w in g.adjacency[0] for x in (w, *g.adjacency[w])}
+    corners = (0, next(v for v in range(g.n) if v not in near))
+    rest = [v for v in range(g.n) if v not in corners]
+    hexagon = [rest[0]]
+    while len(hexagon) < len(rest):
+        hexagon.append(next(w for w in g.adjacency[hexagon[-1]]
+                            if w in rest and w not in hexagon))
+    d = closed(hexagon, kinds={"cycle", "dominating"})
+    stray = next(mm for mm in enumerate_perfect_matchings(lgm.lg)
+                 if any(lgm.centre[tuple(sorted(e))] in corners
+                        for e in mm.edges))
+    with pytest.raises(PreconditionError, match="untouched vertex"):
+        extend_via_dominating_cycle(lgm, stray, d)
     k5 = build_line_graph(make_named_graph("complete", [5]))
     mm = next(enumerate_perfect_matchings(k5.lg))
     with pytest.raises(PreconditionError):

@@ -27,6 +27,14 @@ def test_no_assert_in_package():
     assert found == []
 
 
+def _names(node):
+    """The names an AST node imports or reads."""
+    return ([a.name for a in node.names]
+            if isinstance(node, (ast.Import, ast.ImportFrom)) else
+            [node.attr] if isinstance(node, ast.Attribute) else
+            [node.id] if isinstance(node, ast.Name) else [])
+
+
 def test_no_cached_property_in_package():
     """functools.cached_property takes a lock on CPython 3.11 and writes
     through the instance __dict__; the package caches by hand instead, as
@@ -34,11 +42,7 @@ def test_no_cached_property_in_package():
     found = []
     for path in sorted(PACKAGE.rglob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
-            names = ([a.name for a in node.names]
-                     if isinstance(node, (ast.Import, ast.ImportFrom)) else
-                     [node.attr] if isinstance(node, ast.Attribute) else
-                     [node.id] if isinstance(node, ast.Name) else [])
-            if "cached_property" in names:
+            if "cached_property" in _names(node):
                 found.append(f"{path.relative_to(PACKAGE)}:{node.lineno}")
     assert found == []
 
@@ -139,3 +143,17 @@ def test_only_cycles_calls_the_searches_and_names_their_graphs():
         ("longest_cycle_search", "longest_cycle", "g.adjacency"),
         ("longest_cycle_search", "is_cycle", "g.edges"),
     }
+
+
+def test_cli_checks_no_walk_itself():
+    """Each walk the CLI prints was checked by the library call that made it
+    (`hamiltonian_walk`, `validate_walk`), so `cli.py` neither imports nor
+    calls a walk check: a second check layer would only repeat the first."""
+    checks = {"validate_walk", "hamiltonian_walk", "contains_edges",
+              "is_cycle"}
+    path = PACKAGE / "cli.py"
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        found += [f"cli.py:{node.lineno} {name}" for name in _names(node)
+                  if name in checks]
+    assert found == []
