@@ -50,7 +50,7 @@ def y_reduction(g: Graph, triangle):
     """Contract a triangle whose corners each have exactly one outside
     neighbor back to a single degree-3 vertex."""
     t = tuple(sorted(triangle))
-    if len(t) != 3:
+    if len(t) != 3 or len(set(t)) != 3:
         raise PreconditionError("triangle must have 3 vertices")
     a, b, c = t
     for x, y in ((a, b), (a, c), (b, c)):

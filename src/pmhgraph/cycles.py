@@ -243,75 +243,36 @@ def find_dominating_cycle(g: Graph, allowed_untouched=frozenset(),
 def _spanning_even_subgraph_exists(g: Graph):
     """Connected spanning subgraph with every degree even and positive.
 
-    Enumerates the cycle space (spanning tree + fundamental cycles); exact
-    for dimension up to CYCLE_SPACE_DIM_CAP.
+    Walks the cycle space of g (False when g is disconnected) in Gray-code
+    order, one XOR of a fundamental cycle per element; exact for dimension
+    up to CYCLE_SPACE_DIM_CAP.
     """
     n = g.n
-    m = len(g.edges)
     if n == 0:
         return False
-    edge_list = g.edge_list()
-    idx = {e: i for i, e in enumerate(edge_list)}
-    # spanning tree via BFS
-    parent_edge = [-1] * n
-    par = [-1] * n
-    depth = [0] * n
-    seen = {0}
+    bit = {e: 1 << i for i, e in enumerate(g.edge_list())}
+    # path[u]: the edges of the BFS-tree path from vertex 0 to u, as a mask
+    path = [0] + [None] * (n - 1)
     order = [0]
     for u in order:
         for w in g.adjacency[u]:
-            if w not in seen:
-                seen.add(w)
-                parent_edge[w] = idx[(min(u, w), max(u, w))]
-                par[w] = u
-                depth[w] = depth[u] + 1
+            if path[w] is None:
+                path[w] = path[u] | bit[(u, w) if u < w else (w, u)]
                 order.append(w)
-    if len(seen) != n:
+    if len(order) != n:
         return False
-    tree = set(e for e in parent_edge if e >= 0)
-    chords = [i for i in range(m) if i not in tree]
-    dim = len(chords)
-    if dim > CYCLE_SPACE_DIM_CAP:
-        raise CapacityError(f"cycle space dimension {dim} exceeds cap")
-
-    # fundamental cycle of each chord, as an edge bitmask
-    def tree_path_mask(a, b):
-        mask = 0
-        while a != b:
-            if depth[a] < depth[b]:
-                a, b = b, a
-            mask |= 1 << parent_edge[a]
-            a = par[a]
-        return mask
-
-    basis = []
-    for c in chords:
-        u, v = edge_list[c]
-        basis.append((1 << c) | tree_path_mask(u, v))
-
-    full_vs = set(range(n))
-    for combo in range(1, 1 << dim):
-        mask = 0
-        cc = combo
-        i = 0
-        while cc:
-            if cc & 1:
-                mask ^= basis[i]
-            cc >>= 1
-            i += 1
-        if not mask:
-            continue
-        # vertex cover of the selected edges, then connectivity
-        verts = set()
-        sel = []
-        mm = mask
-        while mm:
-            b = mm & -mm
-            mm ^= b
-            e = edge_list[b.bit_length() - 1]
-            sel.append(e)
-            verts.update(e)
-        if verts == full_vs and Graph(n, frozenset(sel)).is_connected():
+    # a chord's fundamental cycle; a tree edge's mask XORs to 0 and drops out
+    basis = [c for c in (b ^ path[u] ^ path[v] for (u, v), b in bit.items())
+             if c]
+    if len(basis) > CYCLE_SPACE_DIM_CAP:
+        raise CapacityError(f"cycle space dimension {len(basis)} exceeds cap")
+    even = 0
+    for i in range(1, 1 << len(basis)):
+        # Gray code: element i is element i - 1 XOR the basis cycle at the
+        # lowest set bit of i
+        even ^= basis[(i & -i).bit_length() - 1]
+        sub = Graph(n, frozenset(e for e, b in bit.items() if even & b))
+        if sub.is_connected():  # on all n >= 2 vertices: no degree is 0
             return True
     return False
 
@@ -319,9 +280,11 @@ def _spanning_even_subgraph_exists(g: Graph):
 def has_dominating_tour(g: Graph):
     """Closed trail (possibly a single vertex) dominating every edge.
 
-    Independent of the hamiltonian kernel on purpose: candidate touched sets
-    are vertex covers, and trail existence within a cover is decided through
-    the cycle space of the induced subgraph.
+    For |E| >= 3 this is L(g) being hamiltonian (Harary and Nash-Williams
+    1965), and criterion 06 checks the kernel against it, so it reads no
+    kernel on purpose: candidate touched sets are vertex covers, and trail
+    existence within a cover is decided through the cycle space of the
+    induced subgraph, which is False for a disconnected one.
     """
     if not g.is_connected():
         raise StructureError("dominating tour requires a connected graph")
@@ -334,10 +297,7 @@ def has_dominating_tour(g: Graph):
                 continue  # not a vertex cover
             if size == 1:
                 return True  # trivial tour at a dominating vertex
-            induced, _keep = _induced(g, s)
-            if not induced.is_connected():
-                continue
-            if _spanning_even_subgraph_exists(induced):
+            if _spanning_even_subgraph_exists(_induced(g, s)[0]):
                 return True
     return False
 
@@ -374,35 +334,26 @@ def euler_tour(g: Graph):
 
 
 def is_arbitrarily_traceable(g: Graph, v):
-    """True iff g is eulerian and every cycle of g passes through v,
-    equivalently g - v is acyclic."""
+    """True iff g is eulerian and every cycle of g passes through v.  By
+    Ore (1951) that is: g is connected, every degree is even, and g - v is
+    a forest, i.e. |E(g - v)| = (n - 1) - c(g - v) for its c components."""
     if not 0 <= v < g.n:
         raise PreconditionError(f"vertex {v} is not in the graph")
-    if not g.is_connected():
+    if not g.is_connected() or any(len(a) % 2 for a in g.adjacency):
         return False
-    if any(g.degree(u) % 2 for u in range(g.n)):
-        return False
-    # cycle detection in g - v
-    seen = set()
+    seen = {v}
+    components = 0
     for root in range(g.n):
-        if root == v or root in seen:
-            continue
-        stack = [(root, -1)]
-        seen.add(root)
-        while stack:
-            u, p = stack.pop()
-            skipped_parent = False
-            for w in g.adjacency[u]:
-                if w == v:
-                    continue
-                if w == p and not skipped_parent:
-                    skipped_parent = True
-                    continue
-                if w in seen:
-                    return False
-                seen.add(w)
-                stack.append((w, u))
-    return True
+        if root not in seen:
+            components += 1
+            seen.add(root)
+            stack = [root]
+            while stack:
+                for w in g.adjacency[stack.pop()]:
+                    if w not in seen:
+                        seen.add(w)
+                        stack.append(w)
+    return len(g.edges) - g.degree(v) == g.n - 1 - components
 
 
 def is_hypohamiltonian(g: Graph, max_nodes=0):

@@ -36,7 +36,9 @@ class Matching:
         return s
 
     def is_perfect(self):
-        return len(self.covered()) == self.host_n
+        """Every host vertex on exactly one pair."""
+        return (2 * len(self.edges) == self.host_n
+                and len(self.covered()) == self.host_n)
 
 
 @dataclass(frozen=True)
@@ -82,7 +84,7 @@ def has_perfect_matching_with(g: Graph, required=()):
     _check_size(g)
     partner = {}
     for u, v in required:
-        if not g.has_edge(u, v) or u in partner or v in partner:
+        if u == v or not g.has_edge(u, v) or u in partner or v in partner:
             return False
         partner[u], partner[v] = v, u
     adj = list(g.adjacency)
@@ -97,7 +99,12 @@ def has_perfect_matching_with(g: Graph, required=()):
 def matching_to_p3(lgm: LineGraphMap, m: Matching) -> P3Decomposition:
     """Perfect matching of L(G) -> 3-path decomposition of G."""
     if m.host_n != lgm.lg.n or not m.is_perfect():
-        uncovered = sorted(set(range(lgm.lg.n)) - m.covered())
+        ends = sorted(x for e in m.edges for x in e)
+        twice = [x for x, y in zip(ends, ends[1:]) if x == y]
+        if twice:
+            raise PreconditionError(
+                f"matching edges collide at vertex {twice[0]}")
+        uncovered = sorted(set(range(lgm.lg.n)) - set(ends))
         raise PreconditionError(
             f"matching is not perfect on the line graph (uncovered lg vertex "
             f"{uncovered[0] if uncovered else '?'})")

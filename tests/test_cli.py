@@ -234,6 +234,10 @@ def test_construct_commands():
               "-", input=rep["verdict"]["graph6"] + "\n")
     (rep2,) = reports(res)
     assert parse_graph6(rep2["verdict"]["graph6"]).n == 10
+    # a repeated corner is no triangle (Bw is K3)
+    res = run("construct", "yred", "--triangle", "0,1,1", "-", input="Bw\n")
+    assert res.exit_code == 1 and res.stdout == ""
+    assert res.stderr == "error: Bw: triangle must have 3 vertices\n"
     res = run("construct", "prop6", "--keep", "0", "-",
               input=g6("petersen") + "\n")
     (rep3,) = reports(res)

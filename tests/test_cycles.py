@@ -17,7 +17,7 @@ from pmhgraph.cycles import (CycleWalk, SearchResult, circumference, closed,
                              is_arbitrarily_traceable, is_hypohamiltonian,
                              longest_cycle_search, validate_walk)
 from pmhgraph._kernel import purecore
-from pmhgraph.corpus import connected_subcubic_upto
+from pmhgraph.corpus import connected_subcubic_upto, generate_all_graphs
 from pmhgraph.errors import (BudgetError, CapacityError, PreconditionError,
                              StructureError, WitnessError)
 from pmhgraph.graph_core import Graph, make_named_graph
@@ -277,6 +277,41 @@ def test_dominating_tour_small_path_caveat():
     assert find_hamiltonian_cycle(lgm.lg).outcome == "absent"
 
 
+def _brute_spanning_even(g):
+    """Some edge subset of g meets every vertex an even, positive number
+    of times and spans a connected graph."""
+    es = sorted(g.edges)
+    for k in range(1, len(es) + 1):
+        for sel in combinations(es, k):
+            sub = Graph(g.n, frozenset(sel))
+            if (all(a and len(a) % 2 == 0 for a in sub.adjacency)
+                    and sub.is_connected()):
+                return True
+    return False
+
+
+def test_cycle_space_walk_against_every_edge_subset():
+    """The cycle-space walk behind has_dominating_tour against all edge
+    subsets, on every graph up to 5 vertices (disconnected ones included)."""
+    checked, found = 0, 0
+    for n in range(1, 6):
+        for g in generate_all_graphs(n):
+            want = _brute_spanning_even(g)
+            assert cycles._spanning_even_subgraph_exists(g) == want, g
+            checked += 1
+            found += want
+    assert (checked, found) == (52, 14)
+
+
+def test_cycle_space_above_the_cap_is_refused():
+    """K_{2,26} is connected with 52 edges on 28 vertices: dimension 25."""
+    assert cycles.CYCLE_SPACE_DIM_CAP == 24
+    with pytest.raises(CapacityError,
+                       match="^cycle space dimension 25 exceeds cap$"):
+        cycles._spanning_even_subgraph_exists(
+            make_named_graph("bipartite", [2, 26]))
+
+
 def test_euler_tour():
     octa = make_named_graph("octahedron", [])
     walk = euler_tour(octa)
@@ -301,6 +336,42 @@ def test_arbitrarily_traceable():
     assert not is_arbitrarily_traceable(make_named_graph("cube", []), 0)
     with pytest.raises(PreconditionError):
         is_arbitrarily_traceable(bow, 5)
+
+
+def _every_edge_off_v_is_a_bridge(g, v):
+    """Arbitrary traceability from v read off its definition: g connected
+    and eulerian, and every edge of g - v a bridge of g - v (no path of
+    g - v joins its ends without it)."""
+    if not g.is_connected() or any(g.degree(u) % 2 for u in range(g.n)):
+        return False
+    for a, b in g.edges:
+        if v in (a, b):
+            continue
+        reach, stack = {v, a}, [a]
+        while stack:
+            x = stack.pop()
+            for y in g.adjacency[x]:
+                if y not in reach and (x, y) != (a, b):
+                    reach.add(y)
+                    stack.append(y)
+        if b in reach:
+            return False
+    return True
+
+
+def test_arbitrarily_traceable_against_bridges():
+    """Ore's forest count against the bridge definition, from every vertex
+    of every graph up to 7 vertices and every connected subcubic graph up
+    to 9 vertices."""
+    graphs = [g for n in range(1, 8) for g in generate_all_graphs(n)]
+    checked, found = 0, 0
+    for g in graphs + connected_subcubic_upto(9):
+        for v in range(g.n):
+            want = _every_edge_off_v_is_a_bridge(g, v)
+            assert is_arbitrarily_traceable(g, v) == want, (g, v)
+            checked += 1
+            found += want
+    assert (checked, found) == (15508, 89)
 
 
 def test_hypohamiltonian(petersen, k4):

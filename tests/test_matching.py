@@ -64,6 +64,7 @@ def test_has_perfect_matching_with():
     assert has_perfect_matching_with(c6, [(0, 1), (2, 3)])
     assert not has_perfect_matching_with(c6, [(0, 1), (1, 2)])
     assert not has_perfect_matching_with(c6, [(0, 2)])
+    assert not has_perfect_matching_with(c6, [(1, 1)])
     c2000 = make_named_graph("cycle", [2000])
     assert has_perfect_matching_with(c2000, [(1, 2)])
     assert not has_perfect_matching_with(c2000, [(1, 2), (4, 5)])

@@ -592,6 +592,23 @@ def test_matching_pair_that_is_no_line_graph_edge():
             route(lgm, m)
 
 
+def test_overlapping_pairs_are_no_perfect_matching():
+    """The first perfect matching of L(cube) plus one more edge of L(cube)
+    is 7 pairs covering all 12 vertices: each route refuses it before
+    searching, naming a vertex on two pairs."""
+    lgm = build_line_graph(make_named_graph("cube", []))
+    m = next(enumerate_perfect_matchings(lgm.lg))
+    a, b = min(lgm.lg.edges - m.edges)
+    bad = Matching(m.edges | {(a, b)}, lgm.lg.n)
+    assert len(bad.edges) == 7 and len(bad.covered()) == 12
+    assert not bad.is_perfect()
+    for route in (matching_to_p3, extend_matching_subcubic, kotzig_partition,
+                  remark1_reduction):
+        with pytest.raises(PreconditionError,
+                           match=f"^matching edges collide at vertex {a}$"):
+            route(lgm, bad)
+
+
 def test_extend_complete():
     lgm = build_line_graph(make_named_graph("complete", [5]))
     for m in enumerate_perfect_matchings(lgm.lg):

@@ -157,3 +157,35 @@ def test_cli_checks_no_walk_itself():
         found += [f"cli.py:{node.lineno} {name}" for name in _names(node)
                   if name in checks]
     assert found == []
+
+
+KERNEL_FREE = ("has_dominating_tour", "_spanning_even_subgraph_exists",
+               "is_arbitrarily_traceable")
+KERNEL_READS = {"_kernel", "find_hamiltonian_cycle", "find_dominating_cycle",
+                "hamiltonian_walk", "longest_cycle_search", "_search_graph",
+                "_edge_table"}
+
+
+def test_the_structural_predicates_read_no_kernel():
+    """`has_dominating_tour` (with its cycle-space walk) and
+    `is_arbitrarily_traceable` decide by counting, after Harary and
+    Nash-Williams and after Ore; criterion 06 checks the hamiltonian kernel
+    against the first. So neither they nor any cycles.py function they call
+    reads the kernel, a search or a search's kept state."""
+    path = PACKAGE / "cycles.py"
+    tree = ast.parse(path.read_text(), str(path))
+    fns = {fn.name: fn for fn in tree.body if isinstance(fn, ast.FunctionDef)}
+    todo, seen, found = list(KERNEL_FREE), set(), []
+    while todo:
+        name = todo.pop()
+        if name in seen:
+            continue
+        seen.add(name)
+        for node in ast.walk(fns[name]):
+            for read in _names(node):
+                if read in KERNEL_READS:
+                    found.append(f"cycles.py:{node.lineno} {name} reads {read}")
+                elif read in fns:
+                    todo.append(read)
+    assert found == []
+    assert seen == {*KERNEL_FREE, "_induced"}
